@@ -137,6 +137,10 @@ def cmd_duality_basis(args) -> int:
         "dimension": space.dimension,
         "max_rank": rank,
         "full_rank_duality_exists": full,
+        "cutoff": space.cutoff,
+        "largest_discarded": space.largest_discarded,
+        # inf (nothing kept) has no JSON spelling
+        "smallest_kept": space.smallest_kept if np.isfinite(space.smallest_kept) else None,
         "basis": [b.tolist() for b in space.basis],
     }
     if args.out:

@@ -28,13 +28,3 @@ def numerical_rank(a: np.ndarray, rtol: float | None = None) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > rank_threshold(s, a.shape, rtol)))
 
-
-def nullspace(a: np.ndarray, rtol: float | None = None, atol: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space of `a`."""
-    a = np.atleast_2d(a)
-    _, s, vh = np.linalg.svd(a)
-    tol = max(rank_threshold(s, a.shape, rtol), atol)
-    dim = a.shape[1] - int(np.sum(s > tol))
-    if dim == 0:
-        return np.zeros((a.shape[1], 0), dtype=vh.dtype)
-    return vh[-dim:].conj().T

@@ -82,6 +82,7 @@ class TestDualityCommands:
         assert doc["dimension"] == 4
         assert doc["max_rank"] == 4
         assert doc["full_rank_duality_exists"] is True
+        assert 0.0 <= doc["largest_discarded"] <= doc["cutoff"] < 1e3 * doc["cutoff"] <= doc["smallest_kept"]
 
     def test_sep_table_csv(self, tmp_path, capsys):
         csv = tmp_path / "table.csv"

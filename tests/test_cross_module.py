@@ -24,6 +24,8 @@ from markovdual.config import max_states
 from markovdual.errors import ComplexResidueError
 from markovdual.scenarios import jordan_block_generator
 
+from conftest import jordan_assembled
+
 
 class TestBuildFromSpectraCrossGenerator:
     def test_rw54_pair_from_analytic_spectra(self, rng):
@@ -89,23 +91,9 @@ class TestDefectivePairs:
     even when the two sides partition a shared eigenvalue differently.
     """
 
-    @staticmethod
-    def assemble(blocks, rng):
-        n = sum(m for _, m in blocks)
-        j = np.zeros((n, n))
-        pos = 0
-        for lam, m in blocks:
-            for i in range(m):
-                j[pos + i, pos + i] = lam
-                if i + 1 < m:
-                    j[pos + i, pos + i + 1] = 1.0
-            pos += m
-        s = rng.random((n, n)) + 2.0 * np.eye(n)
-        return RateMatrix.from_entries(s @ j @ np.linalg.inv(s))
-
     def test_equal_partitions(self, rng):
-        hat = self.assemble([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
-        pri = self.assemble([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
+        hat = jordan_assembled([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
+        pri = jordan_assembled([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
         space = solve_duality_space(hat, pri)
         assert space.dimension == (2 + 1 + 1 + 1) + 1
         assert max_duality_rank(space) == 4
@@ -120,8 +108,8 @@ class TestDefectivePairs:
 
     def test_unequal_partitions(self, rng):
         # hat carries one size-3 block where the primal splits into 2 + 1
-        hat = self.assemble([(-1.0, 3), (0.0, 1)], rng)
-        pri = self.assemble([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
+        hat = jordan_assembled([(-1.0, 3), (0.0, 1)], rng)
+        pri = jordan_assembled([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng)
         space = solve_duality_space(hat, pri)
         assert space.dimension == (min(3, 2) + min(3, 1)) + 1
         assert max_duality_rank(space) == 3

@@ -3,8 +3,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from markovdual import (
+    ConfigurationSpace,
     Measure,
     RateMatrix,
     adjoint,
@@ -18,13 +20,16 @@ from markovdual import (
     decompose,
     factor_check,
     generator,
+    ladder_sep_generator,
     make_duality,
     match_jordan_blocks,
     max_duality_rank,
     orthogonal_selfduality,
     residual,
     reversible_eigenbasis,
+    rw_blocked_absorbed,
     rw_reflected_absorbed,
+    sep_generator,
     solve_duality_space,
     spectral_from_eigenbasis,
     stationary_measure,
@@ -40,9 +45,17 @@ from markovdual.errors import (
 )
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 
-from conftest import random_birth_death, random_generator
+from conftest import (
+    jordan_assembled,
+    kronecker_duality_space,
+    random_birth_death,
+    random_generator,
+)
 
 BIRTH_DEATH = [[-2.0, 2.0, 0.0], [1.0, -4.0, 3.0], [0.0, 1.0, -1.0]]
+# Jordan structures [(eigenvalue, size), ...] on the two sides; column-by-column
+# recursion without blocking finds dimension 3 here instead of 5
+THREE_VERSUS_FIVE = ([(-2.0, 2), (-1.0, 2), (0.0, 1)], [(-1.0, 3), (-1.0, 2), (0.0, 1)])
 
 
 def complete_graph(n):
@@ -101,6 +114,131 @@ class TestSolveDualitySpace:
         assert space.dimension == 1
         b = space.basis[0]
         assert np.max(np.abs(b - b[0, 0])) < 1e-9  # constant matrix
+
+
+def permuted(rng, l: RateMatrix) -> RateMatrix:
+    p = rng.permutation(l.n)
+    return RateMatrix.from_entries(np.asarray(l.entries)[np.ix_(p, p)])
+
+
+def direct_sum(rng, l: RateMatrix, copies: int) -> RateMatrix:
+    return permuted(rng, RateMatrix.from_entries(np.kron(np.eye(copies), np.asarray(l.entries))))
+
+
+def jordan_count(hat_blocks, blocks) -> int:
+    """Kernel dimension: sum over shared eigenvalues of min(block sizes), pair by pair."""
+    return sum(min(mh, m) for lh, mh in hat_blocks for lam, m in blocks if lh == lam)
+
+
+def ladder_sep_pair(gamma: int):
+    ladder = ladder_sep_generator(ConfigurationSpace.ladder(2, gamma), 1.0)
+    return ladder, sep_generator(ConfigurationSpace.sep(2, gamma), 1.0)
+
+
+class TestSchurKernelAgainstOracle:
+    """solve_duality_space against the Kronecker SVD: equal dimension, largest
+    principal angle <= 1e-6, and every kept singular value >= 1e3 * cutoff."""
+
+    @staticmethod
+    def check(lhat: RateMatrix, l: RateMatrix):
+        space = solve_duality_space(lhat, l)
+        oracle = kronecker_duality_space(lhat, l)
+        assert space.dimension == oracle.shape[1]
+        assert space.largest_discarded <= space.cutoff
+        assert space.smallest_kept >= 1e3 * space.cutoff
+        if space.dimension:
+            ours = np.column_stack([b.reshape(-1, order="F") for b in space.basis])
+            assert np.max(subspace_angles(ours, oracle)) <= 1e-6
+        return space
+
+    @pytest.mark.parametrize("n", [3, 6, 16, 32])
+    def test_rw54(self, n):
+        rw = rw_reflected_absorbed(n)
+        assert self.check(rw.lhat, rw.l).dimension == n
+
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "permuted", "birth-death"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_random_pairs(self, kind, seed, n):
+        rng = np.random.default_rng(seed)
+        if kind == "birth-death":
+            l = random_birth_death(rng, n)
+        else:
+            l = random_generator(rng, n)
+        if kind == "square":
+            lhat = random_generator(rng, n)
+        elif kind == "rectangular":
+            lhat = random_generator(rng, int(rng.integers(2, 9)))
+        else:
+            lhat = permuted(rng, l)
+        self.check(lhat, l)
+
+    @pytest.mark.parametrize("copies", [(1, 2), (2, 1), (2, 2), (3, 2)])
+    def test_jordan_direct_sums(self, rng, copies):
+        j = jordan_block_generator()
+        self.check(direct_sum(rng, j, copies[0]), direct_sum(rng, j, copies[1]))
+
+    def test_three_versus_five_regression(self, rng):
+        hat_blocks, blocks = THREE_VERSUS_FIVE
+        space = self.check(jordan_assembled(hat_blocks, rng), jordan_assembled(blocks, rng))
+        assert space.dimension == jordan_count(hat_blocks, blocks) == 5
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_assembled_defective_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def structure():
+            blocks, total = [], 0
+            while total < 6:
+                size = int(rng.integers(1, 5))
+                blocks.append((float(rng.choice([-2.0, -1.0, 0.0])), size))
+                total += size
+            return blocks
+
+        hat_blocks, blocks = structure(), structure()
+        space = self.check(jordan_assembled(hat_blocks, rng), jordan_assembled(blocks, rng))
+        assert space.dimension == jordan_count(hat_blocks, blocks)
+
+    @pytest.mark.parametrize("gamma", [2, 3])
+    def test_ladder_sep_pairs(self, gamma):
+        self.check(*ladder_sep_pair(gamma))
+
+    def test_blocked_absorbed_walk_pair(self):
+        pair = rw_blocked_absorbed(6).pair
+        assert self.check(pair.lhat, pair.l).dimension == 6
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize(
+        "name", ["rw54", "birth-death", "jordan-sums", "three-versus-five", "partial", "ladder-sep"]
+    )
+    @given(exponent=st.floats(-6.0, 6.0))
+    def test_dimension_and_max_rank(self, name, exponent):
+        # multiplying both generators by c scales the cutoff and the cluster
+        # radius with them, so no rank decision may change
+        rng = np.random.default_rng(11)
+        if name == "rw54":
+            rw = rw_reflected_absorbed(7)
+            lhat, l = rw.lhat, rw.l
+        elif name == "birth-death":
+            l = random_birth_death(rng, 6)
+            lhat = permuted(rng, l)
+        elif name == "jordan-sums":
+            j = jordan_block_generator()
+            lhat, l = direct_sum(rng, j, 2), j
+        elif name == "three-versus-five":
+            lhat, l = (jordan_assembled(b, rng) for b in THREE_VERSUS_FIVE)
+        elif name == "partial":
+            lhat, l = cyclic_generator(), generator(BIRTH_DEATH)
+        else:
+            lhat, l = ladder_sep_pair(2)
+        c = 10.0**exponent
+        base = solve_duality_space(lhat, l)
+        scaled = solve_duality_space(
+            RateMatrix.from_entries(c * np.asarray(lhat.entries)),
+            RateMatrix.from_entries(c * np.asarray(l.entries)),
+        )
+        assert scaled.dimension == base.dimension
+        assert max_duality_rank(scaled) == max_duality_rank(base)
 
 
 class TestMaxRank:
