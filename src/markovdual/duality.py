@@ -137,7 +137,7 @@ def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     order = np.arange(n)  # original position of the eigenvalue now at each position
     diag = np.diag(s)
     near = np.flatnonzero(np.sum(np.abs(diag[:, None] - diag) <= tau, axis=1) > 1)
-    clusters = [near[g] for g in _cluster_eigenvalues(diag[near], tau) if len(g) > 1]
+    clusters = [near[g] for g in _cluster_eigenvalues(diag[near], tau)[0] if len(g) > 1]
     for g in clusters:
         select = np.isin(order, g)
         s, z, _, _, _, _, info = ztrsen(select.astype(np.int32), s, z, job="N")

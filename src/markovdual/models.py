@@ -135,10 +135,12 @@ def _rate_table(p, m: int) -> np.ndarray:
 
 
 def sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
-    """SEP(gamma) generator: particles hop x->y at rate p(x,y) eta(x) (gamma - eta(y)).
+    """SEP(gamma) generator: particles hop x->y at rate (p(x,y) + p(y,x)) eta(x) (gamma - eta(y)).
 
-    Rows sum to zero exactly for small integer rates; the generator is
-    block-diagonal across total-particle-number sectors.
+    Each ordered pair (x, y) contributes p(x,y) to hops in both directions, so
+    the rates are symmetrized: a scalar p gives rate 2p per hop.  Rows sum to
+    zero exactly for small integer rates; the generator is block-diagonal
+    across total-particle-number sectors.
     """
     if space.kind is not SpaceKind.SEP:
         raise ValueError("sep_generator expects a SEP configuration space")
@@ -163,7 +165,10 @@ def sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
 
 
 def ladder_sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
-    """gamma-ladder SEP: exclusion on V x {1..gamma} with rung-blind rates p(x,y)."""
+    """gamma-ladder SEP: exclusion on V x {1..gamma} with rung-blind rates p(x,y) + p(y,x).
+
+    As in sep_generator, each ordered pair (x, y) drives hops in both directions.
+    """
     if space.kind is not SpaceKind.LADDER:
         raise ValueError("ladder_sep_generator expects a ladder configuration space")
     m = space.n_vertices

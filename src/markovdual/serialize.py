@@ -142,7 +142,3 @@ def save_json(obj: dict, path) -> Path:
 
 def load_matrix(path) -> RateMatrix:
     return matrix_from_json(load_json(path))
-
-
-def load_measure(path) -> Measure:
-    return measure_from_json(load_json(path))

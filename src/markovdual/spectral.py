@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULTS
 from .core import Measure, RateMatrix
@@ -113,18 +114,32 @@ class SpectralData:
         return np.concatenate([[b.eigenvalue] * b.size for b in self.structure.blocks])
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy merge of eigenvalues within tol of a group's running mean."""
+def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]], np.ndarray]:
+    """Greedy merge of eigenvalues within tol of a group's running mean.
+
+    Eigenvalues are visited in (real, imag) order; each joins the first group,
+    in creation order, whose current mean is within tol, or else starts a new
+    group.  Running sums and counts keep every mean at hand, so each visit is
+    one vectorized comparison against all groups: n Python steps of O(groups)
+    arithmetic.  Returns the groups (indices into eigs) and their means.
+    """
     order = np.lexsort((eigs.imag, eigs.real))
     groups: list[list[int]] = []
+    sums = np.zeros(len(eigs), dtype=complex)
+    means = np.zeros(len(eigs), dtype=complex)
+    counts = np.zeros(len(eigs), dtype=int)
     for idx in order:
-        for g in groups:
-            if abs(eigs[idx] - np.mean(eigs[g])) <= tol:
-                g.append(idx)
-                break
+        near = np.flatnonzero(np.abs(eigs[idx] - means[: len(groups)]) <= tol)
+        if near.size:
+            g = near[0]
+            groups[g].append(idx)
         else:
+            g = len(groups)
             groups.append([idx])
-    return groups
+        sums[g] += eigs[idx]
+        counts[g] += 1
+        means[g] = sums[g] / counts[g]
+    return groups, means[: len(groups)]
 
 
 def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float):
@@ -159,22 +174,42 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float):
     return dims, bases
 
 
+def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) -> np.ndarray:
+    """The first `want` greedy picks from the candidate columns, as orthonormal columns.
+
+    Candidates are projected off span(avoid); each pick is then the candidate
+    of largest norm after projecting off the earlier picks, normalized.  That
+    greedy rule is QR with column pivoting (Businger-Golub), so pick i is
+    Q[:, i] R[i, i] / |R[i, i]| of LAPACK's pivoted QR: O(n k^2) for k
+    candidates.  Raises DecompositionFailedError when fewer than `want`
+    candidates are left or a pivot is zero.
+    """
+    if avoid is not None:
+        q, _ = np.linalg.qr(avoid)
+        candidates = candidates - q @ (q.conj().T @ candidates)
+    if min(candidates.shape) < want:
+        raise DecompositionFailedError("could not complete a Jordan chain basis")
+    qc, r, _ = scipy.linalg.qr(candidates, mode="economic", pivoting=True)
+    pivots = np.diag(r)[:want]
+    if np.any(pivots == 0.0):
+        raise DecompositionFailedError("could not complete a Jordan chain basis")
+    return qc[:, :want] * (pivots / np.abs(pivots))
+
+
 def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> list[list[np.ndarray]]:
     """Jordan chains for one eigenvalue cluster, each chain eigenvector-first.
 
-    Top vectors are picked per level (descending) from Null((M-lam I)^k),
-    ordered by descending norm after projecting off Null((M-lam I)^{k-1}) and
-    the level-k members of already-chosen chains, which makes the output
-    deterministic.
+    Top vectors are picked per level (descending) from Null((M-lam I)^k) by
+    _pivoted_picks, avoiding Null((M-lam I)^{k-1}) and the level-k members of
+    already-chosen chains, which makes the output deterministic.  Cost: one
+    SVD per power of M-lam I up to the largest block size s, O(s n^3), plus
+    one pivoted QR of at most n x m_alg per level.
     """
     n = m.shape[0]
     if lam.imag == 0.0 and not np.iscomplexobj(m):
         a = m - lam.real * np.eye(n)
     else:
         a = m.astype(complex) - lam * np.eye(n, dtype=complex)
-    if m_alg == 1:
-        _, _, vh = np.linalg.svd(a)
-        return [[vh[-1].conj()]]
     dims, bases = _null_basis_sequence(a, m_alg, spread)
     chains: list[list[np.ndarray]] = []
     for level in range(len(bases), 0, -1):
@@ -187,32 +222,29 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
         members = [c[level - 1] for c in chains if len(c) >= level]
         if members:
             avoid.append(np.array(members).T)
-        q = None
-        if avoid:
-            q, _ = np.linalg.qr(np.hstack([x.astype(a.dtype) for x in avoid]))
-        candidates = bases[level - 1]
-        picked: list[np.ndarray] = []
-        for _ in range(want):
-            best, best_norm = None, -1.0
-            for j in range(candidates.shape[1]):
-                v = candidates[:, j].astype(a.dtype).copy()
-                if q is not None:
-                    v -= q @ (q.conj().T @ v)
-                for w in picked:
-                    v -= w * (w.conj() @ v)
-                norm = float(np.linalg.norm(v))
-                if norm > best_norm:
-                    best, best_norm = v, norm
-            if best is None or best_norm <= 0.0:
-                raise DecompositionFailedError("could not complete a Jordan chain basis")
-            top = best / best_norm
-            picked.append(top)
+        tops = _pivoted_picks(
+            bases[level - 1].astype(a.dtype),
+            np.hstack([x.astype(a.dtype) for x in avoid]) if avoid else None,
+            want,
+        )
+        for top in tops.T:
             chain = [top]
             for _ in range(level - 1):
                 chain.append(a @ chain[-1])
             chain.reverse()
             chains.append(chain)
     return chains
+
+
+def _cluster_chains(
+    mat: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, group: list[int], lam: complex
+) -> list[list[np.ndarray]]:
+    """Chains of one cluster at lam: its eig column if simple, else from null spaces."""
+    if len(group) == 1:
+        v = vecs[:, group[0]]
+        return [[v.real if lam.imag == 0.0 else v]]
+    spread = float(np.max(np.abs(eigs[group] - lam)))
+    return _jordan_chains(mat, lam, len(group), spread)
 
 
 def decompose(
@@ -222,11 +254,18 @@ def decompose(
 ) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
-    Eigenvalues within tol_cluster are merged before chain construction, so
-    floating-point splits of designed Jordan blocks are re-absorbed (size-2
-    blocks split by ~sqrt(eps), within the default; deeper blocks need a
-    looser tol_cluster).  Complex clusters are processed once and mirrored,
-    so conjugate blocks carry exactly conjugate columns.
+    One `eig` call gives the eigenvalues and eigenvectors.  Eigenvalues within
+    tol_cluster are merged before chain construction, so floating-point splits
+    of designed Jordan blocks are re-absorbed (size-2 blocks split by
+    ~sqrt(eps), within the default; deeper blocks need a looser tol_cluster).
+    A cluster with one member is a simple eigenvalue and takes its `eig`
+    column (a real column for a real eigenvalue); a cluster with two or more
+    members gets its chains from the null spaces of the powers of M - lam I
+    (see _jordan_chains).  Complex clusters are processed once and mirrored,
+    so conjugate blocks carry exactly conjugate columns.  Cost: O(n^3) for
+    `eig`, the inverse and the residual check, plus O(s n^3) per cluster of
+    two or more members with largest block size s; a matrix with simple
+    eigenvalues costs O(n^3).
 
     Raises DecompositionFailedError if the reconstruction or inversion
     residual exceeds tol_residual.
@@ -234,32 +273,31 @@ def decompose(
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
     n = mat.shape[0]
-    eigs = np.linalg.eigvals(mat)
-    groups = _cluster_eigenvalues(eigs, tol_cluster)
-    reps = [complex(np.mean(eigs[g])) for g in groups]
-    done = [False] * len(groups)
+    eigs, vecs = np.linalg.eig(mat)
+    groups, reps = _cluster_eigenvalues(eigs, tol_cluster)
+    done = np.zeros(len(groups), dtype=bool)
     blocks: list[tuple[complex, list[np.ndarray]]] = []
-    for gi in range(len(groups)):
+    for gi, group in enumerate(groups):
         if done[gi]:
             continue
-        lam = reps[gi]
+        lam = complex(reps[gi])
         if abs(lam.imag) <= tol_cluster:
             lam = complex(lam.real, 0.0)
-            spread = max(abs(eigs[j] - lam) for j in groups[gi])
-            for chain in _jordan_chains(mat, lam, len(groups[gi]), spread):
+            for chain in _cluster_chains(mat, eigs, vecs, group, lam):
                 blocks.append((lam, chain))
             done[gi] = True
         else:
-            candidates = [j for j in range(len(groups)) if not done[j] and j != gi]
-            partner = min(candidates, key=lambda j: abs(reps[j] - lam.conjugate()), default=None)
-            if partner is None or abs(reps[partner] - lam.conjugate()) > 10 * tol_cluster:
+            dist = np.abs(reps - lam.conjugate())
+            dist[done] = np.inf
+            dist[gi] = np.inf
+            partner = int(np.argmin(dist))
+            if dist[partner] > 10 * tol_cluster:
                 raise DecompositionFailedError(
                     f"no conjugate partner for eigenvalue cluster at {lam:.6g}"
                 )
             upper = gi if lam.imag > 0 else partner
-            lam = reps[upper]
-            spread = max(abs(eigs[j] - lam) for j in groups[upper])
-            for chain in _jordan_chains(mat, lam, len(groups[upper]), spread):
+            lam = complex(reps[upper])
+            for chain in _cluster_chains(mat, eigs, vecs, groups[upper], lam):
                 blocks.append((lam, chain))
                 blocks.append((lam.conjugate(), [v.conj() for v in chain]))
             done[gi] = done[partner] = True

@@ -57,6 +57,47 @@ def kronecker_duality_space(lhat: RateMatrix, l: RateMatrix) -> np.ndarray:
     return vh[len(s) - dim :].T
 
 
+def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):
+    """Reference for spectral._pivoted_picks: the per-vector greedy loop.
+
+    Projects each candidate off span(avoid) and the earlier picks and takes the
+    one of largest norm, `want` times.  Returns the picks as columns and, per
+    pick, the relative gap (best - runner-up) / best between the two largest
+    norms (inf with one candidate), which says whether the pick was a tie.
+    """
+    q = None if avoid is None else np.linalg.qr(avoid)[0]
+    picked, gaps = [], []
+    for _ in range(want):
+        norms, vectors = [], []
+        for j in range(candidates.shape[1]):
+            v = candidates[:, j].copy()
+            if q is not None:
+                v -= q @ (q.conj().T @ v)
+            for w in picked:
+                v -= w * (w.conj() @ v)
+            norms.append(float(np.linalg.norm(v)))
+            vectors.append(v)
+        j = int(np.argmax(norms))
+        rest = norms[:j] + norms[j + 1 :]
+        gaps.append((norms[j] - max(rest)) / norms[j] if rest else np.inf)
+        picked.append(vectors[j] / norms[j])
+    return np.array(picked).T, gaps
+
+
+def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
+    """Reference for spectral._cluster_eigenvalues: the per-group loop over np.mean."""
+    order = np.lexsort((eigs.imag, eigs.real))
+    groups: list[list[int]] = []
+    for idx in order:
+        for g in groups:
+            if abs(eigs[idx] - np.mean(eigs[g])) <= tol:
+                g.append(idx)
+                break
+        else:
+            groups.append([idx])
+    return groups
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

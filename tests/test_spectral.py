@@ -3,10 +3,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from markovdual import (
     JordanBlock,
     JordanStructure,
+    ConfigurationSpace,
     Measure,
     RateMatrix,
     build_bj,
@@ -17,13 +19,15 @@ from markovdual import (
     match_jordan_blocks,
     reversible_eigenbasis,
     rw_reflected_absorbed,
+    sep_generator,
     solve_duality_space,
     stationary_measure,
 )
 from markovdual.errors import DecompositionFailedError, NotOrthonormalError
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
+from markovdual.spectral import _cluster_eigenvalues, _pivoted_picks
 
-from conftest import random_birth_death, random_generator
+from conftest import cluster_running_mean, greedy_pick, random_birth_death, random_generator
 
 
 class TestDecompose:
@@ -94,6 +98,128 @@ class TestDecompose:
         conj_sorted = sorted(eigs.conj(), key=lambda z: (z.real, z.imag))
         plain_sorted = sorted(eigs, key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(conj_sorted, plain_sorted)) < 1e-7
+
+
+@st.composite
+def candidate_sets(draw):
+    """Orthonormal candidates, an avoid space inside their span (or None), and a pick count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n))
+    p = draw(st.integers(0, k - 1))
+    want = draw(st.integers(1, k - p))
+    complex_entries = draw(st.booleans())
+
+    def rand(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_entries else out
+
+    candidates = np.linalg.qr(rand(n, k))[0]
+    avoid = candidates @ rand(k, p) if p else None
+    return candidates, avoid, want
+
+
+@st.composite
+def eigenvalue_multisets(draw):
+    """Eigenvalues on a tol/2 grid (ties at exactly tol), some nudged off it, with conjugates.
+
+    Every value is dyadic and tol is a power of two, so sums and means are
+    exact and both clustering routes compare the same numbers.
+    """
+    tol = draw(st.sampled_from([2.0**-23, 2.0**-10, 0.5]))
+    base = draw(st.sampled_from([0.0, -20.0]))
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(0, 3), st.sampled_from([0, 1, -1])),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    eigs = []
+    for re, im, nudge in points:
+        z = base + complex(re * (1 + nudge * 2.0**-10), im) * tol / 2
+        eigs.append(z)
+        if im:
+            eigs.append(z.conjugate())
+    return np.array(eigs), tol
+
+
+SEP_COMPLETE_SPECTRA = {
+    (3, 2): {0.0: 7, -12.0: 10, -20.0: 9, -24.0: 1},
+    (3, 3): {0.0: 10, -18.0: 16, -32.0: 18, -42.0: 16, -48.0: 4},
+    (2, 4): {0.0: 9, -16.0: 7, -28.0: 5, -36.0: 3, -40.0: 1},
+}
+
+
+def _block_list(structure: JordanStructure) -> list[tuple[float, float, int]]:
+    return [(round(b.eigenvalue.real, 6), round(b.eigenvalue.imag, 6), b.size) for b in structure.blocks]
+
+
+class TestDecomposeRoutes:
+    """The eig route for simple eigenvalues, pivoted-QR chain picks and vectorized clustering
+    against the reference loops in conftest and the SVD null vectors they replaced."""
+
+    @given(candidate_sets())
+    def test_pivoted_picks_match_greedy_reference(self, case):
+        candidates, avoid, want = case
+        tops = _pivoted_picks(candidates, avoid, want)
+        ref, gaps = greedy_pick(candidates, avoid, want)
+        npt.assert_allclose(tops.conj().T @ tops, np.eye(want), atol=1e-12)
+        if avoid is not None:
+            assert np.max(np.abs(avoid.conj().T @ tops)) <= 1e-12 * np.max(np.abs(avoid))
+        for i in range(1, want + 1):
+            if gaps[i - 1] < 1e-6:
+                break  # a tie: either candidate follows the rule, so later prefixes may differ
+            assert np.max(subspace_angles(tops[:, :i], ref[:, :i])) <= 1e-10
+
+    def test_pivoted_picks_raise_when_candidates_run_out(self):
+        with pytest.raises(DecompositionFailedError):
+            _pivoted_picks(np.zeros((4, 0)), None, 1)
+        with pytest.raises(DecompositionFailedError):
+            _pivoted_picks(np.eye(4)[:, :2], None, 3)
+        with pytest.raises(DecompositionFailedError):
+            _pivoted_picks(np.eye(4)[:, :2], np.eye(4)[:, :1], 2)
+
+    @given(eigenvalue_multisets())
+    def test_clusters_match_running_mean_reference(self, case):
+        eigs, tol = case
+        groups, means = _cluster_eigenvalues(eigs, tol)
+        assert [[int(i) for i in g] for g in groups] == [
+            [int(i) for i in g] for g in cluster_running_mean(eigs, tol)
+        ]
+        npt.assert_array_equal(means, [np.mean(eigs[g]) for g in groups])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.booleans())
+    def test_eig_columns_parallel_to_svd_null_vectors(self, seed, n, birth_death):
+        rng = np.random.default_rng(seed)
+        if birth_death:
+            m = np.asarray(random_birth_death(rng, n).entries)
+            perm = rng.permutation(n)
+            m = m[np.ix_(perm, perm)]
+        else:
+            m = np.asarray(random_generator(rng, n).entries)
+        sd = decompose(RateMatrix.from_entries(m))
+        assert sd.structure.is_diagonalizable()
+        assert len({b.eigenvalue for b in sd.structure.blocks}) == n
+        for offset, block in zip(sd.structure.offsets, sd.structure.blocks):
+            null = np.linalg.svd(m - block.eigenvalue * np.eye(n))[2][-1].conj()
+            col = sd.U[:, offset]
+            assert abs(np.vdot(null, col)) / np.linalg.norm(col) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("vertices,gamma", list(SEP_COMPLETE_SPECTRA))
+    def test_sep_complete_graph_structure(self, vertices, gamma):
+        sd = decompose(sep_generator(ConfigurationSpace.sep(vertices, gamma), 1.0))
+        spectrum = SEP_COMPLETE_SPECTRA[(vertices, gamma)]
+        expected = JordanStructure(tuple((ev, 1) for ev, mult in spectrum.items() for _ in range(mult)))
+        assert _block_list(sd.structure) == _block_list(expected)
+
+    @pytest.mark.parametrize("copies", range(1, 7))
+    def test_jordan_sum_structure(self, copies, rng):
+        m = np.kron(np.eye(copies), np.asarray(jordan_block_generator().entries))
+        perm = rng.permutation(m.shape[0])
+        sd = decompose(RateMatrix.from_entries(m[np.ix_(perm, perm)]))
+        expected = [(0.0, 0.0, 1)] * copies + [(-1.0, 0.0, 2)] * copies + [(-1.5, 0.0, 1)] * copies
+        assert _block_list(sd.structure) == expected
 
 
 class TestBJ:
