@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Time the exclusion-model builders at the sizes of one exclusion-transforms round.
+
+Usage:
+  PYTHONPATH=src:. python scripts/bench_models.py [--seed 0] [--repeats 5]
+  python scripts/bench_models.py --before <checkout> [--seed 0] [--repeats 5] [--out BENCH_models.json]
+
+The inputs are the ones perfbench's exclusion-transforms workload builds
+(`perfbench.workloads.ExclusionTransforms`): `sep_generator`,
+`ladder_sep_generator`, `ssep_selfduality` and `factorized_duality` on the
+ladder/SEP sizes and the site-table SEP sizes with symmetric random rates,
+and `rw_blocked_absorbed` at the blocked-walk sizes.  Per call and size it
+reports the min and median wall time over the repeats (after one untimed
+call), and the output's fingerprint: a digest of the generator or duality
+matrix, the duality's rank and residual, the walk's two spectral residuals.
+
+Without --before it prints one JSON object for the markovdual on the path.
+With --before it runs itself twice in fresh interpreters, first on the
+checkout given (importing its `src/`), then on this one, each with the
+repository root of this script on the path for `perfbench`, and writes
+{machine, command, summary, before, after} to --out: per call the sum of
+the medians on both sides and their ratio, and whether every fingerprint
+matched.  BLAS threads follow the environment.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+def timed(fn, repeats: int) -> tuple[object, dict]:
+    out = fn()
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - t0)
+    return out, {"min_s": min(walls), "median_s": statistics.median(walls), "repeats": repeats}
+
+
+def time_calls(seed: int, repeats: int) -> list[dict]:
+    import markovdual as md
+    from perfbench import inputs
+    from perfbench.workloads import ExclusionTransforms as X
+
+    rng = np.random.default_rng(seed)
+    rows = []
+
+    def row(call, label, states, fn, fingerprint):
+        out, walls = timed(fn, repeats)
+        rows.append({"call": call, "input": label, "states": states, **walls, **fingerprint(out)})
+
+    def duality(d):
+        return {"digest": digest(d.matrix), "rank": d.rank, "residual": d.residual}
+
+    generator = lambda l: {"digest": digest(l.entries)}
+    for sizes, with_ladder in ((X.LADDER_SEP, True), (X.SITE_TABLES, False)):
+        for v, g in sizes:
+            sep = md.ConfigurationSpace.sep(v, g)
+            p = inputs.symmetric_rates(rng, v)
+            label = f"V={v},gamma={g}"
+            row("sep_generator", label, sep.size, lambda: md.sep_generator(sep, p), generator)
+            l_sep = md.sep_generator(sep, p)
+            alpha, beta = rng.uniform(0.5, 1.0, 2)
+            params = md.SingleSiteDualityParams(alpha, beta, 0.0, 1.0, g)
+            tables = [md.single_site_duality(params)] * v
+            row("factorized_duality", label, sep.size, lambda: md.factorized_duality(tables, sep, l_sep), duality)
+            if not with_ladder:
+                continue
+            ladder = md.ConfigurationSpace.ladder(v, g)
+            row("ladder_sep_generator", label, ladder.size, lambda: md.ladder_sep_generator(ladder, p), generator)
+            l_ladder = md.ladder_sep_generator(ladder, p)
+            row("ssep_selfduality", label, ladder.size, lambda: md.ssep_selfduality(ladder, params, l_ladder), duality)
+    for n in X.BLOCKED:
+        row(
+            "rw_blocked_absorbed",
+            f"n={n}",
+            n,
+            lambda: md.rw_blocked_absorbed(n),
+            lambda rw: {"residual": max(rw.spectral.residual, rw.spectral_hat.residual)},
+        )
+    return rows
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "platform": platform.platform(),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def run_checkout(checkout: Path, seed: int, repeats: int) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=f"{checkout / 'src'}{os.pathsep}{ROOT}")
+    argv = [sys.executable, __file__, "--seed", str(seed), "--repeats", str(repeats)]
+    return json.loads(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout)["calls"]
+
+
+def compare(before: list[dict], after: list[dict]) -> dict:
+    summary = {}
+    for b, a in zip(before, after):
+        s = summary.setdefault(b["call"], {"before_s": 0.0, "after_s": 0.0, "same_output": True})
+        s["before_s"] += b["median_s"]
+        s["after_s"] += a["median_s"]
+        exact = {k for k in ("digest", "rank") if k in b}
+        s["same_output"] &= all(a[k] == b[k] for k in exact)
+    for s in summary.values():
+        s["speedup"] = s["before_s"] / s["after_s"]
+    return summary
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--before", type=Path, help="checkout to compare against (runs both sides)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_models.json")
+    args = parser.parse_args()
+    if args.before is None:
+        print(json.dumps({"machine": machine(), "seed": args.seed, "calls": time_calls(args.seed, args.repeats)}))
+        return
+    before = run_checkout(args.before.resolve(), args.seed, args.repeats)
+    after = run_checkout(ROOT, args.seed, args.repeats)
+    record = {
+        "what": "wall time per call of the exclusion-model builders on the inputs of one "
+        "exclusion-transforms round (perfbench.workloads.ExclusionTransforms), before = --before "
+        "checkout, after = this checkout; digest/rank must match between the sides",
+        "command": " ".join(["python3", "scripts/bench_models.py", "--before", "<parent checkout>",
+                             "--seed", str(args.seed), "--repeats", str(args.repeats)]),
+        "machine": machine(),
+        "seed": args.seed,
+        "summary": compare(before, after),
+        "before": before,
+        "after": after,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record["summary"], indent=2))
+
+
+if __name__ == "__main__":
+    main()

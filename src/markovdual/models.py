@@ -12,6 +12,7 @@ the indicator families to emerge from the product formula).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,13 +22,14 @@ import numpy as np
 
 from .config import DEFAULTS, max_states
 from .core import MatrixKind, RateMatrix, StateSpace
-from .duality import DualityFunction, make_duality
+from .duality import DualityFunction, residual
 from .errors import (
     DegenerateHypergeometricError,
     DomainError,
     ShapeMismatchError,
     SpaceTooLargeError,
 )
+from .linalg import rank_threshold
 from .siegmund import SiegmundPair, siegmund_dual
 from .spectral import SpectralData, spectral_from_eigenbasis
 
@@ -62,6 +64,11 @@ class ConfigurationSpace:
 
     SEP: occupation vectors over V with entries 0..gamma, lexicographic order.
     LADDER: 0/1 vectors over V x {1..gamma}, site-major flat index x*gamma + a.
+
+    Both orders are lexicographic with the first site as the most significant
+    digit, i.e. the index of a configuration is its mixed-radix number.  That
+    is the Kronecker order: a product over sites of single-site functions
+    f_s(xi_s, eta_s) is the matrix f_0 (x) f_1 (x) ... in this enumeration.
     """
 
     kind: SpaceKind
@@ -134,6 +141,32 @@ def _rate_table(p, m: int) -> np.ndarray:
     return table
 
 
+def _exclusion_generator(space: ConfigurationSpace, n_sites: int, capacity: int, rates: np.ndarray) -> RateMatrix:
+    """Exclusion with at most `capacity` particles per site over `space`'s enumeration.
+
+    A configuration's index is its mixed-radix number (site 0 most
+    significant), so a hop src -> dst moves index i to i - w[src] + w[dst].
+    Each ordered pair (x, y) adds rates[x, y] eta(src) (capacity - eta(dst)) for
+    (src, dst) = (x, y) and then (y, x), pair by pair in row-major order: every
+    entry is accumulated from the same products in the same order as a loop
+    over configurations would, hence bit for bit the same.
+    """
+    size = space.size
+    w = (capacity + 1) ** np.arange(n_sites - 1, -1, -1)
+    occ = (np.arange(size)[:, None] // w) % (capacity + 1)
+    gen = np.zeros((size, size))
+    for x in range(n_sites):
+        for y in range(n_sites):
+            if x == y or rates[x, y] == 0.0:
+                continue
+            for src, dst in ((x, y), (y, x)):
+                rate = rates[x, y] * occ[:, src] * (capacity - occ[:, dst])
+                rows = np.flatnonzero(rate)
+                gen[rows, rows - w[src] + w[dst]] += rate[rows]
+    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
+    return RateMatrix(space.state_space(), gen, MatrixKind.GENERATOR)
+
+
 def sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
     """SEP(gamma) generator: particles hop x->y at rate (p(x,y) + p(y,x)) eta(x) (gamma - eta(y)).
 
@@ -144,52 +177,21 @@ def sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
     """
     if space.kind is not SpaceKind.SEP:
         raise ValueError("sep_generator expects a SEP configuration space")
-    m = space.n_vertices
-    rates = _rate_table(p, m)
-    gamma = space.gamma
-    gen = np.zeros((space.size, space.size))
-    for i, eta in enumerate(space.configs):
-        for x in range(m):
-            for y in range(m):
-                if x == y:
-                    continue
-                for (src, dst) in ((x, y), (y, x)):
-                    rate = rates[x, y] * eta[src] * (gamma - eta[dst])
-                    if rate:
-                        nxt = list(eta)
-                        nxt[src] -= 1
-                        nxt[dst] += 1
-                        gen[i, space.index(nxt)] += rate
-    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return RateMatrix(space.state_space(), gen, MatrixKind.GENERATOR)
+    return _exclusion_generator(space, space.n_vertices, space.gamma, _rate_table(p, space.n_vertices))
 
 
 def ladder_sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
     """gamma-ladder SEP: exclusion on V x {1..gamma} with rung-blind rates p(x,y) + p(y,x).
 
-    As in sep_generator, each ordered pair (x, y) drives hops in both directions.
+    This is SEP(1) on the V*gamma sites (x, a), flat index x*gamma + a, with
+    site rates p (x) J_gamma (J the all-ones matrix): a particle hops between
+    any rungs of two distinct vertices, never within a vertex.  As in
+    sep_generator, each ordered pair drives hops in both directions.
     """
     if space.kind is not SpaceKind.LADDER:
         raise ValueError("ladder_sep_generator expects a ladder configuration space")
-    m = space.n_vertices
-    rates = _rate_table(p, m)
-    gamma = space.gamma
-    gen = np.zeros((space.size, space.size))
-    flat = lambda x, a: x * gamma + a
-    for i, eta in enumerate(space.configs):
-        for x in range(m):
-            for y in range(m):
-                if x == y or rates[x, y] == 0.0:
-                    continue
-                for a in range(gamma):
-                    for b in range(gamma):
-                        for (src, dst) in ((flat(x, a), flat(y, b)), (flat(y, b), flat(x, a))):
-                            if eta[src] and not eta[dst]:
-                                nxt = list(eta)
-                                nxt[src], nxt[dst] = 0, 1
-                                gen[i, space.index(nxt)] += rates[x, y]
-    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return RateMatrix(space.state_space(), gen, MatrixKind.GENERATOR)
+    hop = np.kron(_rate_table(p, space.n_vertices), np.ones((space.gamma, space.gamma)))
+    return _exclusion_generator(space, space.n_vertices * space.gamma, 1, hop)
 
 
 def ladder_projection(ladder_space: ConfigurationSpace, sep_space: ConfigurationSpace) -> list[int]:
@@ -225,16 +227,42 @@ class SingleSiteDualityParams:
             raise ValueError("gamma must be >= 1")
 
 
+def _product_duality(generator: RateMatrix, factors: Sequence[np.ndarray]) -> DualityFunction:
+    """Self-duality D = factors[0] (x) factors[1] (x) ... of `generator`.
+
+    In the enumeration order of ConfigurationSpace the product over sites is
+    this Kronecker product.  The singular values of a Kronecker product are the
+    products of its factors' singular values, so the rank comes from one
+    batched SVD of the small factors, at numerical_rank's cutoff
+    max(N) eps s_max, instead of an SVD of D.  The residual is the dense
+    max-abs entry of L D - D L^T against (generator, generator).
+    """
+    if not factors:  # no sites: the one empty configuration
+        factors = [np.ones((1, 1))]
+    d = functools.reduce(np.kron, factors)
+    sv = np.linalg.svd(np.stack(factors), compute_uv=False)
+    s = np.sort(functools.reduce(np.multiply.outer, sv).ravel())[::-1]
+    return DualityFunction(
+        dual_space=generator.space,
+        primal_space=generator.space,
+        matrix=d,
+        residual=residual(generator, generator, d),
+        rank=int(np.sum(s > rank_threshold(s, d.shape))),
+    )
+
+
 def ssep_selfduality(
     space: ConfigurationSpace,
     params: SingleSiteDualityParams,
     generator: RateMatrix,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
     """Product self-duality of the ladder exclusion process.
 
     D(xi, eta) = prod_site (alpha + beta eta_site)^(epsilon + delta xi_site),
-    evaluated with 0^0 = 1.  Residual recorded against (generator, generator).
+    evaluated with 0^0 = 1, assembled as the Kronecker power of the 2x2 site
+    table over the V*gamma ladder sites; its rank is counted from the table's
+    singular values (see _product_duality).  Residual recorded against
+    (generator, generator), not gated.
     """
     if space.kind is not SpaceKind.LADDER:
         raise ValueError("ssep_selfduality expects a ladder configuration space")
@@ -250,11 +278,7 @@ def ssep_selfduality(
             for v_xi in (0, 1)
         ]
     )
-    configs = np.array(space.configs)
-    d = np.ones((space.size, space.size))
-    for s in range(configs.shape[1]):
-        d *= site[configs[:, s][:, None], configs[:, s][None, :]]
-    return make_duality(generator, generator, d)
+    return _product_duality(generator, [site] * (space.n_vertices * space.gamma))
 
 
 def classify_regime(params: SingleSiteDualityParams) -> str:
@@ -386,9 +410,14 @@ def factorized_duality(
     tables: Sequence[np.ndarray],
     space: ConfigurationSpace,
     generator: RateMatrix,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
-    """Product duality D(xi, eta) = prod_x d_x(xi(x), eta(x)) over a SEP space."""
+    """Product duality D(xi, eta) = prod_x d_x(xi(x), eta(x)) over a SEP space.
+
+    Assembled as d_0 (x) ... (x) d_{V-1}, one table per vertex in vertex order;
+    its rank is counted from the tables' singular values (see
+    _product_duality).  Residual recorded against (generator, generator), not
+    gated.
+    """
     if space.kind is not SpaceKind.SEP:
         raise ValueError("factorized_duality expects a SEP configuration space")
     tables = [np.asarray(t, dtype=float) for t in tables]
@@ -398,11 +427,7 @@ def factorized_duality(
     for t in tables:
         if t.shape != expected:
             raise ShapeMismatchError(f"table shape {t.shape}, expected {expected}")
-    configs = np.array(space.configs)
-    d = np.ones((space.size, space.size))
-    for x in range(space.n_vertices):
-        d *= tables[x][configs[:, x][:, None], configs[:, x][None, :]]
-    return make_duality(generator, generator, d)
+    return _product_duality(generator, tables)
 
 
 # ---------------------------------------------------------------------------

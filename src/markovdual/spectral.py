@@ -323,24 +323,27 @@ def spectral_from_eigenbasis(
     u: np.ndarray,
     tol_residual: float = DEFAULTS.residual,
 ) -> SpectralData:
-    """SpectralData from a known eigenbasis (all blocks size 1), validated."""
+    """SpectralData from a known eigenbasis (all blocks size 1), validated.
+
+    J is diagonal, so the reconstruction defect M U - U J is checked as
+    M U - U diag(lambda), and U is inverted in its own dtype (a real basis
+    stays real); U and Uinv are stored complex, like decompose's.
+    """
     structure = JordanStructure(tuple(JordanBlock(complex(ev), 1) for ev in eigenvalues))
-    u = np.asarray(u, dtype=complex)
     keys = [_canonical_key(JordanBlock(complex(ev), 1)) for ev in eigenvalues]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     # re-sort columns so they line up with the canonical block order
-    ordered = u[:, order]
+    ordered = np.asarray(u)[:, order]
     uinv = np.linalg.inv(ordered)
-    j = structure.jordan_matrix()
     residual = max(
-        max_abs(np.asarray(source.entries) @ ordered - ordered @ j),
+        max_abs(np.asarray(source.entries) @ ordered - ordered * np.asarray(eigenvalues)[order]),
         max_abs(uinv @ ordered - np.eye(source.n)),
     )
     if residual > tol_residual:
         raise DecompositionFailedError(
             f"analytic eigenbasis residual {residual:.3e} exceeds {tol_residual:.3e}"
         )
-    return SpectralData(source, structure, ordered, uinv, residual)
+    return SpectralData(source, structure, ordered.astype(complex), uinv.astype(complex), residual)
 
 
 def build_bj(structure: JordanStructure) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 
 from markovdual import RateMatrix
 from markovdual.linalg import rank_threshold
+from markovdual.models import _rate_table
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -96,6 +97,60 @@ def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
         else:
             groups.append([idx])
     return groups
+
+
+def sep_generator_loops(space, p=1.0) -> np.ndarray:
+    """Reference for models.sep_generator: a loop over configurations and ordered vertex pairs."""
+    m = space.n_vertices
+    rates = _rate_table(p, m)
+    gamma = space.gamma
+    gen = np.zeros((space.size, space.size))
+    for i, eta in enumerate(space.configs):
+        for x in range(m):
+            for y in range(m):
+                if x == y:
+                    continue
+                for (src, dst) in ((x, y), (y, x)):
+                    rate = rates[x, y] * eta[src] * (gamma - eta[dst])
+                    if rate:
+                        nxt = list(eta)
+                        nxt[src] -= 1
+                        nxt[dst] += 1
+                        gen[i, space.index(nxt)] += rate
+    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
+    return gen
+
+
+def ladder_sep_generator_loops(space, p=1.0) -> np.ndarray:
+    """Reference for models.ladder_sep_generator: a loop over configurations, vertex pairs and rungs."""
+    m = space.n_vertices
+    rates = _rate_table(p, m)
+    gamma = space.gamma
+    gen = np.zeros((space.size, space.size))
+    flat = lambda x, a: x * gamma + a
+    for i, eta in enumerate(space.configs):
+        for x in range(m):
+            for y in range(m):
+                if x == y or rates[x, y] == 0.0:
+                    continue
+                for a in range(gamma):
+                    for b in range(gamma):
+                        for (src, dst) in ((flat(x, a), flat(y, b)), (flat(y, b), flat(x, a))):
+                            if eta[src] and not eta[dst]:
+                                nxt = list(eta)
+                                nxt[src], nxt[dst] = 0, 1
+                                gen[i, space.index(nxt)] += rates[x, y]
+    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
+    return gen
+
+
+def gather_product_duality(factors, space) -> np.ndarray:
+    """Reference for the product dualities: D(xi, eta) = prod_s factors[s][xi_s, eta_s], gathered per site."""
+    configs = np.array(space.configs)
+    d = np.ones((space.size, space.size))
+    for s, f in enumerate(factors):
+        d *= f[configs[:, s][:, None], configs[:, s][None, :]]
+    return d
 
 
 @pytest.fixture

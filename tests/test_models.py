@@ -26,6 +26,9 @@ from markovdual import (
     tensor_duality,
 )
 from markovdual.errors import DomainError, ShapeMismatchError, SpaceTooLargeError
+from markovdual.linalg import numerical_rank
+
+from conftest import gather_product_duality, ladder_sep_generator_loops, sep_generator_loops
 
 
 class TestConfigurationSpace:
@@ -256,6 +259,12 @@ class TestFactorizedDuality:
         d = factorized_duality([table, table], space, gen)
         assert d.residual < 1e-10
 
+    def test_no_vertices_single_configuration(self):
+        space = ConfigurationSpace.sep(0, 2)
+        d = factorized_duality([], space, sep_generator(space))
+        npt.assert_array_equal(d.matrix, np.ones((1, 1)))
+        assert d.rank == 1
+
     def test_table_count_validated(self):
         space = ConfigurationSpace.sep(2, 1)
         gen = sep_generator(space, 1.0)
@@ -320,6 +329,9 @@ class TestBlockedAbsorbedRW:
         rw = rw_blocked_absorbed(10)
         assert rw.spectral.residual < 1e-9
         assert rw.spectral_hat.residual < 1e-9
+        # the real analytic bases are validated in float but stored complex, like decompose's
+        for sd in (rw.spectral, rw.spectral_hat):
+            assert sd.U.dtype == sd.Uinv.dtype == complex
 
     def test_general_duality_form(self, rng):
         rw = rw_blocked_absorbed(7)
@@ -330,3 +342,67 @@ class TestBlockedAbsorbedRW:
     def test_counting_orthonormality(self):
         rw = rw_blocked_absorbed(9)
         npt.assert_allclose(rw.uhat.T @ rw.uhat, np.eye(9), atol=1e-10)
+
+
+# every (V, gamma) the suite builds, plus the larger sizes of a benchmark round
+SEP_SIZES = [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 3), (6, 2), (3, 8)]
+LADDER_SIZES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 5)]
+
+
+def _rate_arguments(m: int, rng) -> dict:
+    """Scalar, symmetric, asymmetric, zero-pattern and callable rates on m vertices."""
+    sym = rng.uniform(0.5, 2.0, (m, m))
+    return {
+        "scalar": 0.7,
+        "symmetric": sym + sym.T,
+        "asymmetric": rng.uniform(0.0, 2.0, (m, m)),
+        "zero-pattern": 1.5 * np.eye(m, k=1),
+        "callable": lambda x, y: 1.0 + 0.5 * x - 0.25 * y if abs(x - y) == 1 else 0.0,
+    }
+
+
+class TestReferenceRoutes:
+    """The vectorized builders against the per-configuration loops in conftest."""
+
+    @pytest.mark.parametrize("vertices,gamma", SEP_SIZES)
+    def test_sep_generator_matches_loops(self, vertices, gamma, rng):
+        space = ConfigurationSpace.sep(vertices, gamma)
+        for name, p in _rate_arguments(vertices, rng).items():
+            npt.assert_array_equal(sep_generator(space, p).entries, sep_generator_loops(space, p), err_msg=name)
+
+    @pytest.mark.parametrize("vertices,gamma", LADDER_SIZES)
+    def test_ladder_generator_matches_loops(self, vertices, gamma, rng):
+        space = ConfigurationSpace.ladder(vertices, gamma)
+        for name, p in _rate_arguments(vertices, rng).items():
+            npt.assert_array_equal(
+                ladder_sep_generator(space, p).entries, ladder_sep_generator_loops(space, p), err_msg=name
+            )
+
+    @pytest.mark.parametrize("vertices,gamma", [(2, 1), (3, 2), (2, 4), (4, 1)])
+    def test_factorized_duality_matches_gather(self, vertices, gamma, rng):
+        # distinct, non-symmetric tables of ranks 1, 2, ...: a reversed or transposed
+        # Kronecker order changes D, and D's rank is the product of the table ranks
+        space = ConfigurationSpace.sep(vertices, gamma)
+        ranks = [1 + x % (gamma + 1) for x in range(vertices)]
+        tables = [rng.standard_normal((gamma + 1, r)) @ rng.standard_normal((r, gamma + 1)) for r in ranks]
+        d = factorized_duality(tables, space, sep_generator(space, 1.0))
+        npt.assert_array_equal(d.matrix, gather_product_duality(tables, space))
+        assert d.rank == numerical_rank(d.matrix) == int(np.prod(ranks))
+
+    @pytest.mark.parametrize("name,alpha,beta,eps,delta", FAMILIES)
+    def test_ssep_selfduality_matches_gather(self, name, alpha, beta, eps, delta):
+        space = ConfigurationSpace.ladder(2, 2)
+        site = np.array([[(alpha + beta * e) ** (eps + delta * x) for e in (0, 1)] for x in (0, 1)])
+        d = ssep_selfduality(space, SingleSiteDualityParams(alpha, beta, eps, delta, 2), ladder_sep_generator(space))
+        npt.assert_array_equal(d.matrix, gather_product_duality([site] * 4, space))
+
+    @pytest.mark.parametrize("gamma", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("name,alpha,beta,eps,delta", FAMILIES)
+    def test_product_rank_equals_dense_rank(self, name, alpha, beta, eps, delta, gamma):
+        params = SingleSiteDualityParams(alpha, beta, eps, delta, gamma)
+        sep = ConfigurationSpace.sep(3 if gamma <= 5 else 2, gamma)
+        d = factorized_duality([single_site_duality(params)] * sep.n_vertices, sep, sep_generator(sep))
+        assert d.rank == numerical_rank(d.matrix)
+        ladder = ConfigurationSpace.ladder(2 if gamma <= 4 else 1, gamma)
+        d = ssep_selfduality(ladder, params, ladder_sep_generator(ladder))
+        assert d.rank == numerical_rank(d.matrix)
