@@ -98,6 +98,11 @@ def push_duality(
     return make_duality(lhat, ltilde, pushed)
 
 
+def _transposed(d: DualityFunction) -> DualityFunction:
+    """D read the other way round: a duality for (lhat, l) is D^T for (l, lhat)."""
+    return DualityFunction(d.primal_space, d.dual_space, np.asarray(d.matrix).T, d.residual, d.rank)
+
+
 def push_duality_left(
     d: DualityFunction,
     op: IntertwiningOperator,
@@ -106,19 +111,15 @@ def push_duality_left(
     l: RateMatrix,
     tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
-    """Companion of push_duality acting on the dual variable.
+    """push_duality acting on the dual variable, via transposition.
 
     With Lambda intertwining ltilde and lhat (dual side), a duality for
-    (lhat, l) maps to Lambda @ D, a duality for (ltilde, l).
+    (lhat, l) maps to Lambda @ D, a duality for (ltilde, l): D^T is a duality
+    for (l, lhat), push_duality carries it (with the same precondition checks)
+    to D^T Lambda^T for (l, ltilde), and its transpose is returned with the
+    residual and rank recorded there.
     """
-    inter_res = intertwining_residual(ltilde, lhat, op)
-    if inter_res > tol:
-        raise PreconditionFailedError(f"intertwining residual {inter_res:.3e} exceeds {tol:.3e}")
-    dual_res = duality_residual(lhat, l, d.matrix)
-    if dual_res > tol:
-        raise PreconditionFailedError(f"duality residual {dual_res:.3e} exceeds {tol:.3e}")
-    pushed = np.asarray(op.matrix) @ np.asarray(d.matrix)
-    return make_duality(ltilde, l, pushed)
+    return _transposed(push_duality(_transposed(d), op, ltilde, lhat, l, tol))
 
 
 def lumping_operator(pi: Sequence[int], small: StateSpace | int) -> IntertwiningOperator:

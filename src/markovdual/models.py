@@ -435,6 +435,15 @@ def factorized_duality(
 # ---------------------------------------------------------------------------
 
 
+def _walk_interior(n: int) -> np.ndarray:
+    """n x n matrix with the symmetric walk's +1, -2, +1 stencil on rows 1..n-2; rows 0 and n-1 zero."""
+    m = np.zeros((n, n))
+    x = np.arange(1, n - 1)
+    m[x, x - 1] = m[x, x + 1] = 1.0
+    m[x, x] = -2.0
+    return m
+
+
 @dataclass(frozen=True)
 class ReflectedAbsorbedRW:
     """Reflected/absorbed walk pair on {1..n} with analytic spectral data.
@@ -464,26 +473,20 @@ def rw_reflected_absorbed(n: int, tol: float = DEFAULTS.residual) -> ReflectedAb
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    l = np.zeros((n, n))
-    lhat = np.zeros((n, n))
-    for x in range(1, n - 1):
-        for mat in (l, lhat):
-            mat[x, x - 1] = mat[x, x + 1] = 1.0
-            mat[x, x] = -2.0
+    l = _walk_interior(n)
+    lhat = _walk_interior(n)
     l[0, 1] = 2.0
     l[0, 0] = -2.0  # reflected left; row n-1 stays zero (absorbed right)
     lhat[n - 1, n - 2] = 2.0
     lhat[n - 1, n - 1] = -2.0  # reflected right; row 0 stays zero (absorbed left)
     thetas = (np.arange(1, n) - 0.5) * np.pi / (n - 1)
     lambdas = np.concatenate([[0.0], 2.0 * (np.cos(thetas) - 1.0)])
-    x = np.arange(1, n + 1)
+    arg = np.outer(np.arange(n), thetas)
     u = np.empty((n, n))
     uhat = np.empty((n, n))
-    u[:, 0] = 1.0 / np.sqrt(n)
-    uhat[:, 0] = 1.0 / np.sqrt(n)
-    for i, theta in enumerate(thetas, start=1):
-        u[:, i] = np.cos(theta * (x - 1)) / np.sqrt(n)
-        uhat[:, i] = np.sin(theta * (x - 1)) / np.sqrt(n)
+    u[:, 0] = uhat[:, 0] = 1.0 / np.sqrt(n)
+    u[:, 1:] = np.cos(arg) / np.sqrt(n)
+    uhat[:, 1:] = np.sin(arg) / np.sqrt(n)
     l_rm = RateMatrix.from_entries(l)
     lhat_rm = RateMatrix.from_entries(lhat)
     return ReflectedAbsorbedRW(
@@ -527,26 +530,20 @@ def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorb
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    lhat = np.zeros((n, n))
-    for x in range(1, n - 1):
-        lhat[x, x - 1] = lhat[x, x + 1] = 1.0
-        lhat[x, x] = -2.0
+    lhat = _walk_interior(n)
     lhat[0, 0], lhat[0, 1] = -1.0, 1.0
     lhat[n - 1, n - 2], lhat[n - 1, n - 1] = 1.0, -1.0
     thetas = (np.arange(2, n + 1) - 1) * np.pi / n
     lambdas = np.concatenate([[0.0], 2.0 * (np.cos(thetas) - 1.0)])
     x = np.arange(1, n + 1)
+    arg = np.outer(x - 1, thetas)
+    norm = 1.0 / np.sqrt(n * (1.0 - np.cos(thetas)))
     uhat = np.empty((n, n))
     u = np.empty((n, n))
     uhat[:, 0] = 1.0 / np.sqrt(n)
     u[:, 0] = (n + 1 - x) / np.sqrt(n)
-    for i, theta in enumerate(thetas, start=1):
-        norm = 1.0 / np.sqrt(n * (1.0 - np.cos(theta)))
-        uhat[:, i] = norm * (
-            -np.sin(theta) * np.cos(theta * (x - 1))
-            + (1.0 - np.cos(theta)) * np.sin(theta * (x - 1))
-        )
-        u[:, i] = norm * np.sin(theta * (x - 1))
+    uhat[:, 1:] = norm * (-np.sin(thetas) * np.cos(arg) + (1.0 - np.cos(thetas)) * np.sin(arg))
+    u[:, 1:] = norm * np.sin(arg)
     lhat_rm = RateMatrix.from_entries(lhat, kind=MatrixKind.GENERATOR)
     pair = siegmund_dual(lhat_rm)
     return BlockedAbsorbedRW(

@@ -2,8 +2,9 @@
 
 Each scenario runs a fixed list of checks at documented tolerances and
 returns a ScenarioReport; the CLI exposes them under `markovdual scenario`.
-These double as integration-test entry points (the acceptance suite drives
-the same code).
+These are the only copy of the worked examples: the acceptance suite
+(tests/test_acceptance.py) runs them through run_scenario and asserts on the
+checks of these reports.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from .core import (
     MatrixKind,
     RateMatrix,
     check_detailed_balance,
-    is_irreducible,
     stationary_measure,
 )
 from .duality import (
     chain_duality,
     complex_pair_duality,
-    make_duality,
     max_duality_rank,
     residual,
     solve_duality_space,
@@ -295,19 +294,20 @@ def scenario_sep_families(n=None, gamma=None, seed=0, out=None) -> ScenarioRepor
         rep.bound(f"{name}: table matches brute-force oracle", max_abs(table - oracle) / scale, 1e-12)
         d = factorized_duality([table, table], sep_space, l_sep)
         rep.bound(f"{name}: factorized self-duality residual", d.residual, 1e-10)
+        if out:
+            path = f"{out}/single_site_{name}.csv"
+            header = (
+                f"family={name} alpha={params.alpha} beta={params.beta} epsilon={params.epsilon} "
+                f"delta={params.delta} gamma={params.gamma}; rows k=0..gamma, columns n=0..gamma"
+            )
+            np.savetxt(path, table, delimiter=",", header=header)
+            rep.artifacts.append(path)
     worst_cv = 0.0
     for g in range(1, 6):
         for k in range(g + 1):
             for m in range(g + 1):
                 worst_cv = max(worst_cv, abs(ladder_bracket_sum(k, m, g, 1.7, -0.3, 0.0) - 1.0))
     rep.bound("Chu-Vandermonde: delta=0 bracket sum equals 1 (gamma <= 5)", worst_cv, 1e-12)
-    if out:
-        for name, kw in FAMILY_PARAMS:
-            params = SingleSiteDualityParams(gamma=gamma, **kw)
-            table = single_site_duality(params)
-            path = f"{out}/single_site_{name}.csv"
-            np.savetxt(path, table, delimiter=",")
-            rep.artifacts.append(path)
     return rep
 
 

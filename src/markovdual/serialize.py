@@ -2,10 +2,7 @@
 
 Matrix: {"n": int, "labels": [str]?, "entries": [[row-major floats]]}
 Measure: {"n": int, "weights": [floats]}
-SpectralData: {"blocks": [{"re","im","m"}], "U_re", "U_im", "residual"}
 DualityFunction: {"nhat", "n", "D", "residual", "rank"}
-IntertwiningOperator: matrix schema with "rows" for rectangular shapes and a
-"stochastic" flag.
 
 Floats round-trip exactly: json emits the shortest decimal representation.
 """
@@ -20,8 +17,6 @@ import numpy as np
 from .core import Measure, RateMatrix, StateSpace
 from .duality import DualityFunction
 from .errors import ParseError
-from .intertwining import IntertwiningOperator
-from .spectral import JordanBlock, JordanStructure, SpectralData
 
 
 def _require(obj: dict, key: str):
@@ -65,25 +60,6 @@ def measure_from_json(obj: dict) -> Measure:
         raise ParseError(str(exc)) from exc
 
 
-def spectral_to_json(sd: SpectralData) -> dict:
-    return {
-        "blocks": [
-            {"re": b.eigenvalue.real, "im": b.eigenvalue.imag, "m": b.size}
-            for b in sd.structure.blocks
-        ],
-        "U_re": sd.U.real.tolist(),
-        "U_im": sd.U.imag.tolist(),
-        "residual": sd.residual,
-    }
-
-
-def structure_from_json(obj: dict) -> JordanStructure:
-    blocks = tuple(
-        JordanBlock(complex(b["re"], b["im"]), int(b["m"])) for b in _require(obj, "blocks")
-    )
-    return JordanStructure(blocks)
-
-
 def duality_to_json(d: DualityFunction) -> dict:
     return {
         "nhat": d.dual_space.n,
@@ -103,24 +79,6 @@ def duality_from_json(obj: dict) -> DualityFunction:
     return DualityFunction(
         StateSpace(nhat), StateSpace(n), matrix, float(obj.get("residual", 0.0)), int(obj.get("rank", 0))
     )
-
-
-def intertwiner_to_json(op: IntertwiningOperator) -> dict:
-    return {
-        "n": op.from_space.n,
-        "rows": op.to_space.n,
-        "entries": np.asarray(op.matrix).tolist(),
-        "stochastic": op.stochastic,
-    }
-
-
-def intertwiner_from_json(obj: dict) -> IntertwiningOperator:
-    n = _require(obj, "n")
-    rows = obj.get("rows", n)
-    entries = np.asarray(_require(obj, "entries"), dtype=float)
-    if entries.shape != (rows, n):
-        raise ParseError(f"entries shape {entries.shape} does not match ({rows}, {n})")
-    return IntertwiningOperator(StateSpace(n), StateSpace(rows), entries)
 
 
 def load_json(path) -> dict:

@@ -153,6 +153,54 @@ def gather_product_duality(factors, space) -> np.ndarray:
     return d
 
 
+def rw_reflected_absorbed_loops(n: int):
+    """Reference for models.rw_reflected_absorbed: (l, lhat, u, uhat) built row by row and column by column."""
+    l = np.zeros((n, n))
+    lhat = np.zeros((n, n))
+    for x in range(1, n - 1):
+        for mat in (l, lhat):
+            mat[x, x - 1] = mat[x, x + 1] = 1.0
+            mat[x, x] = -2.0
+    l[0, 1] = 2.0
+    l[0, 0] = -2.0
+    lhat[n - 1, n - 2] = 2.0
+    lhat[n - 1, n - 1] = -2.0
+    thetas = (np.arange(1, n) - 0.5) * np.pi / (n - 1)
+    x = np.arange(1, n + 1)
+    u = np.empty((n, n))
+    uhat = np.empty((n, n))
+    u[:, 0] = 1.0 / np.sqrt(n)
+    uhat[:, 0] = 1.0 / np.sqrt(n)
+    for i, theta in enumerate(thetas, start=1):
+        u[:, i] = np.cos(theta * (x - 1)) / np.sqrt(n)
+        uhat[:, i] = np.sin(theta * (x - 1)) / np.sqrt(n)
+    return l, lhat, u, uhat
+
+
+def rw_blocked_absorbed_loops(n: int):
+    """Reference for models.rw_blocked_absorbed: (lhat, u, uhat) built row by row and column by column."""
+    lhat = np.zeros((n, n))
+    for x in range(1, n - 1):
+        lhat[x, x - 1] = lhat[x, x + 1] = 1.0
+        lhat[x, x] = -2.0
+    lhat[0, 0], lhat[0, 1] = -1.0, 1.0
+    lhat[n - 1, n - 2], lhat[n - 1, n - 1] = 1.0, -1.0
+    thetas = (np.arange(2, n + 1) - 1) * np.pi / n
+    x = np.arange(1, n + 1)
+    uhat = np.empty((n, n))
+    u = np.empty((n, n))
+    uhat[:, 0] = 1.0 / np.sqrt(n)
+    u[:, 0] = (n + 1 - x) / np.sqrt(n)
+    for i, theta in enumerate(thetas, start=1):
+        norm = 1.0 / np.sqrt(n * (1.0 - np.cos(theta)))
+        uhat[:, i] = norm * (
+            -np.sin(theta) * np.cos(theta * (x - 1))
+            + (1.0 - np.cos(theta)) * np.sin(theta * (x - 1))
+        )
+        u[:, i] = norm * np.sin(theta * (x - 1))
+    return lhat, u, uhat
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -7,44 +7,24 @@ and enforces both its numeric tolerances and its runtime budget.
 import time
 
 import numpy as np
-import pytest
 
 from markovdual import (
-    ConfigurationSpace,
     MatrixKind,
     RateMatrix,
-    SingleSiteDualityParams,
-    chain_duality,
     cheap_duality,
-    complex_pair_duality,
     compose_dualities,
     decompose,
-    factorized_duality,
-    intertwining_residual,
-    inverse_intertwiner,
-    ladder_bracket_sum,
-    ladder_projection,
-    ladder_sep_generator,
-    lumping_operator,
     match_jordan_blocks,
     max_duality_rank,
     orthogonal_selfduality,
-    residual,
     reversible_eigenbasis,
-    rw_blocked_absorbed,
-    rw_reflected_absorbed,
-    sep_generator,
     siegmund_dual,
-    siegmund_matrix,
-    single_site_duality,
-    single_site_duality_bruteforce,
     solve_duality_space,
     spectral_from_eigenbasis,
-    ssep_selfduality,
     stationary_measure,
     tensor_duality,
 )
-from markovdual.scenarios import cyclic_generator, jordan_block_generator
+from markovdual.scenarios import run_scenario
 
 from conftest import random_birth_death, random_generator
 
@@ -70,85 +50,37 @@ class Criterion:
         assert elapsed < self.budget, f"runtime {elapsed:.3f}s exceeds {self.budget}s"
 
 
+def check_scenario(c: Criterion, name: str, **size) -> None:
+    """Run one packaged scenario and feed each of its checks into the criterion."""
+    (report,) = run_scenario(name, **size)
+    where = " ".join([name, *(f"{k}={v}" for k, v in size.items())])
+    for chk in report.checks:
+        c.check(chk.passed, f"{where}: {chk.name}: observed {chk.observed!r}")
+
+
 def test_criterion_1_cyclic_example():
     c = Criterion(1, "3-state cycle: complex spectrum and conjugate-pair duality", 0.1)
-    l = cyclic_generator()
-    sd = decompose(l)
-    expected = sorted(
-        [0.0 + 0.0j, -1.5 + np.sqrt(3) / 2 * 1j, -1.5 - np.sqrt(3) / 2 * 1j],
-        key=lambda z: (z.real, z.imag),
-    )
-    got = sorted(sd.eigenvalues, key=lambda z: (z.real, z.imag))
-    dist = max(abs(a - b) for a, b in zip(got, expected))
-    c.check(dist < 1e-10, f"eigenvalue distance {dist:.3e} >= 1e-10")
-    u = np.exp(1j * 2 * np.pi / 3 * np.arange(1, 4))
-    d = complex_pair_duality(l, l, u, u, 0.5)
-    c.check(d.residual < 1e-12, f"complex-pair residual {d.residual:.3e} >= 1e-12")
+    check_scenario(c, "cyclic3")
     c.finish()
 
 
 def test_criterion_2_jordan_example():
     c = Criterion(2, "4-state defective generator: Jordan block and chain duality", 0.1)
-    l = jordan_block_generator()
-    sd = decompose(l, tol_cluster=1e-7)
-    c.check(
-        any(abs(b.eigenvalue + 1.0) < 1e-6 and b.size == 2 for b in sd.structure.blocks),
-        f"no size-2 block at -1 in {sd.structure.blocks}",
-    )
-    x = np.arange(1, 5)
-    chain = np.column_stack([((-1.0) ** x) / 2.0, np.cos(np.pi * (x + 1) / 2)])
-    d = chain_duality(l, l, chain, chain)
-    c.check(d.residual < 1e-10, f"chain duality residual {d.residual:.3e} >= 1e-10")
-    bad = np.outer(chain[:, 0], chain[:, 0]) + np.outer(chain[:, 1], chain[:, 1])
-    bad_res = residual(l, l, bad)
-    c.check(bad_res > 1e-3, f"non-reversed control residual {bad_res:.3e} <= 1e-3")
+    check_scenario(c, "jordan4")
     c.finish()
 
 
 def test_criterion_3_reflected_absorbed_walks():
     c = Criterion(3, "reflected/absorbed walks: spectra, duality families, dimension", 1.0)
-    rng = np.random.default_rng(54)
     for n in (3, 8, 20):
-        rw = rw_reflected_absorbed(n)
-        numeric = np.sort(decompose(rw.l).eigenvalues.real)
-        gap = np.max(np.abs(np.sort(rw.lambdas) - numeric))
-        c.check(gap < 1e-8, f"n={n}: spectrum mismatch {gap:.3e}")
-        a = rng.standard_normal(n)
-        for tag, (lhat, l, uh, u) in {
-            "self": (rw.l, rw.l, rw.u, rw.u),
-            "self-hat": (rw.lhat, rw.lhat, rw.uhat, rw.uhat),
-            "cross": (rw.lhat, rw.l, rw.uhat, rw.u),
-        }.items():
-            r = tensor_duality(lhat, l, uh, u, a).residual
-            c.check(r < 1e-10, f"n={n} {tag}: residual {r:.3e} >= 1e-10")
-        dim = solve_duality_space(rw.lhat, rw.l).dimension
-        c.check(dim == n, f"n={n}: duality space dimension {dim} != {n}")
+        check_scenario(c, "rw54", n=n)
     c.finish()
 
 
 def test_criterion_4_siegmund_example():
     c = Criterion(4, "blocked/absorbed walks: Siegmund dual and indicator reconstruction", 1.0)
     for n in (3, 8, 20):
-        rw = rw_blocked_absorbed(n)
-        absorbed = np.zeros((n, n))
-        for x in range(1, n - 1):
-            absorbed[x, x - 1] = absorbed[x, x + 1] = 1.0
-            absorbed[x, x] = -2.0
-        absorbed[n - 1, n - 2], absorbed[n - 1, n - 1] = 1.0, -2.0
-        c.check(
-            np.array_equal(np.asarray(rw.pair.l.entries), absorbed),
-            f"n={n}: dual is not exactly the absorbed walk",
-        )
-        c.check(rw.pair.monotone, f"n={n}: blocked walk not detected monotone")
-        ds = rw.uhat @ rw.u.T
-        gap = np.max(np.abs(ds - siegmund_matrix(n)))
-        c.check(gap < 1e-8, f"n={n}: reconstruction deviates by {gap:.3e}")
-        u_ext = np.vstack([rw.u, np.zeros((1, n))])
-        ds_ext = rw.uhat @ u_ext.T
-        x = np.arange(1, n + 1)
-        y = np.arange(1, n + 2)
-        gap_ext = np.max(np.abs(ds_ext - (x[:, None] >= y[None, :])))
-        c.check(gap_ext < 1e-8, f"n={n}: cemetery reconstruction deviates by {gap_ext:.3e}")
+        check_scenario(c, "rw6-siegmund", n=n)
     c.finish()
 
 
@@ -204,38 +136,8 @@ def test_criterion_6_rank_matching_cross_validation():
 def test_criterion_7_sep_machinery():
     c = Criterion(7, "exclusion processes: intertwining and factorized families", 10.0)
     for gamma in (1, 2, 3):
-        sep_space = ConfigurationSpace.sep(2, gamma)
-        ladder_space = ConfigurationSpace.ladder(2, gamma)
-        l_sep = sep_generator(sep_space, 1.0)
-        l_ladder = ladder_sep_generator(ladder_space, 1.0)
-        lam = lumping_operator(ladder_projection(ladder_space, sep_space), sep_space.size)
-        r_lump = intertwining_residual(l_ladder, l_sep, lam)
-        c.check(r_lump < 1e-12, f"gamma={gamma}: lumping residual {r_lump:.3e}")
-        inv = inverse_intertwiner(sep_space, ladder_space)
-        c.check(inv.stochastic, f"gamma={gamma}: inverse intertwiner not stochastic")
-        r_inv = intertwining_residual(l_sep, l_ladder, inv)
-        c.check(r_inv < 1e-12, f"gamma={gamma}: inverse residual {r_inv:.3e}")
-        for name, (alpha, beta, eps, delta) in {
-            "constant-exponent": (1.5, 0.5, 1.0, 0.0),
-            "classical": (0.0, 1.0, 0.0, 1.0),
-            "top-indicator": (0.0, 2.0, 1.0, 1.0),
-            "beta-zero": (1.0, 0.0, 1.0, 1.0),
-            "bottom-indicator": (2.0, -2.0, 1.0, 1.0),
-            "orthogonal": (1.0, 1.0, 0.0, 1.0),
-        }.items():
-            params = SingleSiteDualityParams(alpha, beta, eps, delta, gamma)
-            table = single_site_duality(params)
-            oracle = single_site_duality_bruteforce(params)
-            gap = np.max(np.abs(table - oracle)) / max(1.0, np.max(np.abs(oracle)))
-            c.check(gap < 1e-12, f"gamma={gamma} {name}: closed form off oracle by {gap:.3e}")
-            r_fact = factorized_duality([table, table], sep_space, l_sep).residual
-            c.check(r_fact < 1e-10, f"gamma={gamma} {name}: factorized residual {r_fact:.3e}")
-    worst = 0.0
-    for g in range(1, 6):
-        for k in range(g + 1):
-            for n in range(g + 1):
-                worst = max(worst, abs(ladder_bracket_sum(k, n, g, 1.7, -0.3, 0.0) - 1.0))
-    c.check(worst < 1e-12, f"Chu-Vandermonde reduction off by {worst:.3e}")
+        check_scenario(c, "sep-intertwine", gamma=gamma)
+        check_scenario(c, "sep-families", gamma=gamma)
     c.finish()
 
 

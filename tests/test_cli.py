@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from markovdual.cli import main
-from markovdual.models import rw_reflected_absorbed
-from markovdual.scenarios import cyclic_generator
+from markovdual.models import SingleSiteDualityParams, rw_reflected_absorbed, single_site_duality
+from markovdual.scenarios import FAMILY_PARAMS, cyclic_generator
 from markovdual.serialize import matrix_to_json, save_json
 
 
@@ -144,3 +144,16 @@ class TestScenarioCommand:
     def test_artifacts_written(self, tmp_path, capsys):
         assert main(["scenario", "cyclic3", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "cyclic3_duality.json").exists()
+
+    def test_sep_families_tables(self, tmp_path, capsys):
+        assert main(["scenario", "sep-families", "--gamma", "3", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("*.csv"))) == len(FAMILY_PARAMS) == 6
+        for name, kw in FAMILY_PARAMS:
+            params = SingleSiteDualityParams(gamma=3, **kw)
+            path = tmp_path / f"single_site_{name}.csv"
+            np.testing.assert_array_equal(np.loadtxt(path, delimiter=","), single_site_duality(params))
+            first = path.read_text().splitlines()[0]
+            assert first.startswith(
+                f"# family={name} alpha={params.alpha} beta={params.beta} "
+                f"epsilon={params.epsilon} delta={params.delta} gamma=3"
+            )

@@ -7,6 +7,7 @@ import pytest
 from markovdual import (
     ConfigurationSpace,
     IntertwiningOperator,
+    RateMatrix,
     SingleSiteDualityParams,
     factorized_duality,
     intertwining_residual,
@@ -19,6 +20,7 @@ from markovdual import (
     push_duality_left,
     sep_generator,
     single_site_duality,
+    solve_duality_space,
     ssep_selfduality,
 )
 from markovdual.errors import PreconditionFailedError, ShapeMismatchError
@@ -35,6 +37,25 @@ def sep_setup(gamma, m=2, p=1.0):
         sep_generator(sep_space, p),
         ladder_sep_generator(ladder_space, p),
     )
+
+
+def lumpable_lift(rng, small: RateMatrix, copies: int):
+    """Random generator on `copies` states per state of `small` that lumps onto it, and its projection.
+
+    Each row spreads small's rate into every other block over that block's
+    states with random weights; rates inside a block are arbitrary.
+    """
+    k = small.n
+    entries = np.asarray(small.entries)
+    pi = np.repeat(np.arange(k), copies)
+    big = np.zeros((k * copies, k * copies))
+    for row, a in enumerate(pi):
+        for b in range(k):
+            w = rng.random(copies)
+            big[row, b * copies : (b + 1) * copies] = (rng.random() if a == b else entries[a, b]) * w / w.sum()
+    np.fill_diagonal(big, 0.0)
+    np.fill_diagonal(big, -big.sum(axis=1))
+    return RateMatrix.from_entries(big), pi
 
 
 class TestResidual:
@@ -210,6 +231,49 @@ class TestPush:
         bad = make_duality(l_ladder, l_sep, np.asarray(d_tilde.matrix) @ np.asarray(lam.matrix) + 1.0e-2 * np.arange(sep_space.size))
         with pytest.raises(PreconditionFailedError):
             push_duality(bad, lam, l_ladder, l_sep, l_ladder)
+
+    def _double_push_setup(self):
+        gamma = 2
+        sep_space, ladder_space, l_sep, l_ladder = sep_setup(gamma)
+        params = SingleSiteDualityParams(1.0, 1.0, 0.0, 1.0, gamma)
+        d_tilde = ssep_selfduality(ladder_space, params, l_ladder)
+        inv = inverse_intertwiner(sep_space, ladder_space)
+        return push_duality(d_tilde, inv, l_sep, l_ladder, l_ladder), inv, l_sep, l_ladder
+
+    def test_left_push_rejects_broken_intertwiner(self):
+        pushed, inv, l_sep, l_ladder = self._double_push_setup()
+        perturbed = np.array(inv.matrix)
+        perturbed[0, 1] += 0.1
+        noisy = IntertwiningOperator.from_matrix(perturbed)
+        with pytest.raises(PreconditionFailedError, match="intertwining residual"):
+            push_duality_left(pushed, noisy, l_sep, l_ladder, l_sep)
+
+    def test_left_push_rejects_non_duality(self):
+        pushed, inv, l_sep, l_ladder = self._double_push_setup()
+        bad = make_duality(l_ladder, l_sep, np.asarray(pushed.matrix) + 1.0e-2 * np.arange(l_sep.n))
+        assert bad.residual > 1e-9
+        with pytest.raises(PreconditionFailedError, match="duality residual"):
+            push_duality_left(bad, inv, l_sep, l_ladder, l_sep)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["identity", "lumping"])
+    def test_left_push_is_operator_times_duality(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        lhat = random_generator(rng, n)
+        perm = np.eye(n)[rng.permutation(n)]
+        l = RateMatrix.from_entries(perm @ np.asarray(lhat.entries) @ perm.T)
+        basis = solve_duality_space(lhat, l).basis
+        d = make_duality(lhat, l, sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis)))
+        if kind == "identity":
+            ltilde, op = lhat, IntertwiningOperator.from_matrix(np.eye(n))
+        else:
+            ltilde, pi = lumpable_lift(rng, lhat, int(rng.integers(2, 4)))
+            op = lumping_operator(pi, n)
+        out = push_duality_left(d, op, ltilde, lhat, l)
+        expected = np.asarray(op.matrix) @ np.asarray(d.matrix)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert out.residual < 1e-9
 
 
 class TestProofIdentities:

@@ -28,7 +28,13 @@ from markovdual import (
 from markovdual.errors import DomainError, ShapeMismatchError, SpaceTooLargeError
 from markovdual.linalg import numerical_rank
 
-from conftest import gather_product_duality, ladder_sep_generator_loops, sep_generator_loops
+from conftest import (
+    gather_product_duality,
+    ladder_sep_generator_loops,
+    rw_blocked_absorbed_loops,
+    rw_reflected_absorbed_loops,
+    sep_generator_loops,
+)
 
 
 class TestConfigurationSpace:
@@ -406,3 +412,14 @@ class TestReferenceRoutes:
         ladder = ConfigurationSpace.ladder(2 if gamma <= 4 else 1, gamma)
         d = ssep_selfduality(ladder, params, ladder_sep_generator(ladder))
         assert d.rank == numerical_rank(d.matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 50, 200, 600])
+    def test_walks_match_loops(self, n):
+        l, lhat, u, uhat = rw_reflected_absorbed_loops(n)
+        rw = rw_reflected_absorbed(n)
+        for got, want in ((rw.l.entries, l), (rw.lhat.entries, lhat), (rw.u, u), (rw.uhat, uhat)):
+            npt.assert_array_equal(got, want)
+        lhat, u, uhat = rw_blocked_absorbed_loops(n)
+        rw = rw_blocked_absorbed(n)
+        for got, want in ((rw.pair.lhat.entries, lhat), (rw.u, u), (rw.uhat, uhat)):
+            npt.assert_array_equal(got, want)

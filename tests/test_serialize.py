@@ -4,27 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from markovdual import (
-    IntertwiningOperator,
-    Measure,
-    cheap_duality,
-    decompose,
-    make_duality,
-)
+from markovdual import Measure, cheap_duality, make_duality
 from markovdual.errors import ParseError
 from markovdual.scenarios import cyclic_generator
 from markovdual.serialize import (
     duality_from_json,
     duality_to_json,
-    intertwiner_from_json,
-    intertwiner_to_json,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
     measure_from_json,
     measure_to_json,
-    spectral_to_json,
-    structure_from_json,
 )
 
 
@@ -91,28 +81,3 @@ class TestDuality:
     def test_shape_mismatch(self):
         with pytest.raises(ParseError):
             duality_from_json({"nhat": 2, "n": 2, "D": [[1.0]]})
-
-
-class TestSpectral:
-    def test_emit_and_structure_roundtrip(self):
-        sd = decompose(cyclic_generator())
-        doc = json.loads(json.dumps(spectral_to_json(sd)))
-        assert doc["residual"] == sd.residual
-        structure = structure_from_json(doc)
-        assert structure == sd.structure
-        u = np.asarray(doc["U_re"]) + 1j * np.asarray(doc["U_im"])
-        npt.assert_array_equal(u, sd.U)
-
-
-class TestIntertwiner:
-    def test_rectangular_roundtrip(self):
-        op = IntertwiningOperator.from_matrix(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
-        doc = json.loads(json.dumps(intertwiner_to_json(op)))
-        assert doc["stochastic"] is True
-        back = intertwiner_from_json(doc)
-        npt.assert_array_equal(back.matrix, op.matrix)
-        assert back.stochastic
-
-    def test_square_default_rows(self):
-        back = intertwiner_from_json({"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]})
-        assert back.to_space.n == 2
