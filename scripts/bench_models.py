@@ -9,10 +9,12 @@ The inputs are the ones perfbench's exclusion-transforms workload builds
 (`perfbench.workloads.ExclusionTransforms`): `sep_generator`,
 `ladder_sep_generator`, `ssep_selfduality` and `factorized_duality` on the
 ladder/SEP sizes and the site-table SEP sizes with symmetric random rates,
-and `rw_blocked_absorbed` at the blocked-walk sizes.  Per call and size it
-reports the min and median wall time over the repeats (after one untimed
-call), and the output's fingerprint: a digest of the generator or duality
-matrix, the duality's rank and residual, the walk's two spectral residuals.
+`ladder_projection`, `lumping_operator` and `inverse_intertwiner` on the
+ladder/SEP sizes, and `rw_blocked_absorbed` at the blocked-walk sizes.  Per
+call and size it reports the min and median wall time over the repeats (after
+one untimed call), and the output's fingerprint: a digest of the generator,
+duality, projection or operator matrix, the duality's rank and residual, the
+walk's two spectral residuals.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -70,6 +72,7 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
         return {"digest": digest(d.matrix), "rank": d.rank, "residual": d.residual}
 
     generator = lambda l: {"digest": digest(l.entries)}
+    operator = lambda op: {"digest": digest(op.matrix)}
     for sizes, with_ladder in ((X.LADDER_SEP, True), (X.SITE_TABLES, False)):
         for v, g in sizes:
             sep = md.ConfigurationSpace.sep(v, g)
@@ -87,6 +90,10 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
             row("ladder_sep_generator", label, ladder.size, lambda: md.ladder_sep_generator(ladder, p), generator)
             l_ladder = md.ladder_sep_generator(ladder, p)
             row("ssep_selfduality", label, ladder.size, lambda: md.ssep_selfduality(ladder, params, l_ladder), duality)
+            row("ladder_projection", label, ladder.size, lambda: md.ladder_projection(ladder, sep), lambda pi: {"digest": digest(pi)})
+            pi = md.ladder_projection(ladder, sep)
+            row("lumping_operator", label, ladder.size, lambda: md.lumping_operator(pi, sep.size), operator)
+            row("inverse_intertwiner", label, ladder.size, lambda: md.inverse_intertwiner(sep, ladder), operator)
     for n in X.BLOCKED:
         row(
             "rw_blocked_absorbed",

@@ -60,9 +60,8 @@ def _fmt_eig(z: complex) -> str:
     return f"{z.real:.6g} {sign} {abs(z.imag):.6g}i"
 
 
-def _emit(payload: dict, args) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def cmd_inspect(args) -> int:
@@ -98,7 +97,7 @@ def cmd_inspect(args) -> int:
     except DecompositionFailedError as exc:
         lines.append(f"spectral summary unavailable: {exc}")
     if args.json:
-        _emit(report, args)
+        _emit(report)
     else:
         print("\n".join(lines))
     return 0
@@ -116,7 +115,7 @@ def cmd_siegmund(args) -> int:
     if args.out:
         save_json(payload["dual"], Path(args.out) / "siegmund_dual.json")
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"dual kind: {pair.l.kind.value}")
         print(f"monotone input: {pair.monotone}")
@@ -146,7 +145,7 @@ def cmd_duality_basis(args) -> int:
     if args.out:
         save_json(payload, Path(args.out) / "duality_basis.json")
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"duality space dimension: {space.dimension}")
         print(f"max duality rank: {rank}")
@@ -171,7 +170,7 @@ def cmd_duality_sep(args) -> int:
     if args.out:
         save_json(payload, Path(args.out) / "single_site_table.json")
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"regime: {payload['regime']}")
         print(np.array2string(table, precision=8))
@@ -186,7 +185,7 @@ def _write_model(args, matrices: dict, extra: dict | None = None) -> int:
         for name, m in matrices.items():
             save_json(matrix_to_json(m), Path(args.out) / f"{name}.json")
     if args.json:
-        _emit(payload, args)
+        _emit(payload)
     else:
         for name, m in matrices.items():
             print(f"{name}: {m.kind.value}, n = {m.n}")
@@ -224,7 +223,7 @@ def _vertices_from_arg(raw: str):
         doc = load_json(path)
         if isinstance(doc, list):
             return doc, 1.0
-        if isinstance(doc, dict):
+        if isinstance(doc, dict) and ("vertices" in doc or "V" in doc):
             return doc.get("vertices", doc.get("V")), doc.get("p", 1.0)
         raise ParseError(f"cannot interpret vertex file {raw}")
     try:
@@ -247,7 +246,7 @@ def cmd_model_sep(args) -> int:
 def cmd_scenario(args) -> int:
     reports = run_scenario(args.name, n=args.n, gamma=args.gamma, seed=args.seed, out=args.out)
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
+        _emit([r.to_dict() for r in reports])
     else:
         for rep in reports:
             print(f"scenario {rep.scenario}: {'PASS' if rep.passed else 'FAIL'}")
@@ -268,20 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULTS.residual, help="residual tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", type=str, default=None, help="directory for emitted artifacts")
+    shared = {
+        "--tol": dict(type=float, default=DEFAULTS.residual, help="residual tolerance"),
+        "--seed": dict(type=int, default=0, help="seed for randomized steps"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--out": dict(type=str, default=None, help="directory for emitted artifacts"),
+    }
+
+    def common(p, *flags):  # --json everywhere, the other shared flags where the command reads them
+        for flag in ("--json", *flags):
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("inspect", help="classify a rate matrix and summarize its spectrum")
     p.add_argument("matrix", type=Path)
-    common(p)
+    common(p, "--tol")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("siegmund", help="build the Siegmund dual of a generator")
     p.add_argument("matrix", type=Path)
-    common(p)
+    common(p, "--out")
     p.set_defaults(func=cmd_siegmund)
 
     p = sub.add_parser("duality", help="duality computations")
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = dsub.add_parser("basis", help="basis of the duality space of a generator pair")
     pb.add_argument("lhat", type=Path)
     pb.add_argument("l", type=Path)
-    common(pb)
+    common(pb, "--seed", "--out")
     pb.set_defaults(func=cmd_duality_basis)
     ps = dsub.add_parser("sep", help="single-site self-duality table for SEP(gamma)")
     ps.add_argument("--alpha", type=float, required=True)
@@ -298,30 +302,30 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--delta", type=float, required=True)
     ps.add_argument("--gamma", type=int, default=2)
     ps.add_argument("--csv", type=str, default=None, help="write the table as CSV")
-    common(ps)
+    common(ps, "--out")
     ps.set_defaults(func=cmd_duality_sep)
 
     p = sub.add_parser("model", help="construct the packaged example processes")
     msub = p.add_subparsers(dest="model_command")
     pm = msub.add_parser("rw54", help="reflected/absorbed random walk pair")
     pm.add_argument("--n", type=int, default=8)
-    common(pm)
+    common(pm, "--out")
     pm.set_defaults(func=cmd_model_rw54)
     pm = msub.add_parser("rw6", help="blocked walk and its Siegmund dual")
     pm.add_argument("--n", type=int, default=8)
-    common(pm)
+    common(pm, "--out")
     pm.set_defaults(func=cmd_model_rw6)
-    pm = msub.add_parser("sep", help="SEP(gamma) generator over an enumerated space")
+    pm = msub.add_parser("sep", help="SEP(gamma) generator over its mixed-radix configuration space")
     pm.add_argument("--V", type=str, required=True, help="vertex count or JSON file")
     pm.add_argument("--gamma", type=int, default=1)
-    common(pm)
+    common(pm, "--out")
     pm.set_defaults(func=cmd_model_sep)
 
     p = sub.add_parser("scenario", help="run a named end-to-end check list")
     p.add_argument("name", type=str)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--gamma", type=int, default=None)
-    common(p)
+    common(p, "--seed", "--out")
     p.set_defaults(func=cmd_scenario)
     return parser
 
@@ -334,7 +338,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, UnknownScenarioError) as exc:
+    except (ParseError, UnknownScenarioError, ValueError) as exc:  # ValueError: argument outside the domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarkovDualityError as exc:

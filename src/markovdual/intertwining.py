@@ -19,6 +19,7 @@ from .core import RateMatrix, StateSpace
 from .duality import DualityFunction, make_duality, residual as duality_residual
 from .errors import PreconditionFailedError, ShapeMismatchError
 from .linalg import max_abs
+from .models import ConfigurationSpace, SpaceKind, ladder_projection
 
 __all__ = [
     "IntertwiningOperator",
@@ -128,13 +129,13 @@ def lumping_operator(pi: Sequence[int], small: StateSpace | int) -> Intertwining
     Row xtilde carries a single 1 in column pi(xtilde); always stochastic.
     """
     small_space = small if isinstance(small, StateSpace) else StateSpace(int(small))
-    pi = list(pi)
+    pi = np.asarray(pi)
     big_space = StateSpace(len(pi))
+    outside = (pi < 0) | (pi >= small_space.n)
+    if np.any(outside):
+        raise ValueError(f"projection value {pi[outside][0]} outside the small space")
     m = np.zeros((big_space.n, small_space.n))
-    for row, target in enumerate(pi):
-        if not 0 <= target < small_space.n:
-            raise ValueError(f"projection value {target} outside the small space")
-        m[row, target] = 1.0
+    m[np.arange(big_space.n), pi] = 1.0
     return IntertwiningOperator(small_space, big_space, m)
 
 
@@ -146,24 +147,16 @@ def inverse_intertwiner(sep_space, ladder_space=None) -> IntertwiningOperator:
     are exactly one.  Intertwines the SEP generator with the ladder generator:
     L_sep @ Lam == Lam @ L_ladder for matching rates.
     """
-    from .models import ConfigurationSpace, SpaceKind  # deferred: models builds on duality
-
     if not isinstance(sep_space, ConfigurationSpace) or sep_space.kind is not SpaceKind.SEP:
         raise ValueError("inverse_intertwiner expects a SEP configuration space")
     if ladder_space is None:
         ladder_space = ConfigurationSpace.ladder(sep_space.vertices, sep_space.gamma)
-    if ladder_space.kind is not SpaceKind.LADDER or ladder_space.gamma != sep_space.gamma or (
-        ladder_space.vertices != sep_space.vertices
-    ):
+    if ladder_space != ConfigurationSpace(SpaceKind.LADDER, sep_space.vertices, sep_space.gamma):
         raise ValueError("ladder space does not match the SEP space")
-    gamma = sep_space.gamma
+    # the products are exact integers (at most the ladder size), so each weight is one rounding
+    binomials = np.array([math.comb(sep_space.gamma, k) for k in range(sep_space.gamma + 1)])
+    weights = 1.0 / np.prod(binomials[sep_space.digits()], axis=1)
+    pi = ladder_projection(ladder_space, sep_space)
     m = np.zeros((sep_space.size, ladder_space.size))
-    weights = {
-        eta: 1.0 / math.prod(math.comb(gamma, k) for k in eta) for eta in sep_space.configs
-    }
-    for col, tilde in enumerate(ladder_space.configs):
-        eta = ladder_space.occupancy(tilde)
-        m[sep_space.index(eta), col] = weights[eta]
-    return IntertwiningOperator(
-        ladder_space.state_space(), sep_space.state_space(), m
-    )
+    m[pi, np.arange(ladder_space.size)] = weights[pi]
+    return IntertwiningOperator(ladder_space.state_space(), sep_space.state_space(), m)

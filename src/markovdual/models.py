@@ -1,9 +1,9 @@
 """Concrete processes with explicitly known spectra and duality families.
 
 Contains the two boundary-variant symmetric random walks (closed-form
-eigenfunctions), exclusion-process generators over exhaustively enumerated
-configuration spaces, and the single-site self-duality tables of the
-factorized SEP families, each backed by an independent brute-force evaluator.
+eigenfunctions), exclusion-process generators over mixed-radix configuration
+spaces, and the single-site self-duality tables of the factorized SEP
+families, each backed by an independent brute-force evaluator.
 
 Convention: 0^0 = 1 throughout product-form duality evaluation (required for
 the indicator families to emerge from the product formula).
@@ -15,7 +15,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,68 +58,78 @@ class SpaceKind(enum.Enum):
     LADDER = "ladder"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConfigurationSpace:
-    """Exhaustively enumerated particle configurations over a vertex set.
+    """Particle configurations over a vertex set, indexed by their mixed-radix number.
 
-    SEP: occupation vectors over V with entries 0..gamma, lexicographic order.
-    LADDER: 0/1 vectors over V x {1..gamma}, site-major flat index x*gamma + a.
+    SEP: occupation vectors over V with entries 0..gamma (radix gamma + 1).
+    LADDER: 0/1 vectors over V x {1..gamma} (radix 2), site (x, a) at x*gamma + a.
 
-    Both orders are lexicographic with the first site as the most significant
-    digit, i.e. the index of a configuration is its mixed-radix number.  That
-    is the Kronecker order: a product over sites of single-site functions
-    f_s(xi_s, eta_s) is the matrix f_0 (x) f_1 (x) ... in this enumeration.
+    The index has the first site as the most significant digit, so the order
+    is lexicographic and Kronecker: a product over sites of f_s(xi_s, eta_s) is
+    the matrix f_0 (x) f_1 (x) ... .  No configuration is stored; digits()
+    computes the (size, n_sites) table of all of them.
     """
 
     kind: SpaceKind
     vertices: tuple
     gamma: int
-    configs: tuple[tuple[int, ...], ...]
-    _index: dict = field(repr=False)
 
     @classmethod
     def sep(cls, vertices, gamma: int, cap: int | None = None) -> "ConfigurationSpace":
-        vertices = cls._vertex_tuple(vertices)
-        cap = cap or max_states()
-        size = (gamma + 1) ** len(vertices)
-        if size > cap:
-            raise SpaceTooLargeError(f"SEP space size {size} exceeds cap {cap}")
-        configs = tuple(itertools.product(range(gamma + 1), repeat=len(vertices)))
-        return cls(SpaceKind.SEP, vertices, gamma, configs, {c: i for i, c in enumerate(configs)})
+        return cls._capped(SpaceKind.SEP, vertices, gamma, cap)
 
     @classmethod
     def ladder(cls, vertices, gamma: int, cap: int | None = None) -> "ConfigurationSpace":
-        vertices = cls._vertex_tuple(vertices)
-        cap = cap or max_states()
-        size = 2 ** (gamma * len(vertices))
-        if size > cap:
-            raise SpaceTooLargeError(f"ladder space size {size} exceeds cap {cap}")
-        configs = tuple(itertools.product((0, 1), repeat=gamma * len(vertices)))
-        return cls(SpaceKind.LADDER, vertices, gamma, configs, {c: i for i, c in enumerate(configs)})
+        return cls._capped(SpaceKind.LADDER, vertices, gamma, cap)
 
-    @staticmethod
-    def _vertex_tuple(vertices) -> tuple:
-        if isinstance(vertices, int):
-            return tuple(range(vertices))
-        return tuple(vertices)
+    @classmethod
+    def _capped(cls, kind: SpaceKind, vertices, gamma: int, cap: int | None) -> "ConfigurationSpace":
+        if gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        space = cls(kind, tuple(range(vertices)) if isinstance(vertices, int) else tuple(vertices), gamma)
+        cap = cap or max_states()
+        if space.size > cap:
+            raise SpaceTooLargeError(f"{kind.name} space size {space.size} exceeds cap {cap}")
+        return space
+
+    @property
+    def radix(self) -> int:
+        return self.gamma + 1 if self.kind is SpaceKind.SEP else 2
+
+    @property
+    def n_sites(self) -> int:
+        return self.n_vertices if self.kind is SpaceKind.SEP else self.n_vertices * self.gamma
 
     @property
     def size(self) -> int:
-        return len(self.configs)
+        return self.radix**self.n_sites
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def index(self, config) -> int:
-        return self._index[tuple(config)]
+    @property
+    def place_values(self) -> np.ndarray:
+        return self.radix ** np.arange(self.n_sites - 1, -1, -1)
 
-    def occupancy(self, config) -> tuple[int, ...]:
-        """Per-vertex particle counts of a ladder configuration (the lumping map)."""
+    def digits(self) -> np.ndarray:
+        """The (size, n_sites) table of all configurations: row i is configuration i."""
+        return (np.arange(self.size)[:, None] // self.place_values) % self.radix
+
+    def index(self, configs) -> np.ndarray:
+        """Index of one configuration, or of each one along the leading axes of an array."""
+        configs = np.asarray(configs)
+        if configs.shape[-1:] != (self.n_sites,) or not np.isin(configs, np.arange(self.radix)).all():
+            raise ValueError(f"a configuration is {self.n_sites} digits in 0..{self.radix - 1}, got shape {configs.shape}")
+        return configs.astype(np.int64) @ self.place_values
+
+    def occupancy(self, configs) -> np.ndarray:
+        """Per-vertex particle counts of ladder configurations (the lumping map), over the last axis."""
         if self.kind is not SpaceKind.LADDER:
             raise ValueError("occupancy is defined on ladder configurations")
-        g = self.gamma
-        return tuple(sum(config[x * g : (x + 1) * g]) for x in range(self.n_vertices))
+        configs = np.asarray(configs)
+        return configs.reshape(configs.shape[:-1] + (self.n_vertices, self.gamma)).sum(axis=-1)
 
     def state_space(self) -> StateSpace:
         return StateSpace(self.size)
@@ -141,22 +151,22 @@ def _rate_table(p, m: int) -> np.ndarray:
     return table
 
 
-def _exclusion_generator(space: ConfigurationSpace, n_sites: int, capacity: int, rates: np.ndarray) -> RateMatrix:
-    """Exclusion with at most `capacity` particles per site over `space`'s enumeration.
+def _exclusion_generator(space: ConfigurationSpace, rates: np.ndarray) -> RateMatrix:
+    """Exclusion with at most capacity = radix - 1 particles on each of `space`'s sites.
 
-    A configuration's index is its mixed-radix number (site 0 most
-    significant), so a hop src -> dst moves index i to i - w[src] + w[dst].
+    A configuration's index is its mixed-radix number (site 0 most significant,
+    place values w), so a hop src -> dst moves index i to i - w[src] + w[dst].
     Each ordered pair (x, y) adds rates[x, y] eta(src) (capacity - eta(dst)) for
     (src, dst) = (x, y) and then (y, x), pair by pair in row-major order: every
     entry is accumulated from the same products in the same order as a loop
     over configurations would, hence bit for bit the same.
     """
-    size = space.size
-    w = (capacity + 1) ** np.arange(n_sites - 1, -1, -1)
-    occ = (np.arange(size)[:, None] // w) % (capacity + 1)
-    gen = np.zeros((size, size))
-    for x in range(n_sites):
-        for y in range(n_sites):
+    w = space.place_values
+    occ = space.digits()
+    capacity = space.radix - 1
+    gen = np.zeros((space.size, space.size))
+    for x in range(space.n_sites):
+        for y in range(space.n_sites):
             if x == y or rates[x, y] == 0.0:
                 continue
             for src, dst in ((x, y), (y, x)):
@@ -177,7 +187,7 @@ def sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
     """
     if space.kind is not SpaceKind.SEP:
         raise ValueError("sep_generator expects a SEP configuration space")
-    return _exclusion_generator(space, space.n_vertices, space.gamma, _rate_table(p, space.n_vertices))
+    return _exclusion_generator(space, _rate_table(p, space.n_vertices))
 
 
 def ladder_sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
@@ -191,12 +201,12 @@ def ladder_sep_generator(space: ConfigurationSpace, p=1.0) -> RateMatrix:
     if space.kind is not SpaceKind.LADDER:
         raise ValueError("ladder_sep_generator expects a ladder configuration space")
     hop = np.kron(_rate_table(p, space.n_vertices), np.ones((space.gamma, space.gamma)))
-    return _exclusion_generator(space, space.n_vertices * space.gamma, 1, hop)
+    return _exclusion_generator(space, hop)
 
 
-def ladder_projection(ladder_space: ConfigurationSpace, sep_space: ConfigurationSpace) -> list[int]:
-    """Index map of the occupancy projection, for use with lumping_operator."""
-    return [sep_space.index(ladder_space.occupancy(c)) for c in ladder_space.configs]
+def ladder_projection(ladder_space: ConfigurationSpace, sep_space: ConfigurationSpace) -> np.ndarray:
+    """Index map of the occupancy projection (entry i: SEP index of ladder configuration i's occupancy)."""
+    return sep_space.index(ladder_space.occupancy(ladder_space.digits()))
 
 
 def _power(base: float, expo: float) -> float:
@@ -230,7 +240,7 @@ class SingleSiteDualityParams:
 def _product_duality(generator: RateMatrix, factors: Sequence[np.ndarray]) -> DualityFunction:
     """Self-duality D = factors[0] (x) factors[1] (x) ... of `generator`.
 
-    In the enumeration order of ConfigurationSpace the product over sites is
+    In ConfigurationSpace's mixed-radix order the product over sites is
     this Kronecker product.  The singular values of a Kronecker product are the
     products of its factors' singular values, so the rank comes from one
     batched SVD of the small factors, at numerical_rank's cutoff

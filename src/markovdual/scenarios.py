@@ -176,7 +176,7 @@ def scenario_jordan4(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
 
 
 def scenario_rw54(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
-    n = n or 8
+    n = 8 if n is None else n
     rep = ScenarioReport("rw54")
     rw = rw_reflected_absorbed(n)
     sd = decompose(rw.l)
@@ -200,7 +200,7 @@ def scenario_rw54(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
 
 
 def scenario_rw6_siegmund(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
-    n = n or 8
+    n = 8 if n is None else n
     rep = ScenarioReport("rw6-siegmund")
     rw = rw_blocked_absorbed(n)
     absorbed = np.zeros((n, n))
@@ -237,7 +237,7 @@ def scenario_rw6_siegmund(n=None, gamma=None, seed=0, out=None) -> ScenarioRepor
 
 
 def scenario_sep_intertwine(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
-    gamma = gamma or 2
+    gamma = 2 if gamma is None else gamma
     rep = ScenarioReport("sep-intertwine")
     sep_space = ConfigurationSpace.sep(2, gamma)
     ladder_space = ConfigurationSpace.ladder(2, gamma)
@@ -281,7 +281,7 @@ FAMILY_PARAMS = (
 
 
 def scenario_sep_families(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
-    gamma = gamma or 2
+    gamma = 2 if gamma is None else gamma
     rep = ScenarioReport("sep-families")
     sep_space = ConfigurationSpace.sep(2, gamma)
     l_sep = sep_generator(sep_space, 1.0)

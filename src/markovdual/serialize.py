@@ -36,7 +36,10 @@ def matrix_from_json(obj: dict) -> RateMatrix:
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
     n = _require(obj, "n")
-    entries = np.asarray(_require(obj, "entries"), dtype=float)
+    try:
+        entries = np.asarray(_require(obj, "entries"), dtype=float)
+    except (ValueError, TypeError) as exc:  # ragged or non-numeric rows
+        raise ParseError(f"entries are not a numeric matrix: {exc}") from exc
     if entries.ndim != 2 or entries.shape != (n, n):
         raise ParseError(f"entries shape {entries.shape} does not match n={n}")
     labels = obj.get("labels")
@@ -51,12 +54,12 @@ def measure_from_json(obj: dict) -> Measure:
     if not isinstance(obj, dict):
         raise ParseError("measure document must be a JSON object")
     n = _require(obj, "n")
-    weights = np.asarray(_require(obj, "weights"), dtype=float)
-    if weights.shape != (n,):
-        raise ParseError(f"weights shape {weights.shape} does not match n={n}")
     try:
+        weights = np.asarray(_require(obj, "weights"), dtype=float)
+        if weights.shape != (n,):
+            raise ParseError(f"weights shape {weights.shape} does not match n={n}")
         return Measure.from_weights(weights)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # ragged, non-numeric or not a measure
         raise ParseError(str(exc)) from exc
 
 

@@ -99,41 +99,32 @@ def cumulative_transform(w: np.ndarray) -> np.ndarray:
     return np.cumsum(w[::-1])[::-1]
 
 
-def reconstruct_siegmund(
-    uhats: np.ndarray,
-    us: np.ndarray,
-    tol: float = DEFAULTS.residual,
-    validate: bool = True,
-) -> np.ndarray:
+def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray, tol: float = DEFAULTS.residual) -> np.ndarray:
     """Assemble sum_i uhat_i(x) u_i(y) from eigenfunction families (columns).
 
     The u_i must come from cumulative_transform of a family w_i that is
-    bi-orthogonal to the uhat_i under counting measure; with `validate` the
-    w_i are recovered by differencing and the pairing checked
-    (NotBiorthogonalError on failure).  Under the preconditions the result
-    equals siegmund_matrix(n).
+    bi-orthogonal to the uhat_i under counting measure; the w_i are recovered
+    by differencing and the pairing checked (NotBiorthogonalError on
+    failure).  Under the preconditions the result equals siegmund_matrix(n).
     """
     uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if uhats.shape != us.shape or uhats.shape[0] != uhats.shape[1]:
         raise ShapeMismatchError("expected two square eigenfunction families of equal shape")
-    if validate:
-        # w_i(y) = u_i(y) - u_i(y+1) inverts the tail-sum transform
-        w = us - np.vstack([us[1:], np.zeros((1, us.shape[1]))])
-        gram = w.T @ uhats
-        defect = max_abs(gram - np.eye(us.shape[1]))
-        if defect > max(tol, 1e-8):
-            raise NotBiorthogonalError(f"bi-orthogonality defect {defect:.3e}")
+    # w_i(y) = u_i(y) - u_i(y+1) inverts the tail-sum transform
+    w = us - np.vstack([us[1:], np.zeros((1, us.shape[1]))])
+    defect = max_abs(w.T @ uhats - np.eye(us.shape[1]))
+    if defect > max(tol, 1e-8):
+        raise NotBiorthogonalError(f"bi-orthogonality defect {defect:.3e}")
     return uhats @ us.T
 
 
-def extend_with_cemetery(l: RateMatrix, allow_conservative: bool = False, tol: float = DEFAULTS.row) -> RateMatrix:
+def extend_with_cemetery(l: RateMatrix, tol: float = DEFAULTS.row) -> RateMatrix:
     """Close a sub-generator into a generator by routing leak rates to a new absorbing state.
 
     The new state (index n) is absorbing; row x gains the entry -rowsum(x).
     Raises AlreadyConservativeError when every row already sums to zero
-    (the extension would only add an isolated absorbing state) unless
-    `allow_conservative` is set.
+    (the extension would only add an isolated absorbing state).
     """
     if l.kind not in (MatrixKind.SUB_GENERATOR, MatrixKind.GENERATOR):
         raise ValueError("extend_with_cemetery requires a (sub-)generator")
@@ -141,8 +132,7 @@ def extend_with_cemetery(l: RateMatrix, allow_conservative: bool = False, tol: f
     leaks = -entries.sum(axis=1)
     leaks[np.abs(leaks) <= tol] = 0.0
     if not np.any(leaks > 0):
-        if not allow_conservative:
-            raise AlreadyConservativeError("row sums already vanish; extension is a no-op")
+        raise AlreadyConservativeError("row sums already vanish; extension is a no-op")
     out = np.zeros((l.n + 1, l.n + 1))
     out[: l.n, : l.n] = entries
     out[: l.n, l.n] = leaks

@@ -1,8 +1,11 @@
+import itertools
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
-from markovdual import RateMatrix
+from markovdual import RateMatrix, SpaceKind
 from markovdual.linalg import rank_threshold
 from markovdual.models import _rate_table
 
@@ -99,13 +102,34 @@ def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
+def enumerate_configs(space):
+    """Reference enumeration of a ConfigurationSpace: every configuration as a tuple, and the dict back to its index.
+
+    SEP configurations are (gamma+1)-ary vectors over the vertices, ladder ones
+    0/1 vectors over the V*gamma rungs, both listed by itertools.product, i.e.
+    lexicographically with the first site most significant.
+    """
+    if space.kind is SpaceKind.SEP:
+        configs = tuple(itertools.product(range(space.gamma + 1), repeat=len(space.vertices)))
+    else:
+        configs = tuple(itertools.product((0, 1), repeat=space.gamma * len(space.vertices)))
+    return configs, {c: i for i, c in enumerate(configs)}
+
+
+def occupancy_tuple(ladder_space, config) -> tuple[int, ...]:
+    """Reference lumping map: per-vertex sums of a ladder configuration's gamma rungs."""
+    g = ladder_space.gamma
+    return tuple(sum(config[x * g : (x + 1) * g]) for x in range(len(ladder_space.vertices)))
+
+
 def sep_generator_loops(space, p=1.0) -> np.ndarray:
     """Reference for models.sep_generator: a loop over configurations and ordered vertex pairs."""
     m = space.n_vertices
     rates = _rate_table(p, m)
     gamma = space.gamma
-    gen = np.zeros((space.size, space.size))
-    for i, eta in enumerate(space.configs):
+    configs, index = enumerate_configs(space)
+    gen = np.zeros((len(configs), len(configs)))
+    for i, eta in enumerate(configs):
         for x in range(m):
             for y in range(m):
                 if x == y:
@@ -116,7 +140,7 @@ def sep_generator_loops(space, p=1.0) -> np.ndarray:
                         nxt = list(eta)
                         nxt[src] -= 1
                         nxt[dst] += 1
-                        gen[i, space.index(nxt)] += rate
+                        gen[i, index[tuple(nxt)]] += rate
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
     return gen
 
@@ -126,9 +150,10 @@ def ladder_sep_generator_loops(space, p=1.0) -> np.ndarray:
     m = space.n_vertices
     rates = _rate_table(p, m)
     gamma = space.gamma
-    gen = np.zeros((space.size, space.size))
+    configs, index = enumerate_configs(space)
+    gen = np.zeros((len(configs), len(configs)))
     flat = lambda x, a: x * gamma + a
-    for i, eta in enumerate(space.configs):
+    for i, eta in enumerate(configs):
         for x in range(m):
             for y in range(m):
                 if x == y or rates[x, y] == 0.0:
@@ -139,18 +164,37 @@ def ladder_sep_generator_loops(space, p=1.0) -> np.ndarray:
                             if eta[src] and not eta[dst]:
                                 nxt = list(eta)
                                 nxt[src], nxt[dst] = 0, 1
-                                gen[i, space.index(nxt)] += rates[x, y]
+                                gen[i, index[tuple(nxt)]] += rates[x, y]
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
     return gen
 
 
 def gather_product_duality(factors, space) -> np.ndarray:
     """Reference for the product dualities: D(xi, eta) = prod_s factors[s][xi_s, eta_s], gathered per site."""
-    configs = np.array(space.configs)
-    d = np.ones((space.size, space.size))
+    configs = np.array(enumerate_configs(space)[0])
+    d = np.ones((len(configs), len(configs)))
     for s, f in enumerate(factors):
         d *= f[configs[:, s][:, None], configs[:, s][None, :]]
     return d
+
+
+def ladder_projection_loops(ladder_space, sep_space) -> list[int]:
+    """Reference for models.ladder_projection: the SEP index of each ladder configuration's occupancy."""
+    _, sep_index = enumerate_configs(sep_space)
+    return [sep_index[occupancy_tuple(ladder_space, c)] for c in enumerate_configs(ladder_space)[0]]
+
+
+def inverse_intertwiner_loops(sep_space, ladder_space) -> np.ndarray:
+    """Reference for intertwining.inverse_intertwiner: weight 1 / prod_x C(gamma, eta_x), column by column."""
+    gamma = sep_space.gamma
+    sep_configs, sep_index = enumerate_configs(sep_space)
+    ladder_configs, _ = enumerate_configs(ladder_space)
+    m = np.zeros((len(sep_configs), len(ladder_configs)))
+    weights = {eta: 1.0 / math.prod(math.comb(gamma, k) for k in eta) for eta in sep_configs}
+    for col, tilde in enumerate(ladder_configs):
+        eta = occupancy_tuple(ladder_space, tilde)
+        m[sep_index[eta], col] = weights[eta]
+    return m
 
 
 def rw_reflected_absorbed_loops(n: int):

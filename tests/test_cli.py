@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from markovdual.cli import main
+from markovdual.cli import build_parser, main
 from markovdual.models import SingleSiteDualityParams, rw_reflected_absorbed, single_site_duality
 from markovdual.scenarios import FAMILY_PARAMS, cyclic_generator
 from markovdual.serialize import matrix_to_json, save_json
@@ -157,3 +157,71 @@ class TestScenarioCommand:
                 f"# family={name} alpha={params.alpha} beta={params.beta} "
                 f"epsilon={params.epsilon} delta={params.delta} gamma=3"
             )
+
+
+def _subparsers(parser):
+    """Leaf subcommand parsers by their space-joined command path."""
+    for action in parser._subparsers._group_actions if parser._subparsers else []:
+        for name, sub in action.choices.items():
+            if sub._subparsers:
+                yield from ((f"{name} {leaf}", p) for leaf, p in _subparsers(sub))
+            else:
+                yield name, sub
+
+
+class TestFlags:
+    READS = {
+        "inspect": {"--tol", "--json"},
+        "siegmund": {"--json", "--out"},
+        "duality basis": {"--seed", "--json", "--out"},
+        "duality sep": {"--json", "--out"},
+        "model rw54": {"--json", "--out"},
+        "model rw6": {"--json", "--out"},
+        "model sep": {"--json", "--out"},
+        "scenario": {"--seed", "--json", "--out"},
+    }
+
+    def test_each_command_has_exactly_the_shared_flags_it_reads(self):
+        shared = {"--tol", "--seed", "--json", "--out"}
+        found = {
+            name: {o for a in p._actions for o in a.option_strings} & shared
+            for name, p in _subparsers(build_parser())
+        }
+        assert found == self.READS
+        assert sum(map(len, found.values())) == 18
+
+    @pytest.mark.parametrize("argv", [["siegmund", "FILE", "--tol", "1"], ["model", "sep", "--V", "2", "--seed", "3"]])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.fixture
+def bad_input_files(tmp_path):
+    sub = np.array([[-2.0, 1.0], [1.0, -1.0]])  # row 0 leaks: a sub-generator
+    save_json({"n": 2, "entries": sub.tolist()}, tmp_path / "sub.json")
+    save_json({"n": 2, "entries": [[0.0, 0.0], [0.0]]}, tmp_path / "ragged.json")
+    save_json({"n": 2, "entries": [[0.0, "x"], [0.0, 0.0]]}, tmp_path / "text.json")
+    save_json({"p": 1.0}, tmp_path / "novertices.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "rw54", "--n", "1"],
+        ["model", "sep", "--V", "2", "--gamma", "-1"],
+        ["duality", "sep", "--alpha", "1", "--beta", "1", "--eps", "0", "--delta", "1", "--gamma", "0"],
+        ["siegmund", "{dir}/sub.json"],
+        ["inspect", "{dir}/ragged.json"],
+        ["inspect", "{dir}/text.json"],
+        ["model", "sep", "--V", "{dir}/novertices.json"],
+        ["scenario", "rw54", "--n", "0"],
+        ["scenario", "sep-intertwine", "--gamma", "0"],
+    ],
+)
+def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
+    assert main([a.format(dir=bad_input_files) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -25,7 +25,9 @@ from markovdual import (
 )
 from markovdual.errors import PreconditionFailedError, ShapeMismatchError
 
-from conftest import random_generator
+from conftest import inverse_intertwiner_loops, ladder_projection_loops, random_generator
+
+REFERENCE_SIZES = [(v, g) for v in (1, 2, 3) for g in (1, 2, 3)] + [(2, 4), (2, 5), (4, 2)]
 
 
 def sep_setup(gamma, m=2, p=1.0):
@@ -97,12 +99,31 @@ class TestLumping:
         sep_space = ConfigurationSpace.sep(2, 2)
         ladder_space = ConfigurationSpace.ladder(2, 2)
         pi = ladder_projection(ladder_space, sep_space)
-        for tilde, target in zip(ladder_space.configs, pi):
-            assert sep_space.configs[target] == ladder_space.occupancy(tilde)
+        sep_digits = sep_space.digits()
+        for tilde, target in zip(ladder_space.digits(), pi):
+            npt.assert_array_equal(sep_digits[target], ladder_space.occupancy(tilde))
+
+    @pytest.mark.parametrize("vertices,gamma", REFERENCE_SIZES)
+    def test_ladder_projection_matches_loops(self, vertices, gamma):
+        sep_space = ConfigurationSpace.sep(vertices, gamma)
+        ladder_space = ConfigurationSpace.ladder(vertices, gamma)
+        pi = ladder_projection(ladder_space, sep_space)
+        npt.assert_array_equal(pi, ladder_projection_loops(ladder_space, sep_space), strict=True)
+        npt.assert_array_equal(
+            lumping_operator(pi, sep_space.size).matrix,
+            lumping_operator(ladder_projection_loops(ladder_space, sep_space), sep_space.size).matrix,
+        )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="projection value 5"):
             lumping_operator([0, 5], 2)
+        with pytest.raises(ValueError, match="projection value -1"):
+            lumping_operator(np.array([1, -1, 7]), 2)
+
+    def test_int_array_projection(self):
+        op = lumping_operator(np.array([2, 0, 1, 0]), 3)
+        npt.assert_array_equal(op.matrix, np.eye(3)[[2, 0, 1, 0]])
+        assert op.stochastic
 
 
 class TestInverse:
@@ -140,10 +161,26 @@ class TestInverse:
             atol=1e-14,
         )
 
+    @pytest.mark.parametrize("vertices,gamma", REFERENCE_SIZES)
+    def test_matches_loops(self, vertices, gamma):
+        sep_space = ConfigurationSpace.sep(vertices, gamma)
+        ladder_space = ConfigurationSpace.ladder(vertices, gamma)
+        expected = inverse_intertwiner_loops(sep_space, ladder_space)
+        npt.assert_array_equal(inverse_intertwiner(sep_space, ladder_space).matrix, expected)
+        npt.assert_array_equal(inverse_intertwiner(sep_space).matrix, expected)
+
     def test_wrong_space_kind_rejected(self):
         ladder_space = ConfigurationSpace.ladder(1, 2)
         with pytest.raises(ValueError):
             inverse_intertwiner(ladder_space)
+
+    @pytest.mark.parametrize(
+        "ladder_space",
+        [ConfigurationSpace.ladder(2, 1), ConfigurationSpace.ladder(3, 2), ConfigurationSpace.ladder(("a", "b"), 2), ConfigurationSpace.sep(2, 2)],
+    )
+    def test_mismatched_ladder_rejected(self, ladder_space):
+        with pytest.raises(ValueError, match="does not match"):
+            inverse_intertwiner(ConfigurationSpace.sep(2, 2), ladder_space)
 
 
 class TestPush:
@@ -282,7 +319,7 @@ class TestProofIdentities:
         # for every compatible ladder configuration, pairwise products count
         # particle-hole pairs exactly
         ladder_space = ConfigurationSpace.ladder(2, gamma)
-        for tilde in ladder_space.configs:
+        for tilde in ladder_space.digits():
             eta = ladder_space.occupancy(tilde)
             for x, y in ((0, 1), (1, 0)):
                 total = sum(
@@ -297,17 +334,20 @@ class TestProofIdentities:
         sep_space = ConfigurationSpace.sep(2, gamma)
         ladder_space = ConfigurationSpace.ladder(2, gamma)
         x, y = 0, 1
-        for eta in sep_space.configs:
+        ladder_configs = [tuple(t) for t in ladder_space.digits()]
+        occupancies = [tuple(ladder_space.occupancy(t)) for t in ladder_configs]
+        for eta in sep_space.digits():
+            eta = tuple(eta)
             if eta[x] < 1 or eta[y] >= gamma:
                 continue
             moved = list(eta)
             moved[x] -= 1
             moved[y] += 1
-            targets = [t for t in ladder_space.configs if ladder_space.occupancy(t) == tuple(moved)]
+            targets = [t for t, occ in zip(ladder_configs, occupancies) if occ == tuple(moved)]
             for target in targets:
                 count = 0
-                for tilde in ladder_space.configs:
-                    if ladder_space.occupancy(tilde) != eta:
+                for tilde, occ in zip(ladder_configs, occupancies):
+                    if occ != eta:
                         continue
                     for a in range(gamma):
                         for b in range(gamma):

@@ -29,7 +29,9 @@ from markovdual.errors import DomainError, ShapeMismatchError, SpaceTooLargeErro
 from markovdual.linalg import numerical_rank
 
 from conftest import (
+    enumerate_configs,
     gather_product_duality,
+    occupancy_tuple,
     ladder_sep_generator_loops,
     rw_blocked_absorbed_loops,
     rw_reflected_absorbed_loops,
@@ -40,17 +42,62 @@ from conftest import (
 class TestConfigurationSpace:
     def test_sep_enumeration(self):
         space = ConfigurationSpace.sep(2, 1)
-        assert space.configs == ((0, 0), (0, 1), (1, 0), (1, 1))
+        npt.assert_array_equal(space.digits(), [(0, 0), (0, 1), (1, 0), (1, 1)])
         assert space.size == 4
 
     def test_ladder_enumeration_and_occupancy(self):
         space = ConfigurationSpace.ladder(2, 2)
         assert space.size == 16
-        assert space.occupancy((1, 0, 1, 1)) == (1, 2)
+        npt.assert_array_equal(space.occupancy((1, 0, 1, 1)), (1, 2))
 
     def test_gamma_zero_single_configuration(self):
         space = ConfigurationSpace.sep(3, 0)
-        assert space.configs == ((0, 0, 0),)
+        npt.assert_array_equal(space.digits(), [(0, 0, 0)])
+
+    @pytest.mark.parametrize("kind", ["sep", "ladder"])
+    @pytest.mark.parametrize("vertices,gamma", [(1, 1), (2, 0), (2, 3), (3, 2), (0, 2), (4, 1), (2, 5)])
+    def test_digits_and_index_match_enumeration(self, kind, vertices, gamma):
+        space = getattr(ConfigurationSpace, kind)(vertices, gamma)
+        configs, index = enumerate_configs(space)
+        assert space.size == len(configs)
+        npt.assert_array_equal(space.digits(), np.array(configs))
+        assert [space.index(c) for c in configs] == list(index.values())
+        npt.assert_array_equal(space.index(space.digits()), np.arange(space.size))
+
+    @pytest.mark.parametrize("vertices,gamma", [(1, 1), (2, 2), (3, 1), (2, 3), (1, 0)])
+    def test_occupancy_matches_rung_sums(self, vertices, gamma):
+        space = ConfigurationSpace.ladder(vertices, gamma)
+        configs, _ = enumerate_configs(space)
+        expected = [occupancy_tuple(space, c) for c in configs]
+        npt.assert_array_equal(space.occupancy(space.digits()), np.reshape(expected, (len(configs), vertices)))
+        assert [tuple(space.occupancy(c)) for c in configs] == expected
+
+    def test_occupancy_rejected_on_sep(self):
+        with pytest.raises(ValueError, match="ladder"):
+            ConfigurationSpace.sep(2, 2).occupancy((1, 1))
+
+    @pytest.mark.parametrize("config", [(0, 1, 0), (1,), (), ((0, 1, 2),)])
+    def test_index_rejects_wrong_length(self, config):
+        with pytest.raises(ValueError, match="digits"):
+            ConfigurationSpace.sep(2, 2).index(config)
+
+    @pytest.mark.parametrize(
+        "space,config",
+        [("sep", (0, 3)), ("sep", (-1, 0)), ("sep", (0, 0.5)), ("ladder", (0, 2)), ("ladder", (1, -1))],
+    )
+    def test_index_rejects_digit_out_of_range(self, space, config):
+        two_sites = ConfigurationSpace.sep(2, 2) if space == "sep" else ConfigurationSpace.ladder(1, 2)
+        with pytest.raises(ValueError, match="digits"):
+            two_sites.index(config)
+
+    @pytest.mark.parametrize("kind", ["sep", "ladder"])
+    def test_negative_gamma_rejected(self, kind):
+        with pytest.raises(ValueError, match="gamma"):
+            getattr(ConfigurationSpace, kind)(2, -1)
+
+    def test_spaces_compare_by_value(self):
+        assert ConfigurationSpace.sep(2, 2) == ConfigurationSpace.sep((0, 1), 2)
+        assert ConfigurationSpace.sep(2, 2) != ConfigurationSpace.ladder(2, 2)
 
     def test_cap_enforced(self):
         with pytest.raises(SpaceTooLargeError):
@@ -90,7 +137,7 @@ class TestSepGenerator:
     def test_particle_number_conservation(self):
         space = ConfigurationSpace.sep(2, 2)
         gen = np.asarray(sep_generator(space, 1.0).entries)
-        totals = np.array([sum(c) for c in space.configs])
+        totals = space.digits().sum(axis=1)
         off_sector = totals[:, None] != totals[None, :]
         assert np.all(gen[off_sector] == 0.0)
 
@@ -137,8 +184,8 @@ class TestSsepSelfduality:
         gen = ladder_sep_generator(space, 1.0)
         params = SingleSiteDualityParams(0.0, 1.0, 0.0, 1.0, 2)
         d = ssep_selfduality(space, params, gen)
-        for i, xi in enumerate(space.configs):
-            for j, eta in enumerate(space.configs):
+        for i, xi in enumerate(space.digits()):
+            for j, eta in enumerate(space.digits()):
                 dominated = all(a <= b for a, b in zip(xi, eta))
                 assert d.matrix[i, j] == (1.0 if dominated else 0.0)
         assert d.residual < 1e-12

@@ -145,8 +145,8 @@ class TestReconstruct:
         scaled[:, 2] *= 2.0
         with pytest.raises(NotBiorthogonalError):
             reconstruct_siegmund(scaled, rw.u)
-        ds = reconstruct_siegmund(scaled, rw.u, validate=False)
-        assert np.max(np.abs(ds - siegmund_matrix(6))) > 1e-3
+        # the unchecked sum the check guards against
+        assert np.max(np.abs(scaled @ rw.u.T - siegmund_matrix(6))) > 1e-3
 
 
 class TestCemetery:
@@ -163,14 +163,6 @@ class TestCemetery:
         l = cyclic_generator()
         with pytest.raises(AlreadyConservativeError):
             extend_with_cemetery(l)
-
-    def test_conservative_allowed_gives_isolated_state(self):
-        l = cyclic_generator()
-        ext = extend_with_cemetery(l, allow_conservative=True)
-        entries = np.asarray(ext.entries)
-        npt.assert_array_equal(entries[:3, :3], np.asarray(l.entries))
-        npt.assert_array_equal(entries[3], np.zeros(4))
-        npt.assert_array_equal(entries[:3, 3], np.zeros(3))
 
     def test_extended_indicator(self):
         n = 7
