@@ -167,18 +167,24 @@ def is_irreducible(l: RateMatrix, row_tol: float = DEFAULTS.row) -> bool:
 def stationary_measure(l: RateMatrix, tol: float = DEFAULTS.residual) -> Measure:
     """Unique stationary measure mu > 0 with mu^T L = 0, normalized to sum 1.
 
-    The kernel vector is taken from a rank-revealing SVD of L^T and
-    sign-normalized by its largest-magnitude entry, so the output is
-    deterministic.
+    mu solves L^T mu = 0 with its last equation replaced by sum(mu) = 1, by
+    one LU solve.  Irreducibility makes the kernel of L^T one-dimensional and
+    spanned by a positive vector, so that system is nonsingular; a solver
+    failure or a non-positive entry raises NoPositiveSolutionError.
     """
     if l.kind is not MatrixKind.GENERATOR:
         raise ValueError("stationary_measure requires a generator")
     if not is_irreducible(l):
         raise NotIrreducibleError("rate digraph is not strongly connected")
     m = np.asarray(l.entries)
-    _, _, vh = np.linalg.svd(m.T)
-    mu = vh[-1].real
-    mu = mu * np.sign(mu[np.argmax(np.abs(mu))])
+    a = m.T.copy()
+    a[-1] = 1.0
+    rhs = np.zeros(l.n)
+    rhs[-1] = 1.0
+    try:
+        mu = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoPositiveSolutionError(f"stationary system is singular: {exc}") from exc
     if np.any(mu <= 0):
         raise NoPositiveSolutionError("kernel vector has a non-positive entry")
     mu = mu / mu.sum()

@@ -138,7 +138,7 @@ class ConfigurationSpace:
 def _rate_table(p, m: int) -> np.ndarray:
     """Normalize a rate argument (callable, matrix, or scalar) to an m x m array."""
     if callable(p):
-        table = np.array([[float(p(x, y)) for y in range(m)] for x in range(m)])
+        table = np.array([[p(x, y) for y in range(m)] for x in range(m)], dtype=float).reshape(m, m)
     elif np.isscalar(p):
         table = float(p) * (1.0 - np.eye(m))
     else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from markovdual import RateMatrix, SpaceKind
-from markovdual.linalg import rank_threshold
+from markovdual.linalg import numerical_rank, rank_threshold
 from markovdual.models import _rate_table
 
 hypothesis.settings.register_profile(
@@ -59,6 +59,19 @@ def kronecker_duality_space(lhat: RateMatrix, l: RateMatrix) -> np.ndarray:
     _, s, vh = np.linalg.svd(k)
     dim = int(np.sum(s <= rank_threshold(s, k.shape)))
     return vh[len(s) - dim :].T
+
+
+def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: float = 1e-8) -> int:
+    """Reference for duality.max_duality_rank: one draw, one combination and one SVD per sample."""
+    if space.dimension == 0:
+        return 0
+    rng = np.random.default_rng(seed)
+    best = 0
+    for _ in range(samples):
+        coeffs = rng.standard_normal(space.dimension)
+        combo = sum(c * b for c, b in zip(coeffs, space.basis))
+        best = max(best, numerical_rank(combo, rank_rtol))
+    return best
 
 
 def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):

@@ -109,6 +109,24 @@ class TestStationary:
         npt.assert_allclose(mu.weights, np.array([1.0, 2.0, 6.0]) / 9.0, atol=1e-12)
         assert np.max(np.abs(mu.weights @ np.asarray(l.entries))) < 1e-12
 
+    def test_long_birth_death_product_formula(self):
+        # detailed balance: mu(k+1) / mu(k) = up(k) / down(k), summed in logs
+        l = random_birth_death(np.random.default_rng(0), 600)
+        m = np.asarray(l.entries)
+        logw = np.concatenate([[0.0], np.cumsum(np.log(np.diag(m, 1)) - np.log(np.diag(m, -1)))])
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        mu = stationary_measure(l)
+        npt.assert_allclose(mu.weights, w, rtol=0.0, atol=1e-9 * w.max())
+
+    def test_singular_solve_is_typed(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NoPositiveSolutionError):
+            stationary_measure(cyclic_generator())
+
     def test_reducible_raises(self):
         with pytest.raises(NotIrreducibleError):
             stationary_measure(generator([[-1.0, 1.0], [0.0, 0.0]]))

@@ -43,11 +43,13 @@ from markovdual.errors import (
     NotOrthonormalError,
     ShapeMismatchError,
 )
+from markovdual import duality as duality_module
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 
 from conftest import (
     jordan_assembled,
     kronecker_duality_space,
+    max_duality_rank_loop,
     random_birth_death,
     random_generator,
 )
@@ -137,7 +139,8 @@ def ladder_sep_pair(gamma: int):
 
 class TestSchurKernelAgainstOracle:
     """solve_duality_space against the Kronecker SVD: equal dimension, largest
-    principal angle <= 1e-6, and every kept singular value >= 1e3 * cutoff."""
+    principal angle <= 1e-6, every kept singular value >= 1e3 * cutoff, and a
+    Frobenius-orthonormal basis; max_duality_rank against its loop reference."""
 
     @staticmethod
     def check(lhat: RateMatrix, l: RateMatrix):
@@ -149,9 +152,11 @@ class TestSchurKernelAgainstOracle:
         if space.dimension:
             ours = np.column_stack([b.reshape(-1, order="F") for b in space.basis])
             assert np.max(subspace_angles(ours, oracle)) <= 1e-6
+            assert np.max(np.abs(ours.T @ ours - np.eye(space.dimension))) <= 1e-12
+        assert max_duality_rank(space) == max_duality_rank_loop(space)
         return space
 
-    @pytest.mark.parametrize("n", [3, 6, 16, 32])
+    @pytest.mark.parametrize("n", [3, 6, 16, 32, 48])
     def test_rw54(self, n):
         rw = rw_reflected_absorbed(n)
         assert self.check(rw.lhat, rw.l).dimension == n
@@ -206,6 +211,53 @@ class TestSchurKernelAgainstOracle:
         pair = rw_blocked_absorbed(6).pair
         assert self.check(pair.lhat, pair.l).dimension == 6
 
+    def test_mixed_real_and_complex_spectra(self):
+        # a 2 x 2 real Schur block on one side only: both forms go complex
+        assert self.check(cyclic_generator(), generator(BIRTH_DEATH)).dimension == 1
+
+
+class TestRealArithmetic:
+    """Real spectra on both sides keep the kernel in real arithmetic; any
+    complex pair on either side sends both forms through rsf2csf."""
+
+    @staticmethod
+    def run(monkeypatch, lhat, l):
+        dtypes, converted = [], []
+        svd, rsf2csf = np.linalg.svd, duality_module.rsf2csf
+
+        def recording_svd(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return svd(a, *args, **kwargs)
+
+        def recording_rsf2csf(t, z):
+            converted.append(t.shape)
+            return rsf2csf(t, z)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(duality_module, "rsf2csf", recording_rsf2csf)
+        space = solve_duality_space(lhat, l)
+        assert all(b.dtype == np.float64 for b in space.basis)
+        return dtypes, converted
+
+    @pytest.mark.parametrize("case", ["rw54", "ladder-sep", "birth-death"])
+    def test_real_spectra_stay_real(self, monkeypatch, rng, case):
+        if case == "rw54":
+            rw = rw_reflected_absorbed(12)
+            pair = (rw.lhat, rw.l)
+        elif case == "ladder-sep":
+            pair = ladder_sep_pair(2)
+        else:
+            l = random_birth_death(rng, 9)
+            pair = (permuted(rng, l), l)
+        dtypes, converted = self.run(monkeypatch, *pair)
+        assert converted == []
+        assert dtypes and all(d == np.float64 for d in dtypes)
+
+    def test_complex_pair_converts_both_forms(self, monkeypatch):
+        dtypes, converted = self.run(monkeypatch, cyclic_generator(), generator(BIRTH_DEATH))
+        assert converted == [(3, 3), (3, 3)]
+        assert np.complex128 in dtypes
+
 
 class TestScaleInvariance:
     @pytest.mark.parametrize(
@@ -238,7 +290,7 @@ class TestScaleInvariance:
             RateMatrix.from_entries(c * np.asarray(l.entries)),
         )
         assert scaled.dimension == base.dimension
-        assert max_duality_rank(scaled) == max_duality_rank(base)
+        assert max_duality_rank(scaled) == max_duality_rank(base) == max_duality_rank_loop(base)
 
 
 class TestMaxRank:

@@ -158,6 +158,11 @@ class TestSepGenerator:
         from_matrix = sep_generator(space, table)
         npt.assert_array_equal(from_callable.entries, from_matrix.entries)
 
+    @pytest.mark.parametrize("rates", [1.0, np.zeros((0, 0)), lambda x, y: 1.0])
+    def test_no_vertices_any_rate_form(self, rates):
+        gen = sep_generator(ConfigurationSpace.sep(0, 2), rates)
+        npt.assert_array_equal(gen.entries, np.zeros((1, 1)))
+
 
 class TestLadderGenerator:
     def test_single_rung_equals_sep(self):
