@@ -1,15 +1,13 @@
 """Duality functions for pairs of rate matrices: L_hat D = D L^T.
 
 The module offers two independent routes to the same objects.  The first is
-the full solution space, `solve_duality_space`: with Schur forms
-L_hat = Q T Q* and L^T = Z S Z*, it solves T Y = Y S block column by block
-column (Bartels-Stewart style), one small SVD per block, and returns a real
-basis of D = Q Y Z* that is orthonormal in the Frobenius inner product,
-together with the margins of its rank decisions.  The forms are real when
-both real Schur forms are triangular (every eigenvalue real), and complex,
-via rsf2csf, otherwise; only the complex case needs a final SVD to return
-to a real basis.  Its rank cutoff is
-n_hat n eps (||L_hat||_2 + ||L||_2); near-equal diagonal entries of S that
+the full solution space, `solve_duality_space`: with real Schur forms
+L_hat = Q T Q^T and L^T = Z S Z^T, it solves T Y = Y S block column by block
+column (Bartels-Stewart style, in real arithmetic), one small SVD per block,
+and returns a real basis of D = Q Y Z^T that is orthonormal in the Frobenius
+inner product, together with the margins of its rank decisions.  Each 2 x 2
+block of S (a complex-conjugate pair) is one column block.  Its rank cutoff
+is n_hat n eps (||L_hat||_2 + ||L||_2); near-equal diagonal entries of S that
 form a non-scalar block (a rounding-split Jordan eigenvalue) are solved
 together.  It costs about n^4 and never forms the (n_hat n)^2 Kronecker
 matrix I (x) L_hat - L (x) I, whose SVD survives in the tests as an oracle.
@@ -24,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import rsf2csf, schur
-from scipy.linalg.lapack import dtrsen, ztrsen
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsen
 
 from .config import DEFAULTS
 from .core import Measure, RateMatrix, StateSpace
@@ -126,16 +124,18 @@ def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray, rank_rtol: floa
 
 
 def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
-    """Reorder the triangular Schur form S = Z* L^T Z into the recursion's column blocks.
+    """Reorder the real Schur form S = Z^T L^T Z into the recursion's column blocks.
 
     Diagonal entries of S with a neighbour within tau are grouped as
-    `decompose` groups eigenvalues (each within tau of its group's mean).  Each
-    group with more than one member is made contiguous by trsen (dtrsen for a
-    real S, ztrsen for a complex one; it keeps the relative order of everything
-    it does not select, and swaps of 1 x 1 blocks keep S triangular) and
-    becomes one block unless its Schur block is numerically scalar, i.e. within
-    tau of c I; a scalar (semisimple) group and every singleton is solved
-    column by column.
+    `decompose` groups eigenvalues (each within tau of its group's mean).  Both
+    diagonal entries of a standardized 2 x 2 block equal the pair's real part,
+    so a pair always falls in one group.  Each group with more than one member
+    is made contiguous by dtrsen (it keeps the relative order of everything it
+    does not select and keeps S quasi-triangular) and becomes one block unless
+    its Schur block is numerically scalar, i.e. within tau of c I; a scalar
+    (semisimple) group and every singleton is solved column by column.  The
+    two columns of a 2 x 2 block are never split, however small its
+    off-diagonal entries: the column recursion needs S block upper triangular.
     Returns the reordered (S, Z) and the blocks as (start, stop) column ranges.
     """
     n = s.shape[0]
@@ -143,14 +143,11 @@ def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     diag = np.diag(s)
     near = np.flatnonzero(np.sum(np.abs(diag[:, None] - diag) <= tau, axis=1) > 1)
     clusters = [near[g] for g in _cluster_eigenvalues(diag[near], tau)[0] if len(g) > 1]
-    trsen = ztrsen if np.iscomplexobj(s) else dtrsen
     for g in clusters:
         select = np.isin(order, g)
-        # dtrsen and ztrsen differ only in the fields between (S, Z) and info
-        out = trsen(select.astype(np.int32), s, z, job="N")
-        s, z, info = out[0], out[1], out[-1]
+        s, z, *_, info = dtrsen(select.astype(np.int32), s, z, job="N")
         if info != 0:
-            raise DecompositionFailedError(f"{trsen.__name__} failed with info = {info}")
+            raise DecompositionFailedError(f"dtrsen failed with info = {info}")
         order = np.concatenate([order[select], order[~select]])
     starts = np.ones(n + 1, dtype=bool)
     for g in clusters:
@@ -159,6 +156,7 @@ def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
         block = s[a:b, a:b]
         if max_abs(block - np.mean(np.diag(block)) * np.eye(b - a)) > tau:
             starts[a + 1 : b] = False
+    starts[np.flatnonzero(np.diag(s, -1)) + 1] = False
     bounds = np.flatnonzero(starts)
     return s, z, list(zip(bounds[:-1], bounds[1:]))
 
@@ -168,13 +166,12 @@ def solve_duality_space(
 ) -> DualitySpace:
     """Real orthonormal basis of {D : L_hat D = D L^T}, from Schur forms of both generators.
 
-    With triangular Schur forms L_hat = Q T Q* and L^T = Z S Z*, D solves the
-    equation iff Y = Q* D Z solves T Y = Y S (Bartels-Stewart; Golub-Nash-Van
-    Loan).  Both real Schur forms are taken first; when both are triangular
-    (no 2 x 2 block, i.e. every eigenvalue real) T, S, Q, Z and everything
-    below stay real, otherwise both are converted to complex Schur forms by
-    rsf2csf.  S is upper triangular, so a block J of columns of Y depends only
-    on the columns before it:
+    With real Schur forms L_hat = Q T Q^T and L^T = Z S Z^T, D solves the
+    equation iff Y = Q^T D Z solves T Y = Y S (Bartels-Stewart; Golub-Nash-Van
+    Loan; real quasi-triangular forms as in Jonsson-Kagstrom).  Everything
+    stays in real arithmetic.  S is quasi upper triangular and no column
+    block splits one of its 2 x 2 blocks, so a block J of columns of Y depends
+    only on the columns before it:
 
         T Y_J - Y_J S_JJ = sum_{i < J} Y_i S_iJ = R c,
 
@@ -186,10 +183,8 @@ def solve_duality_space(
     matrix, span the solutions on the columns so far.  They are orthonormal
     and so is the old basis, so the new basis is orthonormal without further
     work.  The basis is carried implicitly (new columns and mixing matrices
-    per block) and assembled once at the end; Q Y Z* maps it back.  In real
-    arithmetic that already is a real basis, orthonormal in the Frobenius
-    inner product; in complex arithmetic one SVD of the real and imaginary
-    parts gives such a basis of the (real) solution space.
+    per block) and assembled once at the end; Q Y Z^T maps it back to a real
+    basis, orthonormal in the Frobenius inner product.
 
     Rank cutoff: n_hat n eps sigma with sigma = ||L_hat||_2 + ||L||_2, or
     rank_rtol * sigma when given.  It is not the Kronecker oracle's
@@ -214,22 +209,19 @@ def solve_duality_space(
     (n_hat n)^2 matrix is formed.  Carrying the right-hand sides of the open
     columns through each block's mixing matrix adds about n_hat n^2 d^2 / 12
     multiply-adds, O(n^5) but below the SVDs' share up to n = 96, where the
-    measured growth is about n^3.5.  Real spectra keep that exponent at about
-    half the constant of complex arithmetic, and skip the final SVD.
+    measured growth is about n^3.5.  Real Schur forms keep that exponent at
+    about half the constant that complex Schur forms cost.
     """
     nh, n = lhat.n, l.n
     t, q = schur(np.asarray(lhat.entries), output="real")
     s, z = schur(np.asarray(l.entries).T, output="real")
-    if np.any(np.diag(t, -1)) or np.any(np.diag(s, -1)):
-        t, q = rsf2csf(t, q)
-        s, z = rsf2csf(s, z)
     sigma = float(np.linalg.norm(lhat.entries, 2) + np.linalg.norm(l.entries, 2)) or 1.0
     cutoff = (rank_rtol if rank_rtol is not None else nh * n * EPS) * sigma
     tau = sigma * (cutoff / sigma) ** 0.25
     s, z, blocks = _column_blocks(s, z, tau)
 
     # f[m, :, k]: sum over solved columns i of Y_k[:, i] S[i, m], for the columns m still open
-    f = np.zeros((n, nh, 0), dtype=t.dtype)
+    f = np.zeros((n, nh, 0))
     steps = []
     largest_discarded, smallest_kept = 0.0, math.inf
     eye_nh = np.eye(nh)
@@ -244,7 +236,7 @@ def solve_duality_space(
             largest_discarded = max(largest_discarded, float(sv[rank]))
         if rank:
             smallest_kept = min(smallest_kept, float(sv[rank - 1]))
-        null = vh[rank:].conj().T
+        null = vh[rank:].T
         y, c = null[: w * nh], null[w * nh :]
         steps.append((y, c))
         shape = (n - b, nh, c.shape[1])
@@ -254,16 +246,14 @@ def solve_duality_space(
     dim = f.shape[2]
     basis: tuple[np.ndarray, ...] = ()
     if dim:
-        p = np.eye(dim, dtype=t.dtype)
+        p = np.eye(dim)
         cols = []
         for y, c in reversed(steps):
             cols.append(y @ p)
             p = c @ p
         yv = np.concatenate(cols[::-1]).reshape(n, nh * dim)  # yv[j, (i, k)] = Y_k[i, j]
-        yz = (z.conj() @ yv).reshape(n, nh, dim).transpose(1, 0, 2)  # (Y_k Z*)[i, j]
+        yz = (z @ yv).reshape(n, nh, dim).transpose(1, 0, 2)  # (Y_k Z^T)[i, j]
         dv = (q @ yz.reshape(nh, n * dim)).reshape(nh * n, dim)
-        if np.iscomplexobj(dv):
-            dv = np.linalg.svd(np.hstack([dv.real, dv.imag]), full_matrices=False)[0][:, :dim]
         basis = tuple(dv.T.reshape(dim, nh, n))
     return DualitySpace(lhat.space, l.space, basis, cutoff, largest_discarded, smallest_kept)
 
@@ -278,15 +268,15 @@ def max_duality_rank(
     plain SVD default because each basis element is accurate only to about
     space.cutoff / space.smallest_kept (the subspace error of the kernel
     solve), so singular values at that level are not rank.  All samples are
-    formed and their singular values taken in one stacked call each; the
-    cutoff is rank_rtol times each sample's own largest singular value.
+    formed and their singular values taken in one stacked call each; each
+    sample's cutoff is `rank_threshold` at rank_rtol.
     """
     if space.dimension == 0:
         return 0
     coeffs = np.random.default_rng(seed).standard_normal((samples, space.dimension))
     sv = np.linalg.svd(np.tensordot(coeffs, np.stack(space.basis), 1), compute_uv=False)
-    smax = np.where(sv[:, :1] > 0, sv[:, :1], 1.0)
-    return int(np.max(np.sum(sv > rank_rtol * smax, axis=1), initial=0))
+    shape = space.basis[0].shape
+    return max(int(np.sum(s > rank_threshold(s, shape, rank_rtol))) for s in sv)
 
 
 def cheap_duality(mu: Measure) -> DualityFunction:
