@@ -8,8 +8,9 @@ The round inputs are the ones perfbench's spectral-build workload draws
 randomly relabelled), built with `perfbench.inputs`, hence the repository
 root on the path.  Prints one JSON object: per input, the min and median
 wall time of `decompose` over the repeats (after one untimed call), the
-number of Jordan blocks and distinct eigenvalues, the largest block and the
-residual; per class the sum of the medians; for the dense ladder the fitted
+number of Jordan blocks and distinct eigenvalues, the largest block, the
+structure as [Re, Im, size] triples (eigenvalues rounded to 9 digits, so two
+checkouts can be compared block by block) and the residual; per class the sum of the medians; for the dense ladder the fitted
 exponent log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes; and a
 machine block (nproc, BLAS and its thread setting, numpy, scipy).  Run it on
 two checkouts of the same machine to compare them; BLAS threads follow the
@@ -67,6 +68,10 @@ def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
         "blocks": len(sd.structure.blocks),
         "distinct_eigenvalues": len({b.eigenvalue for b in sd.structure.blocks}),
         "largest_block": max(b.size for b in sd.structure.blocks),
+        "structure": [
+            [round(b.eigenvalue.real, 9) + 0.0, round(b.eigenvalue.imag, 9) + 0.0, b.size]
+            for b in sd.structure.blocks
+        ],
         "residual": sd.residual,
     }
 

@@ -72,6 +72,14 @@ def classify_matrix(entries, row_tol: float = DEFAULTS.row) -> MatrixKind:
     return MatrixKind.INVALID
 
 
+def _require_finite(entries: np.ndarray) -> None:
+    """Raise ValueError naming the first NaN or infinite entry (row-major order)."""
+    finite = np.isfinite(entries)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"rate matrix entry {index} is {entries[index]}, not finite")
+
+
 @dataclass(frozen=True)
 class RateMatrix:
     """Square rate matrix over an indexed state space.
@@ -92,6 +100,7 @@ class RateMatrix:
             )
         if self.kind is MatrixKind.INVALID:
             raise ValueError("a RateMatrix cannot be constructed with kind INVALID; use RAW")
+        _require_finite(entries)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -108,6 +117,7 @@ class RateMatrix:
         entries; unclassifiable matrices fall back to RAW when kind is None.
         """
         arr = np.array(entries, dtype=float)
+        _require_finite(arr)  # before classifying, so the error names the entry rather than a kind
         found = classify_matrix(arr, row_tol)
         if kind is None:
             kind = found if found is not MatrixKind.INVALID else MatrixKind.RAW

@@ -476,24 +476,24 @@ def build_from_spectra(
     """Duality D = Uhat (sum_u c_u T_u) B_J U^T from matched Jordan blocks.
 
     Each matched block pair contributes c_u * sum_{i=1..k} uhat^(i) (x) u^(k+1-i)
-    built from the first k chain columns on both sides.  Coefficients of
-    conjugate block pairs must be tied (equal) so the combined matrix is real;
-    otherwise ComplexResidueError is raised.
+    built from the first k chain columns on both sides.  All pairs are summed
+    in one product (Uhat[:, hat_cols] * c) @ U[:, primal_cols]^T, where
+    hat_cols lists each pair's first k hat columns, primal_cols its first k
+    primal columns reversed, and c repeats c_u k times: O(n_hat n r) for a
+    witness of rank r.  Coefficients of conjugate block pairs must be tied
+    (equal) so the combined matrix is real; otherwise ComplexResidueError is
+    raised.
     """
     a = np.asarray(coefficients, dtype=float)
     if a.size != len(witness.matched):
         raise ShapeMismatchError(
             f"need {len(witness.matched)} coefficients, got {a.size}"
         )
-    d = np.zeros((hat_data.n, primal_data.n), dtype=complex)
-    for c, unit in zip(a, witness.matched):
-        if c == 0.0:
-            continue
-        k = unit.size
-        uh = hat_data.U[:, unit.hat_offset : unit.hat_offset + k]
-        up = primal_data.U[:, unit.offset : unit.offset + k]
-        for i in range(k):
-            d += c * np.outer(uh[:, i], up[:, k - 1 - i])
+    units = witness.matched
+    hat_cols = [u.hat_offset + i for u in units for i in range(u.size)]
+    primal_cols = [u.offset + u.size - 1 - i for u in units for i in range(u.size)]
+    c = np.repeat(a.ravel(), [u.size for u in units])
+    d = (hat_data.U[:, hat_cols] * c) @ primal_data.U[:, primal_cols].T
     imag = max_abs(d.imag)
     if imag > tol * max(1.0, max_abs(d.real)):
         raise ComplexResidueError(

@@ -554,6 +554,10 @@ def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorb
     u[:, 0] = (n + 1 - x) / np.sqrt(n)
     uhat[:, 1:] = norm * (-np.sin(thetas) * np.cos(arg) + (1.0 - np.cos(thetas)) * np.sin(arg))
     u[:, 1:] = norm * np.sin(arg)
+    del arg  # n x n; freed so the closed-form inverse below adds no array at the peak
+    # uhat is orthogonal and u = S uhat with S[x, y] = [y >= x] (tail sums), so
+    # u^{-1} = uhat^T S^{-1}: u^{-1}[i, y] = uhat[y, i] - uhat[y - 1, i], uhat[-1] = 0
+    uinv = np.diff(uhat.T, axis=1, prepend=0.0)
     lhat_rm = RateMatrix.from_entries(lhat, kind=MatrixKind.GENERATOR)
     pair = siegmund_dual(lhat_rm)
     return BlockedAbsorbedRW(
@@ -563,6 +567,6 @@ def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorb
         thetas=thetas,
         u=u,
         uhat=uhat,
-        spectral=spectral_from_eigenbasis(pair.l, lambdas, u, tol),
-        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, tol),
+        spectral=spectral_from_eigenbasis(pair.l, lambdas, u, tol, uinv),
+        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, tol, uhat.T),
     )

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrsen
 
 from .config import DEFAULTS
 from .core import Measure, RateMatrix
@@ -148,14 +149,21 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float):
     The terminal null dimension is pinned to the known algebraic multiplicity;
     `spread` (cluster radius) widens the singular-value cutoff because the
     shifted matrix inherits that much error from the cluster representative.
+    The k-th cutoff is max(n eps s_k, sqrt(eps) s_k, 20 k spread
+    max(1, ||a||_2)^(k-1)) with s_k the largest singular value of a^k; the
+    k = 1 SVD also gives ||a||_2 = s_1.  Cost: one dense n x n SVD per power,
+    O(s n^3) for largest block size s.  _semisimple_basis certifies the
+    semisimple case (null dimension m_alg at k = 1) without it.
     """
     n = a.shape[0]
-    opnorm = float(np.linalg.norm(a, 2))
+    opnorm = 0.0
     dims, bases = [0], []
     ak = np.eye(n, dtype=a.dtype)
     for k in range(1, m_alg + 1):
         ak = ak @ a
         _, s, vh = np.linalg.svd(ak)
+        if k == 1:
+            opnorm = float(s[0])
         smax = float(s[0]) if s[0] > 0 else 1.0
         cutoff = max(
             n * EPS * smax,
@@ -172,6 +180,58 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float):
         if d == m_alg:
             break
     return dims, bases
+
+
+def _schur_eigenvalues(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues on the diagonal of a standardized real Schur form, in position order.
+
+    A 2 x 2 block [[a, b], [c, a]] (b c < 0) holds a +- i sqrt(-b c): both of
+    its positions get the same real part and the imaginary part's magnitude,
+    so a selection by distance from a real lam takes the pair whole.
+    """
+    w = np.diag(t).astype(complex)
+    pairs = np.flatnonzero(np.diag(t, -1))
+    w[pairs] += 1j * np.sqrt(np.abs(t[pairs, pairs + 1] * t[pairs + 1, pairs]))
+    w[pairs + 1] = w[pairs].conj()
+    return w
+
+
+def _semisimple_basis(
+    mat: np.ndarray, schur_form, lam: float, m_alg: int, spread: float, tol: float
+) -> np.ndarray | None:
+    """Orthonormal eigenbasis of a semisimple real cluster from the real Schur form, or None.
+
+    schur_form = (T, Z) with mat = Z T Z^T.  dtrsen moves the eigenvalues of
+    T within tol of lam to the front (a near-real 2 x 2 block, which the QR
+    algorithm often makes of a repeated eigenvalue, moves whole), so the
+    leading m_alg columns Z_1 of the reordered Z span the cluster's
+    invariant subspace.  They are eigenvectors when A Z_1 = 0 for
+    A = mat - lam I; the certificate is ||A Z_1||_2 <= C = max(n eps s,
+    sqrt(eps) s, 20 spread), s the largest column norm of A.  As
+    s <= ||A||_2, C is at most _null_basis_sequence's k = 1 cutoff, and by
+    Courant-Fischer sigma_{n-m_alg+1}(A) <= ||A Z_1||_2, so the SVD route
+    would find null dimension m_alg at k = 1 as well: the certificate accepts
+    no cluster that route calls defective.  Returns None, and the caller
+    takes the SVD route, when the number of selected eigenvalues is not
+    m_alg, dtrsen fails, or the certificate fails (as it does for a defective
+    cluster).  Cost: one dtrsen, O(m_alg n^2), and one n x m_alg product and
+    SVD.
+    """
+    t, z = schur_form
+    n = t.shape[0]
+    select = np.abs(_schur_eigenvalues(t) - lam) <= tol
+    if np.count_nonzero(select) != m_alg:
+        return None
+    _, z, *_, info = dtrsen(select.astype(np.int32), t, z, job="N")
+    if info != 0:
+        return None
+    z1 = z[:, :m_alg]
+    a = mat - lam * np.eye(n)
+    s = float(np.max(np.linalg.norm(a, axis=0)))
+    cutoff = max(n * EPS * s, np.sqrt(EPS) * s, 20.0 * spread)
+    if np.linalg.svd(a @ z1, compute_uv=False)[0] > cutoff:
+        return None
+    return z1
 
 
 def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) -> np.ndarray:
@@ -237,13 +297,28 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
 
 
 def _cluster_chains(
-    mat: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, group: list[int], lam: complex
+    mat: np.ndarray,
+    eigs: np.ndarray,
+    vecs: np.ndarray,
+    group: list[int],
+    lam: complex,
+    schur_form,
+    tol: float,
 ) -> list[list[np.ndarray]]:
-    """Chains of one cluster at lam: its eig column if simple, else from null spaces."""
+    """Chains of one cluster at lam.
+
+    A simple eigenvalue takes its eig column, a real cluster certified
+    semisimple its reordered Schur vectors (_semisimple_basis), and any other
+    cluster the null spaces of the powers of M - lam I (_jordan_chains).
+    """
     if len(group) == 1:
         v = vecs[:, group[0]]
         return [[v.real if lam.imag == 0.0 else v]]
     spread = float(np.max(np.abs(eigs[group] - lam)))
+    if lam.imag == 0.0:
+        basis = _semisimple_basis(mat, schur_form, lam.real, len(group), spread, tol)
+        if basis is not None:
+            return [[v] for v in basis.T]
     return _jordan_chains(mat, lam, len(group), spread)
 
 
@@ -258,14 +333,25 @@ def decompose(
     tol_cluster are merged before chain construction, so floating-point splits
     of designed Jordan blocks are re-absorbed (size-2 blocks split by
     ~sqrt(eps), within the default; deeper blocks need a looser tol_cluster).
-    A cluster with one member is a simple eigenvalue and takes its `eig`
-    column (a real column for a real eigenvalue); a cluster with two or more
-    members gets its chains from the null spaces of the powers of M - lam I
-    (see _jordan_chains).  Complex clusters are processed once and mirrored,
-    so conjugate blocks carry exactly conjugate columns.  Cost: O(n^3) for
-    `eig`, the inverse and the residual check, plus O(s n^3) per cluster of
-    two or more members with largest block size s; a matrix with simple
-    eigenvalues costs O(n^3).
+    Each cluster takes one of three routes:
+
+    - one member: a simple eigenvalue, its `eig` column (a real column for a
+      real eigenvalue);
+    - a real cluster of m_alg >= 2 members that _semisimple_basis certifies
+      semisimple: m_alg chains of length 1, the cluster's Schur vectors after
+      one dtrsen reordering of the real Schur form (taken once, and only when
+      such a cluster exists);
+    - every other cluster (defective, complex, or one whose Schur diagonal
+      does not hold exactly m_alg entries within tol_cluster): chains from
+      the null spaces of the powers of M - lam I (see _jordan_chains).
+
+    The certificate's cutoff is never above the SVD route's k = 1 cutoff, so
+    both routes give the same structure.  Complex clusters are processed once
+    and mirrored, so conjugate blocks carry exactly conjugate columns.  Cost:
+    O(n^3) for `eig`, the Schur form, the inverse and the residual check,
+    O(m_alg n^2) per certified cluster, plus O(s n^3) per cluster on the SVD
+    route with largest block size s; a matrix whose clusters are all simple or
+    semisimple and real costs O(n^3).
 
     Raises DecompositionFailedError if the reconstruction or inversion
     residual exceeds tol_residual.
@@ -275,6 +361,9 @@ def decompose(
     n = mat.shape[0]
     eigs, vecs = np.linalg.eig(mat)
     groups, reps = _cluster_eigenvalues(eigs, tol_cluster)
+    schur_form = None
+    if any(len(g) > 1 and abs(lam.imag) <= tol_cluster for g, lam in zip(groups, reps)):
+        schur_form = scipy.linalg.schur(mat, output="real")
     done = np.zeros(len(groups), dtype=bool)
     blocks: list[tuple[complex, list[np.ndarray]]] = []
     for gi, group in enumerate(groups):
@@ -283,7 +372,7 @@ def decompose(
         lam = complex(reps[gi])
         if abs(lam.imag) <= tol_cluster:
             lam = complex(lam.real, 0.0)
-            for chain in _cluster_chains(mat, eigs, vecs, group, lam):
+            for chain in _cluster_chains(mat, eigs, vecs, group, lam, schur_form, tol_cluster):
                 blocks.append((lam, chain))
             done[gi] = True
         else:
@@ -297,7 +386,7 @@ def decompose(
                 )
             upper = gi if lam.imag > 0 else partner
             lam = complex(reps[upper])
-            for chain in _cluster_chains(mat, eigs, vecs, groups[upper], lam):
+            for chain in _cluster_chains(mat, eigs, vecs, groups[upper], lam, schur_form, tol_cluster):
                 blocks.append((lam, chain))
                 blocks.append((lam.conjugate(), [v.conj() for v in chain]))
             done[gi] = done[partner] = True
@@ -322,19 +411,23 @@ def spectral_from_eigenbasis(
     eigenvalues: Sequence[complex],
     u: np.ndarray,
     tol_residual: float = DEFAULTS.residual,
+    uinv: np.ndarray | None = None,
 ) -> SpectralData:
     """SpectralData from a known eigenbasis (all blocks size 1), validated.
 
     J is diagonal, so the reconstruction defect M U - U J is checked as
-    M U - U diag(lambda), and U is inverted in its own dtype (a real basis
-    stays real); U and Uinv are stored complex, like decompose's.
+    M U - U diag(lambda).  A known inverse `uinv` (rows dual to the columns
+    of u, e.g. a closed form) is taken as given, its rows re-sorted like the
+    columns; otherwise U is inverted in its own dtype (a real basis stays
+    real).  Either way Uinv U - I is gated by tol_residual, and U and Uinv are
+    stored complex, like decompose's.
     """
     structure = JordanStructure(tuple(JordanBlock(complex(ev), 1) for ev in eigenvalues))
     keys = [_canonical_key(JordanBlock(complex(ev), 1)) for ev in eigenvalues]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    # re-sort columns so they line up with the canonical block order
+    # re-sort columns (and the inverse's rows) so they line up with the canonical block order
     ordered = np.asarray(u)[:, order]
-    uinv = np.linalg.inv(ordered)
+    uinv = np.linalg.inv(ordered) if uinv is None else np.asarray(uinv)[order]
     residual = max(
         max_abs(np.asarray(source.entries) @ ordered - ordered * np.asarray(eigenvalues)[order]),
         max_abs(uinv @ ordered - np.eye(source.n)),

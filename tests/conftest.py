@@ -32,6 +32,17 @@ def random_birth_death(rng: np.random.Generator, n: int, lo: float = 0.5, hi: fl
     return RateMatrix.from_entries(m)
 
 
+def permuted(rng: np.random.Generator, l: RateMatrix) -> RateMatrix:
+    """The same chain with its states relabelled by a random permutation."""
+    p = rng.permutation(l.n)
+    return RateMatrix.from_entries(np.asarray(l.entries)[np.ix_(p, p)])
+
+
+def direct_sum(rng: np.random.Generator, l: RateMatrix, copies: int) -> RateMatrix:
+    """Randomly relabelled direct sum of `copies` copies of l."""
+    return permuted(rng, RateMatrix.from_entries(np.kron(np.eye(copies), np.asarray(l.entries))))
+
+
 def jordan_assembled(blocks, rng: np.random.Generator) -> RateMatrix:
     """S J S^-1 for the Jordan matrix J of [(eigenvalue, size), ...] and a random, well-conditioned S."""
     n = sum(m for _, m in blocks)
@@ -45,6 +56,39 @@ def jordan_assembled(blocks, rng: np.random.Generator) -> RateMatrix:
         pos += m
     s = rng.random((n, n)) + 2.0 * np.eye(n)
     return RateMatrix.from_entries(s @ j @ np.linalg.inv(s))
+
+
+# Jordan structures [(eigenvalue, size), ...] on the two sides; column-by-column
+# recursion without blocking finds dimension 3 here instead of 5
+THREE_VERSUS_FIVE = ([(-2.0, 2), (-1.0, 2), (0.0, 1)], [(-1.0, 3), (-1.0, 2), (0.0, 1)])
+
+
+def random_jordan_blocks(rng: np.random.Generator, total: int = 6) -> list[tuple[float, int]]:
+    """Random [(eigenvalue, size), ...] with eigenvalues in {-2, -1, 0}, sizes 1..4, at least `total` states."""
+    blocks, n = [], 0
+    while n < total:
+        size = int(rng.integers(1, 5))
+        blocks.append((float(rng.choice([-2.0, -1.0, 0.0])), size))
+        n += size
+    return blocks
+
+
+def build_from_spectra_loop(hat_data, primal_data, witness, coefficients) -> np.ndarray:
+    """Reference for duality.build_from_spectra: one complex outer product per matched chain position.
+
+    Returns the complex sum c_u * sum_{i<k} uhat_i (x) u_{k-1-i} over the matched
+    pairs, before the realness check.
+    """
+    d = np.zeros((hat_data.n, primal_data.n), dtype=complex)
+    for c, unit in zip(np.asarray(coefficients, dtype=float), witness.matched):
+        if c == 0.0:
+            continue
+        k = unit.size
+        uh = hat_data.U[:, unit.hat_offset : unit.hat_offset + k]
+        up = primal_data.U[:, unit.offset : unit.offset + k]
+        for i in range(k):
+            d += c * np.outer(uh[:, i], up[:, k - 1 - i])
+    return d
 
 
 def kronecker_duality_space(lhat: RateMatrix, l: RateMatrix) -> np.ndarray:

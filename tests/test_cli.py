@@ -54,6 +54,12 @@ class TestInspect:
         bad.write_text(json.dumps({"n": 2, "entries": [[0.0, 0.0]]}))
         assert main(["inspect", str(bad)]) == 2
 
+    def test_nan_entry_exit_code(self, tmp_path, capsys):
+        path = save_json({"n": 2, "entries": [[-1.0, 1.0], [float("nan"), -1.0]]}, tmp_path / "nan.json")
+        assert "NaN" in path.read_text()
+        assert main(["inspect", str(path)]) == 2
+        assert "(1, 0)" in capsys.readouterr().err
+
     def test_missing_subcommand_prints_help(self, capsys):
         assert main([]) == 2
 

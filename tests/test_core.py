@@ -85,6 +85,14 @@ class TestTypes:
         assert Measure.from_weights([0.25, 0.75]).normalized
         assert not Measure.from_weights([1.0, 2.0]).normalized
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        entries = [[-1.0, 1.0], [bad, -1.0]]
+        with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+            RateMatrix.from_entries(entries)
+        with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+            RateMatrix(StateSpace(2), np.array(entries), MatrixKind.RAW)
+
     def test_rate_matrix_entries_read_only(self):
         l = cyclic_generator()
         with pytest.raises(ValueError):

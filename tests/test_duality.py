@@ -46,17 +46,19 @@ from markovdual.errors import (
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 
 from conftest import (
+    THREE_VERSUS_FIVE,
+    build_from_spectra_loop,
+    direct_sum,
     jordan_assembled,
     kronecker_duality_space,
     max_duality_rank_loop,
+    permuted,
     random_birth_death,
     random_generator,
+    random_jordan_blocks,
 )
 
 BIRTH_DEATH = [[-2.0, 2.0, 0.0], [1.0, -4.0, 3.0], [0.0, 1.0, -1.0]]
-# Jordan structures [(eigenvalue, size), ...] on the two sides; column-by-column
-# recursion without blocking finds dimension 3 here instead of 5
-THREE_VERSUS_FIVE = ([(-2.0, 2), (-1.0, 2), (0.0, 1)], [(-1.0, 3), (-1.0, 2), (0.0, 1)])
 
 
 def complete_graph(n):
@@ -116,14 +118,6 @@ class TestSolveDualitySpace:
         b = space.basis[0]
         assert np.max(np.abs(b - b[0, 0])) < 1e-9  # constant matrix
 
-
-def permuted(rng, l: RateMatrix) -> RateMatrix:
-    p = rng.permutation(l.n)
-    return RateMatrix.from_entries(np.asarray(l.entries)[np.ix_(p, p)])
-
-
-def direct_sum(rng, l: RateMatrix, copies: int) -> RateMatrix:
-    return permuted(rng, RateMatrix.from_entries(np.kron(np.eye(copies), np.asarray(l.entries))))
 
 
 def jordan_count(hat_blocks, blocks) -> int:
@@ -196,16 +190,7 @@ class TestSchurKernelAgainstOracle:
     @given(st.integers(0, 2**32 - 1))
     def test_assembled_defective_pairs(self, seed):
         rng = np.random.default_rng(seed)
-
-        def structure():
-            blocks, total = [], 0
-            while total < 6:
-                size = int(rng.integers(1, 5))
-                blocks.append((float(rng.choice([-2.0, -1.0, 0.0])), size))
-                total += size
-            return blocks
-
-        hat_blocks, blocks = structure(), structure()
+        hat_blocks, blocks = random_jordan_blocks(rng), random_jordan_blocks(rng)
         space = self.check(jordan_assembled(hat_blocks, rng), jordan_assembled(blocks, rng))
         assert space.dimension == jordan_count(hat_blocks, blocks)
 
@@ -609,6 +594,41 @@ class TestBuildFromSpectra:
         d = build_from_spectra(sd, sd, w, np.ones(len(w.matched)))
         assert d.residual < 1e-9
         assert d.rank == 2
+
+    @staticmethod
+    def product_cases(rng):
+        """(label, hat SpectralData, primal SpectralData, rank) for the product-vs-loop check."""
+        sep = sep_generator(ConfigurationSpace.sep(3, 2), 1.0)
+        jordan = jordan_block_generator()
+        dense = random_generator(rng, 7)  # complex-conjugate pairs
+        sides = {
+            "sep": (permuted(rng, sep), sep),
+            "jordan-sum": (direct_sum(rng, jordan, 3), direct_sum(rng, jordan, 2)),
+            "conjugate-pairs": (permuted(rng, dense), dense),
+        }
+        for label, (lhat, l) in sides.items():
+            hat, primal = decompose(lhat), decompose(l)
+            full = min(hat.n, primal.n)
+            yield label, hat, primal, full
+            yield f"{label} truncated", hat, primal, full // 2
+
+    def test_product_matches_outer_product_loop(self, rng):
+        seen = set()
+        for label, hat, primal, r in self.product_cases(rng):
+            w = check_r_similar(hat, primal, r)
+            assert w is not None, label
+            # coefficients depend on (Re, |Im|) only, so conjugate pairs are tied
+            c = [1.0 + abs(u.eigenvalue.imag) - 0.1 * u.eigenvalue.real + 0.01 * u.size for u in w.matched]
+            loop = build_from_spectra_loop(hat, primal, w, c)
+            d = build_from_spectra(hat, primal, w, c).matrix
+            assert np.max(np.abs(d - loop.real)) <= 1e-12 * np.max(np.abs(loop)), label
+            seen.update(u.size for u in w.matched)
+            if label == "conjugate-pairs":
+                assert any(u.eigenvalue.imag != 0.0 for u in w.matched)
+                untied = [x * (1.5 if u.eigenvalue.imag > 0 else 1.0) for x, u in zip(c, w.matched)]
+                with pytest.raises(ComplexResidueError):
+                    build_from_spectra(hat, primal, w, untied)
+        assert 2 in seen  # size-2 matches, summed in reversed chain order
 
 
 class TestKernelTheoremConsistency:

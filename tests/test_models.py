@@ -22,10 +22,11 @@ from markovdual import (
     single_site_duality,
     single_site_duality_bruteforce,
     solve_duality_space,
+    spectral_from_eigenbasis,
     ssep_selfduality,
     tensor_duality,
 )
-from markovdual.errors import DomainError, ShapeMismatchError, SpaceTooLargeError
+from markovdual.errors import DecompositionFailedError, DomainError, ShapeMismatchError, SpaceTooLargeError
 from markovdual.linalg import numerical_rank
 
 from conftest import (
@@ -400,6 +401,27 @@ class TestBlockedAbsorbedRW:
     def test_counting_orthonormality(self):
         rw = rw_blocked_absorbed(9)
         npt.assert_allclose(rw.uhat.T @ rw.uhat, np.eye(9), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 600])
+    def test_closed_form_inverses_match_numerical(self, n):
+        rw = rw_blocked_absorbed(n)
+        for sd in (rw.spectral, rw.spectral_hat):
+            npt.assert_allclose(sd.Uinv, np.linalg.inv(sd.U), rtol=0, atol=1e-11)
+            assert np.max(np.abs(sd.Uinv @ sd.U - np.eye(n))) <= 1e-11
+
+    def test_known_inverse_rows_follow_the_column_order(self, rng):
+        rw = rw_blocked_absorbed(7)
+        perm = rng.permutation(7)
+        u, lams = rw.u[:, perm], rw.lambdas[perm]
+        given_inverse = spectral_from_eigenbasis(rw.pair.l, lams, u, uinv=np.linalg.inv(u))
+        inverted = spectral_from_eigenbasis(rw.pair.l, lams, u)
+        npt.assert_array_equal(given_inverse.U, inverted.U)
+        npt.assert_allclose(given_inverse.Uinv, inverted.Uinv, atol=1e-12)
+
+    def test_wrong_known_inverse_fails_the_gate(self):
+        rw = rw_blocked_absorbed(5)
+        with pytest.raises(DecompositionFailedError):
+            spectral_from_eigenbasis(rw.pair.l, rw.lambdas, rw.u, uinv=rw.u.T)
 
 
 # every (V, gamma) the suite builds, plus the larger sizes of a benchmark round

@@ -23,11 +23,23 @@ from markovdual import (
     solve_duality_space,
     stationary_measure,
 )
+from markovdual import spectral
 from markovdual.errors import DecompositionFailedError, NotOrthonormalError
+from markovdual.models import ladder_sep_generator
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 from markovdual.spectral import _cluster_eigenvalues, _pivoted_picks
 
-from conftest import cluster_running_mean, greedy_pick, random_birth_death, random_generator
+from conftest import (
+    THREE_VERSUS_FIVE,
+    cluster_running_mean,
+    direct_sum,
+    greedy_pick,
+    jordan_assembled,
+    permuted,
+    random_birth_death,
+    random_generator,
+    random_jordan_blocks,
+)
 
 
 class TestDecompose:
@@ -220,6 +232,114 @@ class TestDecomposeRoutes:
         sd = decompose(RateMatrix.from_entries(m[np.ix_(perm, perm)]))
         expected = [(0.0, 0.0, 1)] * copies + [(-1.0, 0.0, 2)] * copies + [(-1.5, 0.0, 1)] * copies
         assert _block_list(sd.structure) == expected
+
+
+def _symmetric_rates(rng, vertices):
+    p = rng.uniform(0.5, 2.0, (vertices, vertices))
+    p = (p + p.T) / 2.0
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
+def _sep(rng, vertices, gamma, random_rates):
+    p = _symmetric_rates(rng, vertices) if random_rates else 1.0
+    return permuted(rng, sep_generator(ConfigurationSpace.sep(vertices, gamma), p))
+
+
+# label -> (build(rng) -> RateMatrix, tol_cluster); a designed block of size m
+# splits by about eps^(1/m), so sizes 3 and 4 need the looser tolerance
+ROUTE_CASES = {
+    "sep complete 3,2": (lambda rng: _sep(rng, 3, 2, False), 1e-7),
+    "sep complete 2,4": (lambda rng: _sep(rng, 2, 4, False), 1e-7),
+    "sep random 3,2": (lambda rng: _sep(rng, 3, 2, True), 1e-7),
+    "sep random 4,1": (lambda rng: _sep(rng, 4, 1, True), 1e-7),
+    "ladder 2,2": (lambda rng: permuted(rng, ladder_sep_generator(ConfigurationSpace.ladder(2, 2), 1.0)), 1e-7),
+    "ladder random 2,3": (
+        lambda rng: permuted(rng, ladder_sep_generator(ConfigurationSpace.ladder(2, 3), _symmetric_rates(rng, 2))),
+        1e-7,
+    ),
+    "jordan sum 3": (lambda rng: direct_sum(rng, jordan_block_generator(), 3), 1e-7),
+    "jordan sum 8": (lambda rng: direct_sum(rng, jordan_block_generator(), 8), 1e-7),
+    "assembled defective": (
+        lambda rng: jordan_assembled([(0.0, 1), (-1.0, 2), (-1.0, 1), (-1.0, 1), (-2.0, 1), (-2.0, 1)], rng),
+        1e-7,
+    ),
+    "battery hat": (lambda rng: jordan_assembled(THREE_VERSUS_FIVE[0], rng), 1e-3),
+    "battery primal": (lambda rng: jordan_assembled(THREE_VERSUS_FIVE[1], rng), 1e-3),
+    "battery random 1": (lambda rng: jordan_assembled(random_jordan_blocks(rng), rng), 1e-3),
+    "battery random 2": (lambda rng: jordan_assembled(random_jordan_blocks(rng, 8), rng), 1e-3),
+}
+
+
+def _semisimple_clusters(structure: JordanStructure):
+    """Column ranges of the real eigenvalues carried by two or more blocks, all of size 1."""
+    out, pos = [], 0
+    for ev in dict.fromkeys(b.eigenvalue for b in structure.blocks):
+        sizes = [b.size for b in structure.blocks if b.eigenvalue == ev]
+        if ev.imag == 0.0 and len(sizes) > 1 and max(sizes) == 1:
+            out.append((ev, slice(pos, pos + len(sizes))))
+        pos += sum(sizes)
+    return out
+
+
+class TestSemisimpleRoute:
+    """Reordered Schur vectors for semisimple real clusters against the SVD-of-powers route."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (lam, certified) for every _semisimple_basis call."""
+        calls = []
+        real = spectral._semisimple_basis
+
+        def recording(mat, schur_form, lam, m_alg, spread, tol):
+            out = real(mat, schur_form, lam, m_alg, spread, tol)
+            calls.append((round(lam, 6), out is not None))
+            return out
+
+        monkeypatch.setattr(spectral, "_semisimple_basis", recording)
+        return calls
+
+    @pytest.mark.parametrize("case", list(ROUTE_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_structure_and_span_match_svd_route(self, case, seed, monkeypatch):
+        build, tol = ROUTE_CASES[case]
+        l = build(np.random.default_rng(seed))
+        calls = self.spy(monkeypatch)
+        fast = decompose(l, tol_cluster=tol)
+        monkeypatch.setattr(spectral, "_semisimple_basis", lambda *args: None)
+        svd = decompose(l, tol_cluster=tol)
+        assert fast.structure == svd.structure
+        clusters = _semisimple_clusters(fast.structure)
+        # every semisimple cluster took the Schur route, and nothing else did
+        assert sorted(lam for lam, ok in calls if ok) == sorted(round(ev.real, 6) for ev, _ in clusters)
+        for _, cols in clusters:
+            assert np.max(subspace_angles(fast.U[:, cols], svd.U[:, cols])) <= 1e-8
+        assert fast.residual <= 1e-11
+
+    @pytest.mark.parametrize("copies", [1, 2, 6, 12])
+    def test_defective_clusters_never_take_the_schur_route(self, copies, monkeypatch):
+        calls = self.spy(monkeypatch)
+        decompose(direct_sum(np.random.default_rng(copies), jordan_block_generator(), copies))
+        expected = [(-1.5, True), (-1.0, False), (0.0, True)] if copies > 1 else [(-1.0, False)]
+        assert sorted(calls) == expected
+
+    @pytest.mark.parametrize("vertices,gamma", [(3, 2), (3, 3), (4, 2), (2, 8)])
+    @pytest.mark.parametrize("random_rates", [False, True])
+    def test_sep_clusters_always_take_the_schur_route(self, vertices, gamma, random_rates, monkeypatch):
+        calls = self.spy(monkeypatch)
+        sd = decompose(_sep(np.random.default_rng(vertices * gamma), vertices, gamma, random_rates))
+        eigenvalues = [b.eigenvalue for b in sd.structure.blocks]
+        repeated = {ev for ev in eigenvalues if eigenvalues.count(ev) > 1}
+        assert calls and all(ok for _, ok in calls)
+        assert len(calls) == len(repeated)
+
+    def test_no_schur_form_without_a_real_cluster(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("schur called")
+
+        monkeypatch.setattr(spectral.scipy.linalg, "schur", forbidden)
+        decompose(random_generator(np.random.default_rng(0), 12))
+        decompose(cyclic_generator())
 
 
 class TestBJ:
