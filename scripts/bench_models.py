@@ -10,11 +10,13 @@ The inputs are the ones perfbench's exclusion-transforms workload builds
 `ladder_sep_generator`, `ssep_selfduality` and `factorized_duality` on the
 ladder/SEP sizes and the site-table SEP sizes with symmetric random rates,
 `ladder_projection`, `lumping_operator` and `inverse_intertwiner` on the
-ladder/SEP sizes, and `rw_blocked_absorbed` at the blocked-walk sizes.  Per
-call and size it reports the min and median wall time over the repeats (after
-one untimed call), and the output's fingerprint: a digest of the generator,
-duality, projection or operator matrix, the duality's rank and residual, the
-walk's two spectral residuals.
+ladder/SEP sizes, `rw_blocked_absorbed` at the blocked-walk sizes, and
+`single_site_duality` at gamma = 2, 4, 8 with classical and orthogonal
+parameters.  Per call and size it reports the min and median wall time over
+the repeats (after one untimed call), and the output's fingerprint: a digest
+of the generator, duality, projection or operator matrix, the duality's rank
+and residual, the walk's two spectral residuals, a digest of the site table
+rounded to 10 significant digits.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -102,6 +104,11 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
             lambda: md.rw_blocked_absorbed(n),
             lambda rw: {"residual": max(rw.spectral.residual, rw.spectral_hat.residual)},
         )
+    rounded = lambda table: {"digest": digest([float(f"{x:.10g}") for x in table.ravel()])}
+    for family, (alpha, beta, eps, delta) in (("classical", (0.0, 1.0, 0.0, 1.0)), ("orthogonal", (1.0, 1.0, 0.0, 1.0))):
+        for g in (2, 4, 8):
+            params = md.SingleSiteDualityParams(alpha, beta, eps, delta, g)
+            row("single_site_duality", f"{family},gamma={g}", g + 1, lambda: md.single_site_duality(params), rounded)
     return rows
 
 

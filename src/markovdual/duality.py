@@ -111,15 +111,15 @@ def residual(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> float:
     return max_abs(np.asarray(lhat.entries) @ d - d @ np.asarray(l.entries).T)
 
 
-def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray, rank_rtol: float | None = None) -> DualityFunction:
-    """Wrap a matrix as a DualityFunction, recording residual and rank."""
+def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunction:
+    """Wrap a matrix as a DualityFunction, recording residual and rank (numerical_rank's default cutoff)."""
     d = np.asarray(d, dtype=float)
     return DualityFunction(
         dual_space=lhat.space,
         primal_space=l.space,
         matrix=d,
         residual=residual(lhat, l, d),
-        rank=numerical_rank(d, rank_rtol),
+        rank=numerical_rank(d),
     )
 
 
@@ -161,9 +161,7 @@ def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     return s, z, list(zip(bounds[:-1], bounds[1:]))
 
 
-def solve_duality_space(
-    lhat: RateMatrix, l: RateMatrix, rank_rtol: float | None = None
-) -> DualitySpace:
+def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
     """Real orthonormal basis of {D : L_hat D = D L^T}, from Schur forms of both generators.
 
     With real Schur forms L_hat = Q T Q^T and L^T = Z S Z^T, D solves the
@@ -186,9 +184,9 @@ def solve_duality_space(
     per block) and assembled once at the end; Q Y Z^T maps it back to a real
     basis, orthonormal in the Frobenius inner product.
 
-    Rank cutoff: n_hat n eps sigma with sigma = ||L_hat||_2 + ||L||_2, or
-    rank_rtol * sigma when given.  It is not the Kronecker oracle's
-    n_hat n eps sigma_max(I (x) L_hat - L (x) I): the two Schur forms carry
+    Rank cutoff: n_hat n eps sigma with sigma = ||L_hat||_2 + ||L||_2.  It
+    is not the Kronecker oracle's n_hat n eps sigma_max(I (x) L_hat - L (x)
+    I): the two Schur forms carry
     their own backward error, which a lower bound on sigma_max does not
     cover.
 
@@ -216,7 +214,7 @@ def solve_duality_space(
     t, q = schur(np.asarray(lhat.entries), output="real")
     s, z = schur(np.asarray(l.entries).T, output="real")
     sigma = float(np.linalg.norm(lhat.entries, 2) + np.linalg.norm(l.entries, 2)) or 1.0
-    cutoff = (rank_rtol if rank_rtol is not None else nh * n * EPS) * sigma
+    cutoff = nh * n * EPS * sigma
     tau = sigma * (cutoff / sigma) ** 0.25
     s, z, blocks = _column_blocks(s, z, tau)
 
@@ -258,9 +256,11 @@ def solve_duality_space(
     return DualitySpace(lhat.space, l.space, basis, cutoff, largest_discarded, smallest_kept)
 
 
-def max_duality_rank(
-    space: DualitySpace, samples: int = 8, seed: int = 0, rank_rtol: float = 1e-8
-) -> int:
+MAX_RANK_SAMPLES = 8
+MAX_RANK_RTOL = 1e-8
+
+
+def max_duality_rank(space: DualitySpace, seed: int = 0) -> int:
     """Max numerical rank over the space, via random basis combinations.
 
     Generic combinations attain the maximum with probability one; the fixed
@@ -268,15 +268,16 @@ def max_duality_rank(
     plain SVD default because each basis element is accurate only to about
     space.cutoff / space.smallest_kept (the subspace error of the kernel
     solve), so singular values at that level are not rank.  All samples are
-    formed and their singular values taken in one stacked call each; each
-    sample's cutoff is `rank_threshold` at rank_rtol.
+    formed and their singular values taken in one stacked call each: there
+    are MAX_RANK_SAMPLES of them, each with cutoff `rank_threshold` at
+    MAX_RANK_RTOL.
     """
     if space.dimension == 0:
         return 0
-    coeffs = np.random.default_rng(seed).standard_normal((samples, space.dimension))
+    coeffs = np.random.default_rng(seed).standard_normal((MAX_RANK_SAMPLES, space.dimension))
     sv = np.linalg.svd(np.tensordot(coeffs, np.stack(space.basis), 1), compute_uv=False)
     shape = space.basis[0].shape
-    return max(int(np.sum(s > rank_threshold(s, shape, rank_rtol))) for s in sv)
+    return max(int(np.sum(s > rank_threshold(s, shape, MAX_RANK_RTOL))) for s in sv)
 
 
 def cheap_duality(mu: Measure) -> DualityFunction:

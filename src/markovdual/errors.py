@@ -57,10 +57,6 @@ class SpaceTooLargeError(MarkovDualityError):
     """Configuration-space enumeration would exceed the configured cap."""
 
 
-class DegenerateHypergeometricError(MarkovDualityError):
-    """A Pochhammer denominator factor vanished before the series terminated."""
-
-
 class DomainError(MarkovDualityError):
     """Invalid base/exponent combination in a product-form duality function."""
 

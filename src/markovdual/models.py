@@ -24,7 +24,6 @@ from .config import DEFAULTS, max_states
 from .core import MatrixKind, RateMatrix, StateSpace
 from .duality import DualityFunction, residual
 from .errors import (
-    DegenerateHypergeometricError,
     DomainError,
     ShapeMismatchError,
     SpaceTooLargeError,
@@ -292,7 +291,10 @@ def ssep_selfduality(
 
 
 def classify_regime(params: SingleSiteDualityParams) -> str:
-    """Exact parameter-regime detection (no snapping of near-degenerate values)."""
+    """Name of the parameter family, detected exactly (no snapping of near-degenerate values).
+
+    A label only: single_site_duality evaluates every family by one formula.
+    """
     if params.delta == 0.0:
         return "constant-exponent"
     if params.alpha == 0.0 and params.epsilon == 0.0:
@@ -306,71 +308,35 @@ def classify_regime(params: SingleSiteDualityParams) -> str:
     return "orthogonal"
 
 
-def _pochhammer(a: float, j: int) -> float:
-    out = 1.0
-    for t in range(j):
-        out *= a + t
-    return out
-
-
-def _hyp2f1_terminating(k: int, n: int, gamma: int, z: float) -> float:
-    """2F1(-k, -n; -gamma; z) as the terminating sum over j = 0..min(k,n)."""
-    terms = []
-    for j in range(min(k, n) + 1):
-        denom = _pochhammer(-gamma, j) * math.factorial(j)
-        if denom == 0.0:
-            raise DegenerateHypergeometricError(
-                f"(-gamma)_{j} vanished before the series terminated"
-            )
-        terms.append(_pochhammer(-k, j) * _pochhammer(-n, j) / denom * z**j)
-    return math.fsum(terms)
-
-
 def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
     """Closed-form single-site table d(k, n), k, n in 0..gamma.
 
-    Regime is detected exactly from the parameters; the generic regime is
-    evaluated through the terminating hypergeometric sum with argument
-    z = 1 - (1 + beta/alpha)^delta.  Non-integer delta is admitted only where
-    every power involved has a positive base (DomainError otherwise).
+    d(k, n) is the ladder average of single_site_duality_bruteforce with its
+    C(gamma, n) rung patterns grouped by the number j of rungs occupied in
+    both xi (its first k) and eta:
+
+        d(k, n) = (a+b)^(e n) a^(e (gamma-n))
+                  sum_j C(k, j) C(gamma-k, n-j) / C(gamma, n) ((a+b)^d)^j (a^d)^(k-j),
+
+    j from max(0, k+n-gamma) to min(k, n), for (alpha, beta, epsilon, delta)
+    = (a, b, e, d).  Powers take 0^0 = 1.  Every table with gamma >= 1 has
+    terms with j > 0 (d(1, 1)) and with k - j > 0 (d(1, 0)), so the two site
+    powers (a+b)^d and a^d are always evaluated, as the brute-force sum
+    evaluates them; DomainError is raised exactly where that sum raises it:
+    where a prefactor or site power has base 0 and a negative exponent, or a
+    negative base and a non-integer exponent.  For a != 0 the sum is
+    (a^d)^k 2F1(-k, -n; -gamma; 1 - (1 + b/a)^d) times the prefactor.
+    Cost: O(gamma^3) scalar terms.
     """
     a, b, e, dl, g = params.alpha, params.beta, params.epsilon, params.delta, params.gamma
-    k_idx = np.arange(g + 1)
-    table = np.zeros((g + 1, g + 1))
-    regime = classify_regime(params)
-    if regime == "constant-exponent":
-        row = [_power(a + b, e * n) * _power(a, e * (g - n)) for n in range(g + 1)]
-        table[:] = np.array(row)[None, :]
-    elif regime == "classical":
-        bd = _power(b, dl)
-        for k in k_idx:
-            for n in range(g + 1):
-                if n >= k:
-                    table[k, n] = (
-                        bd**k
-                        * math.factorial(g - k)
-                        / math.factorial(g)
-                        * math.factorial(n)
-                        / math.factorial(n - k)
-                    )
-    elif regime == "top-indicator":
-        col = [_power(b, e * g + dl * k) for k in k_idx]
-        table[:, g] = col
-    elif regime == "beta-zero":
-        col = np.array([_power(a, e * g + dl * k) for k in k_idx])
-        table[:] = col[:, None]
-    elif regime == "bottom-indicator":
-        col = [_power(a, e * g + dl * k) for k in k_idx]
-        table[:, 0] = col
-    else:  # orthogonal / generic
-        z = 1.0 - _power(1.0 + b / a, dl)
-        for k in k_idx:
-            for n in range(g + 1):
-                table[k, n] = (
-                    _power(a, e * g - e * n + dl * k)
-                    * _power(a + b, e * n)
-                    * _hyp2f1_terminating(int(k), int(n), g, z)
-                )
+    both, xi_only = _power(a + b, dl), _power(a, dl)
+    table = np.empty((g + 1, g + 1))
+    for k, n in itertools.product(range(g + 1), repeat=2):
+        overlap = math.fsum(
+            math.comb(k, j) * math.comb(g - k, n - j) * both**j * xi_only ** (k - j)
+            for j in range(max(0, k + n - g), min(k, n) + 1)
+        )
+        table[k, n] = _power(a + b, e * n) * _power(a, e * (g - n)) * overlap / math.comb(g, n)
     return table
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .core import MatrixKind, RateMatrix, classify_matrix
+from .core import MatrixKind, RateMatrix
 from .errors import AlreadyConservativeError, NotBiorthogonalError, ShapeMismatchError
 from .linalg import max_abs
 
@@ -74,19 +74,25 @@ def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
         raise ValueError("siegmund_dual requires a generator")
     entries = np.asarray(lhat.entries)
     dual = _cumulative_rate_sums(entries)
-    kind = classify_matrix(dual, tol)
-    l = RateMatrix.from_entries(dual, kind=None if kind is MatrixKind.INVALID else kind, row_tol=tol)
+    l = RateMatrix.from_entries(dual, row_tol=tol)  # an INVALID dual is kept as RAW
     ds = siegmund_matrix(lhat.n)
     res = max_abs(entries @ ds - ds @ dual.T)
-    return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=check_monotone(lhat, tol), residual=res)
+    return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=_off_diagonal_nonnegative(dual, tol), residual=res)
 
 
-def check_monotone(lhat: RateMatrix, tol: float = DEFAULTS.row) -> bool:
-    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= 0 for x != y."""
-    sums = _cumulative_rate_sums(np.asarray(lhat.entries))
+def _off_diagonal_nonnegative(sums: np.ndarray, tol: float) -> bool:
     off = sums.copy()
     np.fill_diagonal(off, 0.0)
     return bool(off.min(initial=0.0) >= -tol)
+
+
+def check_monotone(lhat: RateMatrix, tol: float = DEFAULTS.row) -> bool:
+    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= 0 for x != y.
+
+    These sums are the off-diagonal entries of the Siegmund dual, so
+    siegmund_dual reads `monotone` off the dual it builds.
+    """
+    return _off_diagonal_nonnegative(_cumulative_rate_sums(np.asarray(lhat.entries)), tol)
 
 
 def cumulative_transform(w: np.ndarray) -> np.ndarray:

@@ -263,7 +263,10 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
     _pivoted_picks, avoiding Null((M-lam I)^{k-1}) and the level-k members of
     already-chosen chains, which makes the output deterministic.  Cost: one
     SVD per power of M-lam I up to the largest block size s, O(s n^3), plus
-    one pivoted QR of at most n x m_alg per level.
+    one pivoted QR of at most n x m_alg per level.  Raises
+    DecompositionFailedError when the chains do not hold exactly m_alg
+    vectors, as when the null dimensions grow more at a later power than at
+    an earlier one, which no Jordan structure allows.
     """
     n = m.shape[0]
     if lam.imag == 0.0 and not np.iscomplexobj(m):
@@ -293,6 +296,12 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
                 chain.append(a @ chain[-1])
             chain.reverse()
             chains.append(chain)
+    count = sum(len(c) for c in chains)
+    if count != m_alg:
+        raise DecompositionFailedError(
+            f"Jordan chains at {lam:.6g} hold {count} vectors for algebraic multiplicity "
+            f"{m_alg} (null dimensions of the powers {dims})"
+        )
     return chains
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from markovdual.cli import build_parser, main
-from markovdual.models import SingleSiteDualityParams, rw_reflected_absorbed, single_site_duality
+from markovdual.models import (
+    SingleSiteDualityParams,
+    rw_reflected_absorbed,
+    single_site_duality,
+    single_site_duality_bruteforce,
+)
 from markovdual.scenarios import FAMILY_PARAMS, cyclic_generator
 from markovdual.serialize import matrix_to_json, save_json
 
@@ -103,6 +108,15 @@ class TestDualityCommands:
         assert "classical" in capsys.readouterr().out
         table = np.loadtxt(csv, delimiter=",")
         assert table[1, 2] == pytest.approx(1.0)
+
+    def test_sep_bottom_indicator_table_is_the_oracle(self, capsys):
+        argv = ["duality", "sep", "--alpha", "2", "--beta", "-2", "--eps", "0", "--delta", "1", "--gamma", "2", "--json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["regime"] == "bottom-indicator"
+        oracle = single_site_duality_bruteforce(SingleSiteDualityParams(2.0, -2.0, 0.0, 1.0, 2))
+        np.testing.assert_allclose(doc["table"], oracle, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(oracle, [[1, 1, 1], [2, 1, 0], [4, 0, 0]])
 
 
 class TestModelCommands:

@@ -230,6 +230,26 @@ FAMILIES = [
 ]
 
 
+# family edges: the bottom indicator at epsilon 0 (whose table is not zero off
+# column 0), and tables where a power of the product formula is undefined
+# (epsilon < 0, delta < 0, negative alpha to a half power)
+FAMILY_EDGES = [
+    ("bottom-indicator, epsilon 0", 2.0, -2.0, 0.0, 1.0),
+    ("top-indicator, epsilon < 0", 0.0, 1.0, -1.0, 1.0),
+    ("classical, delta < 0", 0.0, 1.0, 0.0, -1.0),
+    ("bottom-indicator, delta < 0", 1.0, -1.0, 0.0, -1.0),
+    ("beta-zero, negative alpha to a half power", -1.0, 0.0, 0.5, 1.0),
+]
+
+
+def _raises_domain_error(fn, params) -> bool:
+    try:
+        fn(params)
+    except DomainError:
+        return True
+    return False
+
+
 class TestSingleSiteDuality:
     @pytest.mark.parametrize("name,alpha,beta,eps,delta", FAMILIES)
     def test_regime_detection(self, name, alpha, beta, eps, delta):
@@ -248,16 +268,28 @@ class TestSingleSiteDuality:
         assert table[1, 2] == pytest.approx(1.0)
         assert table[2, 1] == 0.0  # indicator n >= k
 
-    @pytest.mark.parametrize("name,alpha,beta,eps,delta", FAMILIES)
+    @pytest.mark.parametrize("name,alpha,beta,eps,delta", FAMILIES + FAMILY_EDGES)
     @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
     def test_matches_bruteforce_oracle(self, name, alpha, beta, eps, delta, gamma):
         params = SingleSiteDualityParams(alpha, beta, eps, delta, gamma)
-        npt.assert_allclose(
-            single_site_duality(params),
-            single_site_duality_bruteforce(params),
-            atol=1e-12,
-            rtol=1e-12,
-        )
+        try:
+            oracle = single_site_duality_bruteforce(params)
+        except DomainError:
+            with pytest.raises(DomainError):
+                single_site_duality(params)
+            return
+        npt.assert_allclose(single_site_duality(params), oracle, atol=1e-12, rtol=1e-12)
+
+    def test_domain_error_exactly_where_oracle_raises(self):
+        values, exponents = (0.0, 1.0, -1.0, 2.0, -0.5), (0.0, 1.0, -1.0, 0.5)
+        mismatched = [
+            params
+            for alpha, beta, eps, delta, gamma in itertools.product(values, values, exponents, exponents, (1, 2, 3))
+            for params in [SingleSiteDualityParams(alpha, beta, eps, delta, gamma)]
+            if _raises_domain_error(single_site_duality, params)
+            != _raises_domain_error(single_site_duality_bruteforce, params)
+        ]
+        assert mismatched == []
 
     def test_non_integer_delta_positive_bases(self):
         params = SingleSiteDualityParams(2.0, 0.5, 0.0, 0.5, 3)

@@ -96,6 +96,16 @@ class TestDecompose:
         with pytest.raises(DecompositionFailedError):
             decompose(cyclic_generator(), tol_residual=1e-30)
 
+    def test_impossible_null_dimensions_name_the_chain_count(self):
+        # at lam ~ 0 the null dimensions of the powers read [0, 1, 2, 4]: a jump of 2
+        # after jumps of 1, which no Jordan structure has; the chains would hold 6 vectors
+        m = jordan_assembled([(-2.0, 2), (-1.0, 3), (0.0, 4)], np.random.default_rng(0))
+        with pytest.raises(
+            DecompositionFailedError,
+            match=r"hold 6 vectors for algebraic multiplicity 4 \(null dimensions of the powers \[0, 1, 2, 4\]\)",
+        ):
+            decompose(m, tol_cluster=1e-3)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
     def test_rebuild_random_generator(self, seed, n):
         l = random_generator(np.random.default_rng(seed), n)
