@@ -10,13 +10,18 @@ The inputs are the ones perfbench's exclusion-transforms workload builds
 `ladder_sep_generator`, `ssep_selfduality` and `factorized_duality` on the
 ladder/SEP sizes and the site-table SEP sizes with symmetric random rates,
 `ladder_projection`, `lumping_operator` and `inverse_intertwiner` on the
-ladder/SEP sizes, `rw_blocked_absorbed` at the blocked-walk sizes, and
-`single_site_duality` at gamma = 2, 4, 8 with classical and orthogonal
-parameters.  Per call and size it reports the min and median wall time over
-the repeats (after one untimed call), and the output's fingerprint: a digest
-of the generator, duality, projection or operator matrix, the duality's rank
-and residual, the walk's two spectral residuals, a digest of the site table
-rounded to 10 significant digits.
+ladder/SEP sizes, `rw_blocked_absorbed` at the blocked-walk sizes,
+`siegmund_dual` of birth-death chains (n = 100, 300) and of the blocked walk
+(n = 600), and `single_site_duality` at gamma = 2, 4, 8 with classical and
+orthogonal parameters.  Two rows lie beyond one round and are summarized on
+their own: `sep_generator` and `factorized_duality` on SEP V = 8, gamma = 2
+(6,561 states, three timed calls each).  Per call and size it reports the min
+and median wall time over the repeats (after one untimed call), and the
+output's fingerprint: a digest of the generator, duality, Siegmund dual,
+projection or operator matrix, the duality's rank, its recorded residual
+and, as its own field, the dense max|L D - D L^T| (taken by blocks of rows,
+untimed), the Siegmund pair's residual, the walk's two spectral residuals,
+a digest of the site table rounded to 10 significant digits.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -58,6 +63,13 @@ def timed(fn, repeats: int) -> tuple[object, dict]:
     return out, {"min_s": min(walls), "median_s": statistics.median(walls), "repeats": repeats}
 
 
+def dense_residual(l, d) -> float:
+    """max|L D - D L^T| by blocks of rows, so no N x N temporary beyond L and D."""
+    l, d = np.asarray(l.entries), np.asarray(d.matrix)
+    step = max(1, 2**22 // len(l))
+    return max(float(np.abs(l[a : a + step] @ d - d[a : a + step] @ l.T).max()) for a in range(0, len(l), step))
+
+
 def time_calls(seed: int, repeats: int) -> list[dict]:
     import markovdual as md
     from perfbench import inputs
@@ -66,12 +78,12 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     rows = []
 
-    def row(call, label, states, fn, fingerprint):
-        out, walls = timed(fn, repeats)
-        rows.append({"call": call, "input": label, "states": states, **walls, **fingerprint(out)})
+    def row(call, label, states, fn, fingerprint, times=repeats, group=None):
+        out, walls = timed(fn, times)
+        rows.append({"call": call, "group": group or call, "input": label, "states": states, **walls, **fingerprint(out)})
 
-    def duality(d):
-        return {"digest": digest(d.matrix), "rank": d.rank, "residual": d.residual}
+    def duality(l):
+        return lambda d: {"digest": digest(d.matrix), "rank": d.rank, "residual": d.residual, "dense_residual": dense_residual(l, d)}
 
     generator = lambda l: {"digest": digest(l.entries)}
     operator = lambda op: {"digest": digest(op.matrix)}
@@ -85,13 +97,13 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
             alpha, beta = rng.uniform(0.5, 1.0, 2)
             params = md.SingleSiteDualityParams(alpha, beta, 0.0, 1.0, g)
             tables = [md.single_site_duality(params)] * v
-            row("factorized_duality", label, sep.size, lambda: md.factorized_duality(tables, sep, l_sep), duality)
+            row("factorized_duality", label, sep.size, lambda: md.factorized_duality(tables, sep, l_sep), duality(l_sep))
             if not with_ladder:
                 continue
             ladder = md.ConfigurationSpace.ladder(v, g)
             row("ladder_sep_generator", label, ladder.size, lambda: md.ladder_sep_generator(ladder, p), generator)
             l_ladder = md.ladder_sep_generator(ladder, p)
-            row("ssep_selfduality", label, ladder.size, lambda: md.ssep_selfduality(ladder, params, l_ladder), duality)
+            row("ssep_selfduality", label, ladder.size, lambda: md.ssep_selfduality(ladder, params, l_ladder), duality(l_ladder))
             row("ladder_projection", label, ladder.size, lambda: md.ladder_projection(ladder, sep), lambda pi: {"digest": digest(pi)})
             pi = md.ladder_projection(ladder, sep)
             row("lumping_operator", label, ladder.size, lambda: md.lumping_operator(pi, sep.size), operator)
@@ -104,6 +116,23 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
             lambda: md.rw_blocked_absorbed(n),
             lambda rw: {"residual": max(rw.spectral.residual, rw.spectral_hat.residual)},
         )
+    siegmund = lambda pair: {"digest": digest(pair.l.entries), "residual": pair.residual}
+    for label, m in (
+        *((f"birth-death,n={n}", inputs.birth_death(rng, n)) for n in X.BIRTH_DEATH),
+        (f"blocked-walk,n={X.BLOCKED[-1]}", inputs.blocked_walk(X.BLOCKED[-1])),
+    ):
+        lhat = md.generator(m)
+        row("siegmund_dual", label, len(m), lambda: md.siegmund_dual(lhat), siegmund)
+    # beyond one round: a product duality on 6,561 states, where a dense residual costs two N^3 products
+    sep = md.ConfigurationSpace.sep(8, 2)
+    p = inputs.symmetric_rates(rng, 8)
+    label = "V=8,gamma=2"
+    row("sep_generator", label, sep.size, lambda: md.sep_generator(sep, p), generator, 3, f"sep_generator {label}")
+    l_sep = md.sep_generator(sep, p)
+    tables = [md.single_site_duality(md.SingleSiteDualityParams(*rng.uniform(0.5, 1.0, 2), 0.0, 1.0, 2))] * 8
+    fn = lambda: md.factorized_duality(tables, sep, l_sep)
+    row("factorized_duality", label, sep.size, fn, duality(l_sep), 3, f"factorized_duality {label}")
+    del l_sep, fn  # frees the 344 MB generator
     rounded = lambda table: {"digest": digest([float(f"{x:.10g}") for x in table.ravel()])}
     for family, (alpha, beta, eps, delta) in (("classical", (0.0, 1.0, 0.0, 1.0)), ("orthogonal", (1.0, 1.0, 0.0, 1.0))):
         for g in (2, 4, 8):
@@ -134,7 +163,7 @@ def run_checkout(checkout: Path, seed: int, repeats: int) -> list[dict]:
 def compare(before: list[dict], after: list[dict]) -> dict:
     summary = {}
     for b, a in zip(before, after):
-        s = summary.setdefault(b["call"], {"before_s": 0.0, "after_s": 0.0, "same_output": True})
+        s = summary.setdefault(b["group"], {"before_s": 0.0, "after_s": 0.0, "same_output": True})
         s["before_s"] += b["median_s"]
         s["after_s"] += a["median_s"]
         exact = {k for k in ("digest", "rank") if k in b}

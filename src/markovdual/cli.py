@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: inspect, siegmund, duality (basis | sep), model (rw54 | rw6 | sep),
-scenario.  Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+scenario.  Exit codes: 0 success, 1 check failure, 2 usage or parse error
+(an argument outside a function's domain included).
 All file I/O uses the JSON schemas in markovdual.serialize; the configuration
 space cap honors the DUALITY_MAX_STATES environment variable.
 """
@@ -25,6 +26,7 @@ from .core import (
 from .duality import max_duality_rank, solve_duality_space
 from .errors import (
     DecompositionFailedError,
+    DomainError,
     MarkovDualityError,
     NoPositiveSolutionError,
     NotIrreducibleError,
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, UnknownScenarioError, ValueError) as exc:  # ValueError: argument outside the domain
+    except (ParseError, UnknownScenarioError, DomainError, ValueError) as exc:  # argument outside the domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarkovDualityError as exc:

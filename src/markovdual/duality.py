@@ -13,13 +13,14 @@ together.  It costs about n^4 and never forms the (n_hat n)^2 Kronecker
 matrix I (x) L_hat - L (x) I, whose SVD survives in the tests as an oracle.
 The second route is the constructors, which assemble D from eigenfunctions,
 conjugate pairs, Jordan chains or whole spectral decompositions.  Residuals
-are always the max-abs entry of L_hat D - D L^T.
+are the max-abs entry of L_hat D - D L^T; only the product dualities of
+`models` record an upper bound on it instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
@@ -61,8 +62,12 @@ __all__ = [
 class DualityFunction:
     """A duality matrix D indexed by (dual state, primal state).
 
-    residual is recorded against the generator pair the matrix was built
-    for; rank is the numerical rank at the default singular-value threshold.
+    residual is recorded against the generator pair (L_hat, L) the matrix
+    was built for, and `pair` holds that pair when it is known (None, for
+    instance, for a duality read from JSON).  It is the max-abs entry of
+    L_hat D - D L^T, or, for the product dualities of `models`, an upper
+    bound on it from two-site terms.  rank is the numerical rank at the
+    default singular-value threshold.
     """
 
     dual_space: StateSpace
@@ -70,15 +75,18 @@ class DualityFunction:
     matrix: np.ndarray
     residual: float
     rank: int
+    pair: tuple[RateMatrix, RateMatrix] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == float and not m.flags.writeable):
+            m = np.array(m, dtype=float)  # a read-only float array is frozen already and is kept
+            m.setflags(write=False)
         if m.shape != (self.dual_space.n, self.primal_space.n):
             raise ShapeMismatchError(
                 f"duality matrix shape {m.shape} does not match spaces "
                 f"({self.dual_space.n}, {self.primal_space.n})"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -112,7 +120,7 @@ def residual(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> float:
 
 
 def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunction:
-    """Wrap a matrix as a DualityFunction, recording residual and rank (numerical_rank's default cutoff)."""
+    """Wrap a matrix as a DualityFunction, recording the pair, residual and rank (numerical_rank's default cutoff)."""
     d = np.asarray(d, dtype=float)
     return DualityFunction(
         dual_space=lhat.space,
@@ -120,6 +128,7 @@ def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunct
         matrix=d,
         residual=residual(lhat, l, d),
         rank=numerical_rank(d),
+        pair=(lhat, l),
     )
 
 

@@ -87,12 +87,17 @@ def push_duality(
 
     (Lambda_right D)(xhat, xtilde) = sum_x Lambda(xtilde, x) D(xhat, x), i.e.
     D @ Lambda^T.  The intertwining and duality preconditions are validated;
-    the theorem's conclusion is false without them.
+    the theorem's conclusion is false without them.  When d was recorded
+    against this very pair (d.pair holds the objects lhat and l), its
+    recorded residual is the duality precondition: the dense max-abs of
+    L_hat D - D L^T, or a product duality's two-site bound on it.  For any
+    other pair, equal entries included, the dense residual is computed.
     """
     inter_res = intertwining_residual(ltilde, l, op)
     if inter_res > tol:
         raise PreconditionFailedError(f"intertwining residual {inter_res:.3e} exceeds {tol:.3e}")
-    dual_res = duality_residual(lhat, l, d.matrix)
+    recorded = d.pair is not None and d.pair[0] is lhat and d.pair[1] is l
+    dual_res = d.residual if recorded else duality_residual(lhat, l, d.matrix)
     if dual_res > tol:
         raise PreconditionFailedError(f"duality residual {dual_res:.3e} exceeds {tol:.3e}")
     pushed = np.asarray(d.matrix) @ np.asarray(op.matrix).T
@@ -100,8 +105,9 @@ def push_duality(
 
 
 def _transposed(d: DualityFunction) -> DualityFunction:
-    """D read the other way round: a duality for (lhat, l) is D^T for (l, lhat)."""
-    return DualityFunction(d.primal_space, d.dual_space, np.asarray(d.matrix).T, d.residual, d.rank)
+    """D read the other way round: a duality for (lhat, l) is D^T for (l, lhat), with the same residual."""
+    pair = None if d.pair is None else d.pair[::-1]
+    return DualityFunction(d.primal_space, d.dual_space, np.asarray(d.matrix).T, d.residual, d.rank, pair)
 
 
 def push_duality_left(

@@ -15,20 +15,21 @@ import enum
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, max_states
 from .core import MatrixKind, RateMatrix, StateSpace
-from .duality import DualityFunction, residual
+from .duality import DualityFunction
 from .errors import (
     DomainError,
     ShapeMismatchError,
     SpaceTooLargeError,
 )
-from .linalg import rank_threshold
+from .linalg import max_abs, rank_threshold
 from .siegmund import SiegmundPair, siegmund_dual
 from .spectral import SpectralData, spectral_from_eigenbasis
 
@@ -150,28 +151,71 @@ def _rate_table(p, m: int) -> np.ndarray:
     return table
 
 
+class _Hops(NamedTuple):
+    """Every one-particle hop of exclusion with `capacity` particles per site on `n_sites` sites.
+
+    Configurations are indexed as in ConfigurationSpace (a ladder space is
+    the capacity-1 case).  Sites s < t form pair k in row-major order, and a
+    particle can hop either way between them.  Hop h takes configuration
+    rows[h] to cols[h] = rows[h] - w[src] + w[dst] (w the place values,
+    (src, dst) = (s, t) or (t, s) of pair pair[h]); it exists where
+    occ[h] = eta(src) > 0 and free[h] = capacity - eta(dst) > 0.  Hops are
+    sorted by row, no two share a (row, col) position and none lies on the
+    diagonal.
+    """
+
+    s: np.ndarray
+    t: np.ndarray
+    others: np.ndarray  # (pairs, n_sites - 2): the sites outside each pair
+    pair: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    occ: np.ndarray
+    free: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _hop_pattern(n_sites: int, capacity: int) -> _Hops:
+    """The _Hops of n_sites sites at `capacity`: read-only, cached, in the smallest integer types that hold them."""
+    space = ConfigurationSpace(SpaceKind.SEP, tuple(range(n_sites)), capacity)
+    s, t = np.triu_indices(n_sites, 1)
+    sites = np.broadcast_to(np.arange(n_sites), (len(s), n_sites))
+    others = sites[(sites != s[:, None]) & (sites != t[:, None])].reshape(len(s), max(n_sites - 2, 0))
+    src, dst = np.concatenate([s, t]), np.concatenate([t, s])
+    eta = space.digits()
+    rows, h = np.nonzero((eta[:, src] > 0) & (eta[:, dst] < capacity))
+    w = space.place_values
+    index, count = np.min_scalar_type(-space.size), np.min_scalar_type(capacity)
+    pattern = _Hops(
+        s,
+        t,
+        others,
+        np.concatenate([np.arange(len(s))] * 2)[h].astype(index),
+        rows.astype(index),
+        (rows - w[src[h]] + w[dst[h]]).astype(index),
+        eta[rows, src[h]].astype(count),
+        (capacity - eta[rows, dst[h]]).astype(count),
+    )
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
+
+
 def _exclusion_generator(space: ConfigurationSpace, rates: np.ndarray) -> RateMatrix:
     """Exclusion with at most capacity = radix - 1 particles on each of `space`'s sites.
 
     A configuration's index is its mixed-radix number (site 0 most significant,
     place values w), so a hop src -> dst moves index i to i - w[src] + w[dst].
-    Each ordered pair (x, y) adds rates[x, y] eta(src) (capacity - eta(dst)) for
-    (src, dst) = (x, y) and then (y, x), pair by pair in row-major order: every
-    entry is accumulated from the same products in the same order as a loop
-    over configurations would, hence bit for bit the same.
+    The ordered pairs (s, t) and (t, s), s < t, each drive hops both ways, so
+    a hop between s and t has rate
+    rates[s, t] eta(src) (capacity - eta(dst)) + rates[t, s] eta(src) (capacity - eta(dst)),
+    the two products added in that order: every entry is the sum a loop over
+    configurations and ordered pairs would accumulate, bit for bit.
     """
-    w = space.place_values
-    occ = space.digits()
-    capacity = space.radix - 1
+    p = _hop_pattern(space.n_sites, space.radix - 1)
+    forward, backward = rates[p.s, p.t][p.pair], rates[p.t, p.s][p.pair]
     gen = np.zeros((space.size, space.size))
-    for x in range(space.n_sites):
-        for y in range(space.n_sites):
-            if x == y or rates[x, y] == 0.0:
-                continue
-            for src, dst in ((x, y), (y, x)):
-                rate = rates[x, y] * occ[:, src] * (capacity - occ[:, dst])
-                rows = np.flatnonzero(rate)
-                gen[rows, rows - w[src] + w[dst]] += rate[rows]
+    gen[p.rows, p.cols] = forward * p.occ * p.free + backward * p.occ * p.free
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
     return RateMatrix(space.state_space(), gen, MatrixKind.GENERATOR)
 
@@ -209,7 +253,7 @@ def ladder_projection(ladder_space: ConfigurationSpace, sep_space: Configuration
 
 
 def _power(base: float, expo: float) -> float:
-    """Real power with the 0^0 = 1 convention; raises DomainError when undefined."""
+    """Real power with the 0^0 = 1 convention; raises DomainError when undefined or beyond a float."""
     if base == 0.0:
         if expo == 0.0:
             return 1.0
@@ -218,7 +262,10 @@ def _power(base: float, expo: float) -> float:
         raise DomainError("0 raised to a negative power")
     if base < 0.0 and expo != int(expo):
         raise DomainError(f"negative base {base} with non-integer exponent {expo}")
-    return float(base) ** float(expo)
+    try:
+        return float(base) ** float(expo)
+    except OverflowError:
+        raise DomainError(f"{base} to the power {expo} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -236,27 +283,104 @@ class SingleSiteDualityParams:
             raise ValueError("gamma must be >= 1")
 
 
-def _product_duality(generator: RateMatrix, factors: Sequence[np.ndarray]) -> DualityFunction:
-    """Self-duality D = factors[0] (x) factors[1] (x) ... of `generator`.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices (the same products a[i, j] b[k, l]), without its general-case overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+@functools.lru_cache(maxsize=4)  # bounded: on two vertices the pair generator is as large as the space
+def _pair_generator(capacity: int) -> np.ndarray:
+    """Unit-rate exclusion on two sites, (capacity + 1)^2 configurations, first site most significant."""
+    space = ConfigurationSpace(SpaceKind.SEP, (0, 1), capacity)
+    return _exclusion_generator(space, np.array([[0.0, 1.0], [0.0, 0.0]])).entries
+
+
+# the certificate reads the generator's rows in blocks of about this many entries
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _two_site_certificate(generator: RateMatrix, space: ConfigurationSpace, factors: Sequence[np.ndarray]) -> float:
+    """Upper bound on max|L D - D L^T| for D = factors[0] (x) factors[1] (x) ..., with no N x N product.
+
+    Split L = H + E, where H = sum_{s<t} q_st h_st is the exclusion generator
+    on `space` whose pair rates q_st = L[w_s, w_t] / capacity are read off
+    L's one-particle entries (w_s: one particle at site s, none elsewhere),
+    and h_st is the unit-rate two-site generator on sites s and t.  D is a
+    Kronecker product, so h_st D - D h_st^T is the local defect
+    h (d_s (x) d_t) - (d_s (x) d_t) h^T on sites s, t times the other
+    factors, and the max-abs entry of a Kronecker product is the product of
+    its factors'.  With m_u = max|d_u| and r_st the max-abs local defect,
+
+        max|L D - D L^T| <= sum_{s<t} |q_st| r_st prod_{u != s,t} m_u + 2 ||E||_inf prod_u m_u
+
+    for every L on `space`, exclusion generator or not.  ||E||_inf, the
+    largest absolute row sum of L - H, takes one pass over L: a block of rows
+    at a time is copied and H's hop entries and diagonal are subtracted from
+    it.  r_st is evaluated once per distinct pair of factors.  The bound is
+    exact arithmetic's; the computed value, like the dense residual, carries
+    rounding of order eps times its terms.  Cost: O(N V^2) for N
+    configurations on V sites, plus the pass over L; no N x N product.
+    """
+    entries = np.asarray(generator.entries)
+    n, capacity = space.size, space.radix - 1
+    if entries.shape != (n, n):
+        raise ShapeMismatchError(f"generator shape {entries.shape}, expected ({n}, {n})")
+    s, t, others, pair, rows, cols, occ, free = _hop_pattern(space.n_sites, capacity)
+    w = space.place_values
+    q = entries[w[s], w[t]] / capacity if capacity else np.zeros(len(s))
+    hops = q[pair] * occ * free
+    leaving = np.bincount(rows, hops, minlength=n)  # H's diagonal is -leaving
+    step = max(1, _BLOCK_ENTRIES // n)
+    cuts = np.searchsorted(rows, np.arange(0, n + step, step))  # hops of rows start..start + step
+    defect, buffer = 0.0, np.empty((min(step, n), n))
+    for lo, hi, start in zip(cuts[:-1], cuts[1:], range(0, n, step)):
+        e = buffer[: min(step, n - start)]  # rows start.. of E = L - H
+        np.copyto(e, entries[start : start + step])
+        e[rows[lo:hi] - start, cols[lo:hi]] -= hops[lo:hi]
+        e.ravel()[start :: n + 1] += leaving[start : start + step]  # entry (i, start + i) of the block
+        defect = max(defect, float(np.abs(e, out=e).sum(axis=1).max()))
+
+    keys = [f.tobytes() for f in factors]
+    distinct = dict(zip(keys, factors))  # one table per distinct entry list, in order of appearance
+    label = {key: i for i, key in enumerate(distinct)}
+    site = np.array([label[key] for key in keys])
+    tables, u = list(distinct.values()), len(distinct)
+    codes = site[s] * u + site[t]
+    h = _pair_generator(capacity)
+    local = np.zeros(u * u)  # local defect of tables[a] (x) tables[b] at a * u + b, for the pairs sites carry
+    for code in set(codes.tolist()):
+        k = _kron(tables[code // u], tables[code % u])
+        local[code] = max_abs(h @ k - k @ h.T)
+    m = np.array([max_abs(f) for f in tables])[site]
+    return float(np.sum(np.abs(q) * local[codes] * m[others].prod(axis=1)) + 2.0 * defect * m.prod())
+
+
+def _product_duality(generator: RateMatrix, space: ConfigurationSpace, factors: Sequence[np.ndarray]) -> DualityFunction:
+    """Self-duality D = factors[0] (x) factors[1] (x) ... of `generator`, one factor per site of `space`.
 
     In ConfigurationSpace's mixed-radix order the product over sites is
     this Kronecker product.  The singular values of a Kronecker product are the
     products of its factors' singular values, so the rank comes from one
     batched SVD of the small factors, at numerical_rank's cutoff
-    max(N) eps s_max, instead of an SVD of D.  The residual is the dense
-    max-abs entry of L D - D L^T against (generator, generator).
+    max(N) eps s_max, instead of an SVD of D.  The residual is the two-site
+    certificate of _two_site_certificate: an upper bound on the dense
+    max-abs entry of L D - D L^T for the generator as passed, computed with
+    no N x N product.  It is recorded against (generator, generator), which
+    push_duality then reuses instead of recomputing the dense residual.
     """
     if not factors:  # no sites: the one empty configuration
         factors = [np.ones((1, 1))]
-    d = functools.reduce(np.kron, factors)
+    d = functools.reduce(_kron, factors, np.ones((1, 1)))  # a new array even for one factor
+    d.setflags(write=False)  # handed to DualityFunction as is
     sv = np.linalg.svd(np.stack(factors), compute_uv=False)
     s = np.sort(functools.reduce(np.multiply.outer, sv).ravel())[::-1]
     return DualityFunction(
         dual_space=generator.space,
         primal_space=generator.space,
         matrix=d,
-        residual=residual(generator, generator, d),
+        residual=_two_site_certificate(generator, space, factors),
         rank=int(np.sum(s > rank_threshold(s, d.shape))),
+        pair=(generator, generator),
     )
 
 
@@ -270,8 +394,12 @@ def ssep_selfduality(
     D(xi, eta) = prod_site (alpha + beta eta_site)^(epsilon + delta xi_site),
     evaluated with 0^0 = 1, assembled as the Kronecker power of the 2x2 site
     table over the V*gamma ladder sites; its rank is counted from the table's
-    singular values (see _product_duality).  Residual recorded against
-    (generator, generator), not gated.
+    singular values (see _product_duality).  The residual, recorded against
+    (generator, generator) and not gated, is the two-site certificate: an
+    upper bound on max|L D - D L^T| for the generator as passed, from the
+    2x2 table's defect under each pair's two-site generator and the distance
+    of the generator from a ladder exclusion generator, with no N x N
+    product (see _two_site_certificate).
     """
     if space.kind is not SpaceKind.LADDER:
         raise ValueError("ssep_selfduality expects a ladder configuration space")
@@ -287,7 +415,7 @@ def ssep_selfduality(
             for v_xi in (0, 1)
         ]
     )
-    return _product_duality(generator, [site] * (space.n_vertices * space.gamma))
+    return _product_duality(generator, space, [site] * (space.n_vertices * space.gamma))
 
 
 def classify_regime(params: SingleSiteDualityParams) -> str:
@@ -326,17 +454,23 @@ def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
     where a prefactor or site power has base 0 and a negative exponent, or a
     negative base and a non-integer exponent.  For a != 0 the sum is
     (a^d)^k 2F1(-k, -n; -gamma; 1 - (1 + b/a)^d) times the prefactor.
-    Cost: O(gamma^3) scalar terms.
+    A power, a binomial coefficient C(gamma, n) or an overlap sum too large
+    for a float is a DomainError too.  Cost: O(gamma^3) scalar terms.
     """
     a, b, e, dl, g = params.alpha, params.beta, params.epsilon, params.delta, params.gamma
+    if math.comb(g, g // 2) > sys.float_info.max:
+        raise DomainError(f"gamma = {g}: the binomial coefficients C(gamma, n) overflow a float")
     both, xi_only = _power(a + b, dl), _power(a, dl)
     table = np.empty((g + 1, g + 1))
-    for k, n in itertools.product(range(g + 1), repeat=2):
-        overlap = math.fsum(
-            math.comb(k, j) * math.comb(g - k, n - j) * both**j * xi_only ** (k - j)
-            for j in range(max(0, k + n - g), min(k, n) + 1)
-        )
-        table[k, n] = _power(a + b, e * n) * _power(a, e * (g - n)) * overlap / math.comb(g, n)
+    try:
+        for k, n in itertools.product(range(g + 1), repeat=2):
+            overlap = math.fsum(
+                math.comb(k, j) * math.comb(g - k, n - j) * both**j * xi_only ** (k - j)
+                for j in range(max(0, k + n - g), min(k, n) + 1)
+            )
+            table[k, n] = _power(a + b, e * n) * _power(a, e * (g - n)) * overlap / math.comb(g, n)
+    except OverflowError:
+        raise DomainError(f"gamma = {g}: the overlap sum of powers of {both} and {xi_only} overflows a float") from None
     return table
 
 
@@ -391,8 +525,11 @@ def factorized_duality(
 
     Assembled as d_0 (x) ... (x) d_{V-1}, one table per vertex in vertex order;
     its rank is counted from the tables' singular values (see
-    _product_duality).  Residual recorded against (generator, generator), not
-    gated.
+    _product_duality).  The residual, recorded against (generator,
+    generator) and not gated, is the two-site certificate: an upper bound on
+    max|L D - D L^T| for the generator as passed, from each pair of tables'
+    defect under the two-site SEP generator and the distance of the generator
+    from a SEP generator, with no N x N product (see _two_site_certificate).
     """
     if space.kind is not SpaceKind.SEP:
         raise ValueError("factorized_duality expects a SEP configuration space")
@@ -403,7 +540,7 @@ def factorized_duality(
     for t in tables:
         if t.shape != expected:
             raise ShapeMismatchError(f"table shape {t.shape}, expected {expected}")
-    return _product_duality(generator, tables)
+    return _product_duality(generator, space, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,20 @@ def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
     """Build the Siegmund dual of a generator on the ordered space {0..n-1}.
 
     The construction is total: validity of the dual as a (sub-)generator is
-    reported through its `kind`, never enforced.
+    reported through its `kind`, never enforced.  The residual
+    max|L_hat D_s - D_s L^T| is taken in O(n^2) with no D_s: row x of
+    L_hat D_s is the tail sums sum_{x' >= y} L_hat[x, x'] of row x of L_hat,
+    and column y of D_s L^T is the prefix sums sum_{x' <= x} L[y, x'] of
+    row y of L.
     """
     if lhat.kind is not MatrixKind.GENERATOR:
         raise ValueError("siegmund_dual requires a generator")
     entries = np.asarray(lhat.entries)
     dual = _cumulative_rate_sums(entries)
     l = RateMatrix.from_entries(dual, row_tol=tol)  # an INVALID dual is kept as RAW
-    ds = siegmund_matrix(lhat.n)
-    res = max_abs(entries @ ds - ds @ dual.T)
+    defect = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # L_hat D_s
+    defect -= np.cumsum(dual, axis=1).T  # D_s L^T
+    res = max_abs(defect)
     return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=_off_diagonal_nonnegative(dual, tol), residual=res)
 
 

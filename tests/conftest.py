@@ -302,6 +302,13 @@ def rw_blocked_absorbed_loops(n: int):
     return lhat, u, uhat
 
 
+def siegmund_residual_product(lhat, dual) -> float:
+    """Reference for siegmund_dual's residual: max|L_hat D_s - D_s L^T| by two dense products with D_s."""
+    lhat, dual = np.asarray(lhat), np.asarray(dual)
+    ds = np.tril(np.ones(lhat.shape))
+    return float(np.max(np.abs(lhat @ ds - ds @ dual.T)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

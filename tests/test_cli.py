@@ -245,3 +245,18 @@ def bad_input_files(tmp_path):
 def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
     assert main([a.format(dir=bad_input_files) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["--alpha", "1e200", "--beta", "1", "--eps", "2", "--delta", "1"], "1e+200 to the power"),
+        (["--alpha", "1", "--beta", "1", "--eps", "0", "--delta", "1", "--gamma", "2000"], "gamma = 2000"),
+        (["--alpha", "0", "--beta", "1", "--eps", "-1", "--delta", "1"], "0 raised to a negative power"),
+    ],
+)
+def test_domain_error_exits_2_with_one_error_line(argv, named, capsys):
+    assert main(["duality", "sep", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -7,6 +7,7 @@ from scipy.linalg import schur, subspace_angles
 
 from markovdual import (
     ConfigurationSpace,
+    DualityFunction,
     Measure,
     RateMatrix,
     adjoint,
@@ -35,6 +36,7 @@ from markovdual import (
     stationary_measure,
     tensor_duality,
 )
+from markovdual.core import StateSpace
 from markovdual.errors import (
     ComplexResidueError,
     NotChainError,
@@ -85,6 +87,22 @@ class TestResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             residual(cyclic_generator(), cyclic_generator(), np.ones((2, 3)))
+
+
+class TestDualityFunction:
+    def test_writable_matrix_copied_and_frozen(self, rng):
+        l = random_generator(rng, 3)
+        m = np.ones((3, 3))
+        d = make_duality(l, l, m)
+        m[0, 0] = 5.0
+        assert d.matrix[0, 0] == 1.0 and not d.matrix.flags.writeable
+        assert d.pair[0] is l and d.pair[1] is l
+
+    def test_read_only_float_matrix_kept(self):
+        m = np.ones((2, 3))
+        m.setflags(write=False)
+        d = DualityFunction(StateSpace(2), StateSpace(3), m, 0.0, 1)
+        assert d.matrix is m and d.pair is None
 
 
 class TestSolveDualitySpace:

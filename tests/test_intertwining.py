@@ -23,7 +23,10 @@ from markovdual import (
     solve_duality_space,
     ssep_selfduality,
 )
+from markovdual import intertwining
+from markovdual.duality import residual as duality_residual
 from markovdual.errors import PreconditionFailedError, ShapeMismatchError
+from markovdual.serialize import duality_from_json, duality_to_json
 
 from conftest import inverse_intertwiner_loops, ladder_projection_loops, random_generator
 
@@ -224,6 +227,42 @@ class TestPush:
         pushed = push_duality(d, lam, l_ladder, l_sep, l_sep)
         assert pushed.residual < 1e-12
         assert pushed.matrix.shape == (sep_space.size, ladder_space.size)
+
+    @pytest.fixture
+    def dense_residual_calls(self, monkeypatch):
+        calls = []
+
+        def counted(lhat, l, d):
+            calls.append((lhat, l))
+            return duality_residual(lhat, l, d)
+
+        monkeypatch.setattr(intertwining, "duality_residual", counted)
+        return calls
+
+    def test_recorded_pair_skips_dense_residual(self, dense_residual_calls):
+        sep_space, ladder_space, l_sep, l_ladder = sep_setup(2)
+        d_tilde = ssep_selfduality(ladder_space, SingleSiteDualityParams(1.0, 1.0, 0.0, 1.0, 2), l_ladder)
+        inv = inverse_intertwiner(sep_space, ladder_space)
+        pushed = push_duality(d_tilde, inv, l_sep, l_ladder, l_ladder)
+        assert pushed.pair[0] is l_ladder and pushed.pair[1] is l_sep
+        both = push_duality_left(pushed, inv, l_sep, l_ladder, l_sep)
+        assert dense_residual_calls == []
+        assert both.pair[0] is l_sep and both.pair[1] is l_sep
+
+    def test_equal_but_different_generator_takes_dense_residual(self, dense_residual_calls):
+        sep_space, ladder_space, l_sep, l_ladder = sep_setup(2)
+        d_tilde = ssep_selfduality(ladder_space, SingleSiteDualityParams(1.0, 1.0, 0.0, 1.0, 2), l_ladder)
+        twin = RateMatrix.from_entries(l_ladder.entries)
+        push_duality(d_tilde, inverse_intertwiner(sep_space, ladder_space), l_sep, twin, twin)
+        assert dense_residual_calls == [(twin, twin)]
+
+    def test_deserialized_duality_takes_dense_residual(self, dense_residual_calls):
+        sep_space, ladder_space, l_sep, l_ladder = sep_setup(1)
+        d_tilde = ssep_selfduality(ladder_space, SingleSiteDualityParams(1.0, 1.0, 0.0, 1.0, 1), l_ladder)
+        loaded = duality_from_json(duality_to_json(d_tilde))
+        assert loaded.pair is None
+        push_duality(loaded, inverse_intertwiner(sep_space, ladder_space), l_sep, l_ladder, l_ladder)
+        assert len(dense_residual_calls) == 1
 
     def test_broken_intertwiner_rejected(self):
         gamma = 2

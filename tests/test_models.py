@@ -4,9 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from markovdual import (
     ConfigurationSpace,
+    IntertwiningOperator,
     MatrixKind,
+    RateMatrix,
     SingleSiteDualityParams,
     SpaceKind,
     classify_regime,
@@ -15,6 +20,7 @@ from markovdual import (
     ladder_bracket_sum,
     ladder_sep_generator,
     make_duality,
+    push_duality,
     residual,
     rw_blocked_absorbed,
     rw_reflected_absorbed,
@@ -26,8 +32,16 @@ from markovdual import (
     ssep_selfduality,
     tensor_duality,
 )
-from markovdual.errors import DecompositionFailedError, DomainError, ShapeMismatchError, SpaceTooLargeError
-from markovdual.linalg import numerical_rank
+from markovdual.config import DEFAULTS
+from markovdual.errors import (
+    DecompositionFailedError,
+    DomainError,
+    PreconditionFailedError,
+    ShapeMismatchError,
+    SpaceTooLargeError,
+)
+from markovdual.linalg import EPS, numerical_rank
+from markovdual.models import _product_duality
 
 from conftest import (
     enumerate_configs,
@@ -291,6 +305,22 @@ class TestSingleSiteDuality:
         ]
         assert mismatched == []
 
+    def test_overflowing_power_is_domain_error(self):
+        with pytest.raises(DomainError, match="1e\\+200 to the power 4.0"):
+            single_site_duality(SingleSiteDualityParams(1e200, 1.0, 2.0, 1.0, 2))
+        space = ConfigurationSpace.ladder(1, 1)
+        with pytest.raises(DomainError, match="to the power"):
+            ssep_selfduality(space, SingleSiteDualityParams(1e200, 1.0, 2.0, 0.0, 1), ladder_sep_generator(space))
+
+    def test_overflowing_binomials_are_domain_error(self):
+        with pytest.raises(DomainError, match="gamma = 2000"):
+            single_site_duality(SingleSiteDualityParams(1.0, 1.0, 0.0, 1.0, 2000))
+
+    def test_overflowing_overlap_sum_is_domain_error(self):
+        # (a+b)^d = 1e300 to the power j = 2 overflows inside the sum, not in a prefactor
+        with pytest.raises(DomainError, match="gamma = 2: the overlap sum"):
+            single_site_duality(SingleSiteDualityParams(0.0, 1e300, 0.0, 1.0, 2))
+
     def test_non_integer_delta_positive_bases(self):
         params = SingleSiteDualityParams(2.0, 0.5, 0.0, 0.5, 3)
         npt.assert_allclose(
@@ -356,11 +386,117 @@ class TestFactorizedDuality:
         npt.assert_array_equal(d.matrix, np.ones((1, 1)))
         assert d.rank == 1
 
+    def test_caller_table_stays_writable_and_unshared(self):
+        space = ConfigurationSpace.sep(1, 1)
+        table = np.array([[1.0, 2.0], [3.0, 4.0]])
+        d = factorized_duality([table], space, sep_generator(space))
+        assert table.flags.writeable and not d.matrix.flags.writeable
+        assert not np.shares_memory(table, d.matrix)
+
     def test_table_count_validated(self):
         space = ConfigurationSpace.sep(2, 1)
         gen = sep_generator(space, 1.0)
         with pytest.raises(ShapeMismatchError):
             factorized_duality([np.ones((2, 2))], space, gen)
+
+
+# every SEP and ladder shape with 2 to 1024 configurations
+CERTIFICATE_SHAPES = [
+    (kind, v, g)
+    for kind, radix in (("sep", lambda g: g + 1), ("ladder", lambda g: 2))
+    for v in range(1, 11)
+    for g in range(1, 32)
+    if 2 <= radix(g) ** (v if kind == "sep" else v * g) <= 1024
+]
+
+
+def _exclusion(kind, v, g, p):
+    if kind == "sep":
+        space = ConfigurationSpace.sep(v, g)
+        return space, sep_generator(space, p)
+    space = ConfigurationSpace.ladder(v, g)
+    return space, ladder_sep_generator(space, p)
+
+
+def _exact_family_duality(space, l, params):
+    if space.kind is SpaceKind.SEP:
+        return factorized_duality([single_site_duality(params)] * space.n_vertices, space, l)
+    return ssep_selfduality(space, params, l)
+
+
+def _perturbed(l, row, col, by):
+    """l with the rate row -> col raised by `by` (row sum kept at zero)."""
+    m = np.array(l.entries)
+    m[row, col] += by
+    m[row, row] -= by
+    return RateMatrix.from_entries(m)
+
+
+class TestTwoSiteCertificate:
+    """The product dualities' residual is a two-site bound on the dense max|L D - D L^T|."""
+
+    @given(
+        st.sampled_from(CERTIFICATE_SHAPES),
+        st.booleans(),
+        st.sampled_from(["one table", "table per site", "exact family"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_dense_residual(self, shape, scalar_rates, tables, seed):
+        kind, v, g = shape
+        rng = np.random.default_rng(seed)
+        p = float(rng.uniform(0.1, 3.0)) if scalar_rates else (lambda a: a + a.T)(rng.random((v, v)))
+        space, l = _exclusion(kind, v, g, p)
+        if tables == "exact family":
+            d = _exact_family_duality(space, l, SingleSiteDualityParams(*rng.uniform(0.5, 1.5, 2), 0.0, 1.0, g))
+        else:
+            count = 1 if tables == "one table" else space.n_sites
+            factors = [rng.standard_normal((space.radix, space.radix)) for _ in range(count)]
+            d = _product_duality(l, space, factors * (space.n_sites // count))
+        lm, dm = np.abs(l.entries), np.abs(d.matrix)
+        # rounding of the dense evaluation: k products per entry of L D and of D L^T, then a difference
+        k = int(np.max(np.count_nonzero(l.entries, axis=1)))
+        allowance = (k + 1) * EPS * np.max(lm @ dm + dm @ lm.T)
+        assert residual(l, l, d.matrix) <= d.residual + allowance
+
+    @pytest.mark.parametrize("kind,v,g", [("sep", 3, 2), ("ladder", 2, 2)])
+    def test_exact_duality_certified_to_rounding(self, kind, v, g):
+        space, l = _exclusion(kind, v, g, np.array([[0.0, 0.7, 1.1], [0.4, 0.0, 0.2], [0.9, 1.3, 0.0]])[:v, :v])
+        d = _exact_family_duality(space, l, SingleSiteDualityParams(0.6, 0.9, 0.0, 1.0, g))
+        assert d.residual < 1e-12
+        assert d.pair[0] is l and d.pair[1] is l
+
+    def _assert_push_rejects(self, d, l):
+        assert d.residual > DEFAULTS.residual
+        assert residual(l, l, d.matrix) <= d.residual * (1 + 1e-12)
+        identity = IntertwiningOperator.from_matrix(np.eye(l.n))
+        with pytest.raises(PreconditionFailedError, match="duality residual"):
+            push_duality(d, identity, l, l, l)
+
+    def _sep_family(self):
+        space, l = _exclusion("sep", 3, 2, 1.0)
+        return space, l, single_site_duality(SingleSiteDualityParams(0.6, 0.9, 0.0, 1.0, 2))
+
+    def test_mutated_table_entry(self):
+        space, l, table = self._sep_family()
+        mutated = table.copy()
+        mutated[1, 2] += 1e-6
+        self._assert_push_rejects(factorized_duality([table, mutated, table], space, l), l)
+
+    def test_mutated_rate(self):
+        space, l, table = self._sep_family()
+        one_hop = space.index([1, 1, 0])  # a particle hops from the second site to the third
+        l = _perturbed(l, space.index([1, 2, 0]), one_hop, 1e-6)
+        self._assert_push_rejects(factorized_duality([table] * 3, space, l), l)
+
+    def test_mutated_entry_outside_hop_pattern(self):
+        space, l, table = self._sep_family()
+        l = _perturbed(l, space.index([2, 0, 0]), space.index([0, 1, 1]), 1e-6)  # two particles move at once
+        self._assert_push_rejects(factorized_duality([table] * 3, space, l), l)
+
+    def test_generator_shape_checked(self):
+        space, l, table = self._sep_family()
+        with pytest.raises(ShapeMismatchError):
+            factorized_duality([table] * 3, space, sep_generator(ConfigurationSpace.sep(2, 2)))
 
 
 class TestReflectedAbsorbedRW:

@@ -18,9 +18,10 @@ from markovdual import (
     siegmund_matrix,
 )
 from markovdual.errors import AlreadyConservativeError, NotBiorthogonalError
+from markovdual.linalg import EPS
 from markovdual.scenarios import cyclic_generator
 
-from conftest import random_birth_death, random_generator
+from conftest import random_birth_death, random_generator, siegmund_residual_product
 
 
 class TestSiegmundMatrix:
@@ -63,6 +64,22 @@ class TestSiegmundDual:
         lhat = random_generator(np.random.default_rng(seed), n)
         pair = siegmund_dual(lhat)
         assert pair.residual < 1e-10
+
+    @staticmethod
+    def _assert_residual_matches_products(pair):
+        # each evaluation of an entry of L_hat D_s or D_s L^T is a dot product of at most n
+        # terms, so both routes are within (n + 1) eps (|L_hat| D_s + D_s |L|^T) of exact
+        lhat, dual = np.abs(pair.lhat.entries), np.abs(pair.l.entries)
+        ds = siegmund_matrix(pair.n)
+        bound = 2 * (pair.n + 1) * EPS * np.max(lhat @ ds + ds @ dual.T)
+        assert abs(pair.residual - siegmund_residual_product(pair.lhat.entries, pair.l.entries)) <= bound
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 40, 97, 250, 600])
+    def test_residual_matches_dense_products_birth_death(self, n):
+        self._assert_residual_matches_products(siegmund_dual(random_birth_death(np.random.default_rng(n), n)))
+
+    def test_residual_matches_dense_products_blocked_walk(self):
+        self._assert_residual_matches_products(rw_blocked_absorbed(600).pair)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     def test_monotone_iff_subgenerator(self, seed, n):
