@@ -4,12 +4,15 @@ Subcommands: inspect, siegmund, duality (basis | sep), model (rw54 | rw6 | sep),
 scenario.  Exit codes: 0 success, 1 check failure, 2 usage or parse error
 (an argument outside a function's domain included).
 All file I/O uses the JSON schemas in markovdual.serialize; the configuration
-space cap honors the DUALITY_MAX_STATES environment variable.
+space cap honors the DUALITY_MAX_STATES environment variable.  --json prints
+one compact JSON document on one line.  `main` may be called repeatedly in one
+process: the parser is built once and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -63,7 +66,8 @@ def _fmt_eig(z: complex) -> str:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    # no indent: json.dumps then runs its C encoder, and the document is one line
+    print(json.dumps(payload))
 
 
 def cmd_inspect(args) -> int:
@@ -264,7 +268,13 @@ def cmd_scenario(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later `main` call.
+
+    parse_args leaves the parser unchanged and returns a fresh namespace, and
+    prog is fixed, so reuse changes no output and no exit code.
+    """
     parser = argparse.ArgumentParser(prog="markovdual", description=__doc__.splitlines()[0])
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")

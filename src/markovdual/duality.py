@@ -299,17 +299,24 @@ def cheap_duality(mu: Measure) -> DualityFunction:
     return DualityFunction(mu.space, mu.space, d, residual=0.0, rank=mu.space.n)
 
 
-def _validate_eigenpair(l: RateMatrix, u: np.ndarray, tol: float) -> complex:
-    """Rayleigh estimate of the eigenvalue, validated to ||Lu - lam u|| <= tol."""
-    u = np.asarray(u)
-    norm2 = np.vdot(u, u)
-    if norm2 == 0:
-        raise NotEigenpairError("zero vector is not an eigenfunction")
-    lam = complex(np.vdot(u, np.asarray(l.entries) @ u) / norm2)
-    defect = max_abs(np.asarray(l.entries) @ u - lam * u)
-    if defect > tol * max(1.0, max_abs(u)):
-        raise NotEigenpairError(f"eigenpair defect {defect:.3e} exceeds {tol:.3e}")
-    return lam
+def _validate_eigenpairs(l: RateMatrix, us: np.ndarray, tol: float) -> np.ndarray:
+    """Rayleigh eigenvalue estimates of the columns u of us, each validated to max|Lu - lam u| <= tol max(1, max|u|).
+
+    One product L @ us serves every column; lam = <u, Lu> / <u, u>.  Raises
+    NotEigenpairError naming the first column that is zero or fails the bound.
+    """
+    us = np.asarray(us)
+    lu = np.asarray(l.entries) @ us
+    norm2 = np.einsum("ij,ij->j", us.conj(), us).real
+    lams = np.einsum("ij,ij->j", us.conj(), lu) / np.where(norm2 == 0, 1.0, norm2)
+    defects = np.max(np.abs(lu - lams * us), axis=0)
+    bad = (norm2 == 0) | (defects > tol * np.maximum(1.0, np.max(np.abs(us), axis=0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if norm2[i] == 0:
+            raise NotEigenpairError(f"column {i}: zero vector is not an eigenfunction")
+        raise NotEigenpairError(f"column {i}: eigenpair defect {defects[i]:.3e} exceeds {tol:.3e}")
+    return lams.astype(complex)
 
 
 def tensor_duality(
@@ -323,20 +330,22 @@ def tensor_duality(
     """D(xh, x) = sum_i a_i uhat_i(xh) u_i(x) from shared real eigenpairs.
 
     uhats/us hold the eigenfunctions as columns; column i of both must belong
-    to a common eigenvalue (validated via Rayleigh quotients).
+    to a common eigenvalue.  Each side is validated by one product (L_hat @
+    uhats, L @ us) that gives every column's Rayleigh quotient and defect; the
+    hat columns are checked first, then the primal columns, then the
+    eigenvalue match, and NotEigenpairError names the first failing column.
     """
     uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     a = np.asarray(coefficients, dtype=float)
     if uhats.shape != (lhat.n, a.size) or us.shape != (l.n, a.size):
         raise ShapeMismatchError("eigenfunction columns must match spaces and coefficient count")
-    for i in range(a.size):
-        lam_hat = _validate_eigenpair(lhat, uhats[:, i], tol)
-        lam = _validate_eigenpair(l, us[:, i], tol)
-        if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):
-            raise NotEigenpairError(
-                f"column {i}: eigenvalues {lam_hat:.6g} and {lam:.6g} do not match"
-            )
+    lam_hat = _validate_eigenpairs(lhat, uhats, tol)
+    lam = _validate_eigenpairs(l, us, tol)
+    mismatch = np.flatnonzero(np.abs(lam_hat - lam) > tol * np.maximum(1.0, np.abs(lam)))
+    if mismatch.size:
+        i = mismatch[0]
+        raise NotEigenpairError(f"column {i}: eigenvalues {lam_hat[i]:.6g} and {lam[i]:.6g} do not match")
     d = (uhats * a) @ us.T
     return make_duality(lhat, l, d)
 
@@ -352,8 +361,8 @@ def complex_pair_duality(
     """Real duality a uhat u + a uhat* u* = 2a Re(uhat (x) u) from a conjugate eigenpair."""
     uhat = np.asarray(uhat, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    lam_hat = _validate_eigenpair(lhat, uhat, tol)
-    lam = _validate_eigenpair(l, u, tol)
+    lam_hat = _validate_eigenpairs(lhat, uhat[:, None], tol)[0]
+    lam = _validate_eigenpairs(l, u[:, None], tol)[0]
     if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):
         raise NotEigenpairError(f"eigenvalues {lam_hat:.6g} and {lam:.6g} do not match")
     if abs(lam.imag) <= tol:
@@ -365,15 +374,14 @@ def complex_pair_duality(
 def _validate_chain(l: RateMatrix, chain: np.ndarray, tol: float) -> complex:
     """Validate L u^(k) = lam u^(k) + u^(k-1); returns the shared eigenvalue."""
     try:
-        lam = _validate_eigenpair(l, chain[:, 0], tol)
+        lam = _validate_eigenpairs(l, chain[:, :1], tol)[0]
     except NotEigenpairError as exc:
         raise NotChainError(f"first chain element is not an eigenfunction: {exc}") from exc
-    m = np.asarray(l.entries)
-    scale = max(1.0, max_abs(chain))
-    for k in range(1, chain.shape[1]):
-        defect = max_abs(m @ chain[:, k] - lam * chain[:, k] - chain[:, k - 1])
-        if defect > tol * scale:
-            raise NotChainError(f"chain defect {defect:.3e} at order {k + 1}")
+    rest = chain[:, 1:]
+    defects = np.max(np.abs(np.asarray(l.entries) @ rest - lam * rest - chain[:, :-1]), axis=0, initial=0.0)
+    bad = np.flatnonzero(defects > tol * max(1.0, max_abs(chain)))
+    if bad.size:
+        raise NotChainError(f"chain defect {defects[bad[0]]:.3e} at order {bad[0] + 2}")
     return lam
 
 
@@ -413,23 +421,26 @@ def orthogonal_selfduality(
     u_i is the mu-orthonormal eigenbasis derived from `data.source`; tilde_us
     (columns) must be mu-orthonormal eigenfunctions for the same eigenvalues,
     in the same descending order.  The result satisfies row-orthogonality
-    <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').
+    <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').  Every check runs at
+    max(tol, 1e-8): the mu-Gram matrix, then one product L @ tilde_us that
+    gives every column's Rayleigh quotient and defect, then the match with
+    the eigenvalues of u; NotEigenpairError names the first failing column.
     """
     l = data.source
     lams, u = reversible_eigenbasis(l, mu)
     tilde = np.atleast_2d(np.asarray(tilde_us, dtype=float))
     if tilde.shape != (l.n, l.n):
         raise ShapeMismatchError("tilde_us must be a full square eigenbasis")
+    tol = max(tol, 1e-8)
     w = np.asarray(mu.weights)
     gram = (tilde.T * w) @ tilde
-    if max_abs(gram - np.eye(l.n)) > max(tol, 1e-8):
+    if max_abs(gram - np.eye(l.n)) > tol:
         raise NotOrthonormalError("tilde_us is not orthonormal in L^2(mu)")
-    for i in range(l.n):
-        lam = _validate_eigenpair(l, tilde[:, i], max(tol, 1e-8))
-        if abs(lam - lams[i]) > max(tol, 1e-8) * max(1.0, abs(lams[i])):
-            raise NotEigenpairError(
-                f"column {i}: tilde eigenvalue {lam:.6g} differs from {lams[i]:.6g}"
-            )
+    lam = _validate_eigenpairs(l, tilde, tol)
+    mismatch = np.flatnonzero(np.abs(lam - lams) > tol * np.maximum(1.0, np.abs(lams)))
+    if mismatch.size:
+        i = mismatch[0]
+        raise NotEigenpairError(f"column {i}: tilde eigenvalue {lam[i]:.6g} differs from {lams[i]:.6g}")
     d = tilde @ u.T
     return make_duality(l, l, d)
 
@@ -467,8 +478,8 @@ def factor_check(
     f = u[:, 0] * s[0]
     g = vh[0]
     try:
-        lam_hat = _validate_eigenpair(lhat, f, tol)
-        lam = _validate_eigenpair(l, g, tol)
+        lam_hat = _validate_eigenpairs(lhat, f[:, None], tol)[0]
+        lam = _validate_eigenpairs(l, g[:, None], tol)[0]
     except NotEigenpairError:
         return None
     if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):

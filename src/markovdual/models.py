@@ -436,6 +436,15 @@ def classify_regime(params: SingleSiteDualityParams) -> str:
     return "orthogonal"
 
 
+def _require_finite_table(table: np.ndarray) -> np.ndarray:
+    """The table itself; DomainError naming the first non-finite entry d(k, n) (a product of finite powers that overflows)."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, n = (int(i) for i in bad[0])
+        raise DomainError(f"site table entry d({k}, {n}) is {table[k, n]}: a product of powers overflows a float")
+    return table
+
+
 def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
     """Closed-form single-site table d(k, n), k, n in 0..gamma.
 
@@ -454,8 +463,9 @@ def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
     where a prefactor or site power has base 0 and a negative exponent, or a
     negative base and a non-integer exponent.  For a != 0 the sum is
     (a^d)^k 2F1(-k, -n; -gamma; 1 - (1 + b/a)^d) times the prefactor.
-    A power, a binomial coefficient C(gamma, n) or an overlap sum too large
-    for a float is a DomainError too.  Cost: O(gamma^3) scalar terms.
+    A power, a binomial coefficient C(gamma, n), an overlap sum or a table
+    entry too large for a float is a DomainError too; the last names the
+    first such entry (k, n).  Cost: O(gamma^3) scalar terms.
     """
     a, b, e, dl, g = params.alpha, params.beta, params.epsilon, params.delta, params.gamma
     if math.comb(g, g // 2) > sys.float_info.max:
@@ -471,7 +481,7 @@ def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
             table[k, n] = _power(a + b, e * n) * _power(a, e * (g - n)) * overlap / math.comb(g, n)
     except OverflowError:
         raise DomainError(f"gamma = {g}: the overlap sum of powers of {both} and {xi_only} overflows a float") from None
-    return table
+    return _require_finite_table(table)
 
 
 def ladder_bracket_sum(
@@ -506,14 +516,17 @@ def ladder_bracket_sum(
 
 
 def single_site_duality_bruteforce(params: SingleSiteDualityParams) -> np.ndarray:
-    """Independent oracle: evaluate the single-site table by exhaustive ladder sums."""
+    """Independent oracle: evaluate the single-site table by exhaustive ladder sums.
+
+    Raises DomainError where single_site_duality does, a non-finite entry included.
+    """
     a, b, e, dl, g = params.alpha, params.beta, params.epsilon, params.delta, params.gamma
     table = np.zeros((g + 1, g + 1))
     for k in range(g + 1):
         for n in range(g + 1):
             prefactor = _power(a + b, e * n) * _power(a, e * (g - n))
             table[k, n] = prefactor * ladder_bracket_sum(k, n, g, a, b, dl)
-    return table
+    return _require_finite_table(table)
 
 
 def factorized_duality(

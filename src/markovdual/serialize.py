@@ -5,6 +5,8 @@ Measure: {"n": int, "weights": [floats]}
 DualityFunction: {"nhat", "n", "D", "residual", "rank"}
 
 Floats round-trip exactly: json emits the shortest decimal representation.
+A matrix read from JSON must have finite entries and finite absolute row
+sums, so that its products stay finite.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ def matrix_from_json(obj: dict) -> RateMatrix:
     if entries.ndim != 2 or entries.shape != (n, n):
         raise ParseError(f"entries shape {entries.shape} does not match n={n}")
     labels = obj.get("labels")
-    return RateMatrix.from_entries(entries, labels=labels)
+    matrix = RateMatrix.from_entries(entries, labels=labels)  # names a NaN or infinite entry first
+    with np.errstate(over="ignore"):
+        row_norms = np.abs(entries).sum(axis=1)
+    overflow = np.flatnonzero(~np.isfinite(row_norms))
+    if overflow.size:
+        raise ParseError(
+            f"row {overflow[0]}: its absolute row sum overflows a float, so products with the matrix are not finite"
+        )
+    return matrix
 
 
 def measure_to_json(mu: Measure) -> dict:

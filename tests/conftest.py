@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from markovdual import RateMatrix, SpaceKind
-from markovdual.linalg import numerical_rank, rank_threshold
+from markovdual.linalg import max_abs, numerical_rank, rank_threshold
 from markovdual.models import _rate_table
 
 hypothesis.settings.register_profile(
@@ -116,6 +116,28 @@ def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: flo
         combo = sum(c * b for c, b in zip(coeffs, space.basis))
         best = max(best, numerical_rank(combo, rank_rtol))
     return best
+
+
+def validate_eigenpairs_loop(l: RateMatrix, us: np.ndarray, tol: float):
+    """Reference for duality._validate_eigenpairs: the one-column check, column by column.
+
+    Each column u gets lam = <u, Lu> / <u, u> from two mat-vecs and fails if it
+    is zero or if max|Lu - lam u| > tol max(1, max|u|).  Returns the
+    eigenvalues of the columns before the first failing one and that column's
+    index (None if every column passes).
+    """
+    m = np.asarray(l.entries)
+    lams = []
+    for i in range(us.shape[1]):
+        u = us[:, i]
+        norm2 = np.vdot(u, u)
+        if norm2 == 0:
+            return np.array(lams), i
+        lam = complex(np.vdot(u, m @ u) / norm2)
+        if max_abs(m @ u - lam * u) > tol * max(1.0, max_abs(u)):
+            return np.array(lams), i
+        lams.append(lam)
+    return np.array(lams), None
 
 
 def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):

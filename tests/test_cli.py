@@ -1,4 +1,6 @@
+import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -218,10 +220,58 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestInProcessCalls:
+    def test_repeated_calls_share_one_parser(self, capsys):
+        build_parser.cache_clear()
+        assert main(["model", "rw54", "--n", "3", "--json"]) == 0
+        assert main(["model", "rw6", "--n", "3", "--json"]) == 0
+        assert build_parser() is build_parser()
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert main(["model", "rw54", "--n", "3", "--json"]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "rw54", "--n", "three"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main([]) == 2
+        capsys.readouterr()
+        assert main(["model", "rw54", "--n", "3", "--json"]) == 0
+        assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "{dir}/cyclic.json", "--json"],
+        ["siegmund", "{dir}/blocked.json", "--json"],
+        ["duality", "basis", "{dir}/blocked.json", "{dir}/blocked.json", "--json"],
+        ["duality", "sep", "--alpha", "1", "--beta", "1", "--eps", "0", "--delta", "1", "--gamma", "3", "--json"],
+        ["model", "rw54", "--n", "5", "--json"],
+        ["model", "rw6", "--n", "5", "--json"],
+        ["model", "sep", "--V", "2", "--gamma", "2", "--json"],
+        ["scenario", "all", "--n", "4", "--json"],
+    ],
+)
+def test_json_is_one_line_with_the_indented_document(argv, cyclic_file, blocked_file, capsys, monkeypatch):
+    argv = [a.format(dir=cyclic_file.parent) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    monkeypatch.setattr(json, "dumps", functools.partial(json.dumps, indent=2))
+    assert main(argv) == 0
+    indented = capsys.readouterr().out
+    assert indented.count("\n") > 1
+    assert json.loads(out) == json.loads(indented)
+
+
 @pytest.fixture
 def bad_input_files(tmp_path):
     sub = np.array([[-2.0, 1.0], [1.0, -1.0]])  # row 0 leaks: a sub-generator
     save_json({"n": 2, "entries": sub.tolist()}, tmp_path / "sub.json")
+    save_json({"n": 2, "entries": [[-1e308, 1e308], [1e308, -1e308]]}, tmp_path / "overflow.json")
     save_json({"n": 2, "entries": [[0.0, 0.0], [0.0]]}, tmp_path / "ragged.json")
     save_json({"n": 2, "entries": [[0.0, "x"], [0.0, 0.0]]}, tmp_path / "text.json")
     save_json({"p": 1.0}, tmp_path / "novertices.json")
@@ -237,13 +287,17 @@ def bad_input_files(tmp_path):
         ["siegmund", "{dir}/sub.json"],
         ["inspect", "{dir}/ragged.json"],
         ["inspect", "{dir}/text.json"],
+        ["inspect", "{dir}/overflow.json"],
+        ["duality", "basis", "{dir}/overflow.json", "{dir}/overflow.json"],
         ["model", "sep", "--V", "{dir}/novertices.json"],
         ["scenario", "rw54", "--n", "0"],
         ["scenario", "sep-intertwine", "--gamma", "0"],
     ],
 )
 def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
-    assert main([a.format(dir=bad_input_files) for a in argv]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(dir=bad_input_files) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -253,6 +307,7 @@ def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
         (["--alpha", "1e200", "--beta", "1", "--eps", "2", "--delta", "1"], "1e+200 to the power"),
         (["--alpha", "1", "--beta", "1", "--eps", "0", "--delta", "1", "--gamma", "2000"], "gamma = 2000"),
         (["--alpha", "0", "--beta", "1", "--eps", "-1", "--delta", "1"], "0 raised to a negative power"),
+        (["--alpha", "1e150", "--beta", "0", "--eps", "1", "--delta", "1", "--json"], "d(1, 0) is inf"),
     ],
 )
 def test_domain_error_exits_2_with_one_error_line(argv, named, capsys):

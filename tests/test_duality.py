@@ -37,6 +37,7 @@ from markovdual import (
     tensor_duality,
 )
 from markovdual.core import StateSpace
+from markovdual.duality import _validate_eigenpairs
 from markovdual.errors import (
     ComplexResidueError,
     NotChainError,
@@ -58,6 +59,7 @@ from conftest import (
     random_birth_death,
     random_generator,
     random_jordan_blocks,
+    validate_eigenpairs_loop,
 )
 
 BIRTH_DEATH = [[-2.0, 2.0, 0.0], [1.0, -4.0, 3.0], [0.0, 1.0, -1.0]]
@@ -354,6 +356,75 @@ class TestTensor:
         shuffled = rw.u[:, [1, 0, 2, 3, 4]]
         with pytest.raises(NotEigenpairError):
             tensor_duality(rw.lhat, rw.l, rw.uhat, shuffled, np.ones(5))
+
+
+class TestEigenpairValidation:
+    """_validate_eigenpairs (one product for all columns) against the column-by-column reference."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def families(rng):
+        """(generator, columns) pairs: real and complex eigenbases, perturbed ones, zero columns."""
+        for n in (3, 6, 12, 20):
+            l = random_birth_death(rng, n)
+            yield l, reversible_eigenbasis(l, stationary_measure(l))[1]
+            dense = random_generator(rng, n)
+            yield dense, np.linalg.eig(np.asarray(dense.entries))[1]  # complex pairs, as a rule
+        cyclic = cyclic_generator()
+        yield cyclic, np.linalg.eig(np.asarray(cyclic.entries))[1]  # one complex-conjugate pair
+        rw = rw_reflected_absorbed(10)
+        yield rw.lhat, rw.uhat
+        yield rw.l, rw.u
+
+    @staticmethod
+    def variants(rng, us):
+        yield us
+        for scale in (1e-13, 1e-6):  # far below and far above the tolerance
+            bumped = us.copy()
+            cols = rng.choice(us.shape[1], size=max(1, us.shape[1] // 3), replace=False)
+            bumped[:, cols] += scale * rng.standard_normal((us.shape[0], cols.size))
+            yield bumped
+        zeroed = us.copy()
+        zeroed[:, rng.integers(us.shape[1])] = 0.0
+        yield zeroed
+        big = 1e3 * us  # a defect above tol, below tol max|u|: the bound scales with the column
+        big[:, 0] += 1e-9 * rng.standard_normal(us.shape[0])
+        yield big
+
+    def test_same_verdict_column_and_eigenvalues_as_the_loop(self, rng):
+        verdicts, complex_families = [], 0
+        for l, us in self.families(rng):
+            complex_families += np.iscomplexobj(us)
+            for cols in self.variants(rng, np.asarray(us)):
+                lams, first_bad = validate_eigenpairs_loop(l, cols, self.TOL)
+                if first_bad is None:
+                    npt.assert_allclose(_validate_eigenpairs(l, cols, self.TOL), lams, rtol=1e-12, atol=1e-12)
+                else:
+                    with pytest.raises(NotEigenpairError, match=f"^column {first_bad}: "):
+                        _validate_eigenpairs(l, cols, self.TOL)
+                verdicts.append(first_bad is None)
+        assert len(verdicts) == 55 and sum(verdicts) == 33  # the exact, 1e-13 and scaled variants pass
+        assert complex_families >= 2
+
+    def test_zero_column_named(self):
+        l = cyclic_generator()
+        cols = np.column_stack([np.ones(3), np.zeros(3)])
+        with pytest.raises(NotEigenpairError, match="column 1: zero vector"):
+            _validate_eigenpairs(l, cols, self.TOL)
+
+    def test_tensor_duality_names_the_first_mismatched_column(self):
+        rw = rw_reflected_absorbed(5)
+        shuffled = rw.u[:, [0, 1, 3, 2, 4]]
+        with pytest.raises(NotEigenpairError, match="column 2: eigenvalues"):
+            tensor_duality(rw.lhat, rw.l, rw.uhat, shuffled, np.ones(5))
+
+    def test_chain_defect_names_its_order(self):
+        l = jordan_block_generator()
+        chain = TestChain().jordan_chain()
+        chain = np.column_stack([chain, chain[:, 1]])  # order 3 is no chain element
+        with pytest.raises(NotChainError, match="at order 3"):
+            chain_duality(l, l, chain, chain)
 
 
 class TestComplexPair:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -320,6 +321,18 @@ class TestSingleSiteDuality:
         # (a+b)^d = 1e300 to the power j = 2 overflows inside the sum, not in a prefactor
         with pytest.raises(DomainError, match="gamma = 2: the overlap sum"):
             single_site_duality(SingleSiteDualityParams(0.0, 1e300, 0.0, 1.0, 2))
+
+    @pytest.mark.parametrize(
+        "params,entry",
+        [
+            (SingleSiteDualityParams(1e150, 0.0, 1.0, 1.0, 2), "d(1, 0)"),  # a^(e gamma) (a^d)^k = 1e450 for k >= 1
+            (SingleSiteDualityParams(0.0, 1e100, 1.0, 1.0, 2), "d(2, 2)"),  # top indicator: b^(e gamma) (b^d)^2 = 1e400
+        ],
+    )
+    def test_overflowing_table_entry_is_domain_error_on_both_routes(self, params, entry):
+        for fn in (single_site_duality, single_site_duality_bruteforce):
+            with pytest.raises(DomainError, match=f"entry {re.escape(entry)} is inf"):
+                fn(params)
 
     def test_non_integer_delta_positive_bases(self):
         params = SingleSiteDualityParams(2.0, 0.5, 0.0, 0.5, 3)

@@ -41,6 +41,11 @@ class TestMatrix:
         with pytest.raises(ParseError):
             matrix_from_json({"n": 3, "entries": [[0.0, 0.0], [0.0, 0.0]]})
 
+    def test_overflowing_row_sum_names_the_row(self):
+        # each entry is finite and row 1 sums to 0, but its absolute row sum is 2e308
+        with pytest.raises(ParseError, match="^row 1: its absolute row sum overflows"):
+            matrix_from_json({"n": 2, "entries": [[-1.0, 1.0], [1e308, -1e308]]})
+
     def test_non_object(self):
         with pytest.raises(ParseError):
             matrix_from_json([[0.0]])
