@@ -35,15 +35,13 @@ import io
 import json
 import os
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from bench_models import compare, machine
+from bench_models import compare, machine, run_checkout
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,12 +106,6 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
     return rows
 
 
-def run_checkout(checkout: Path, seed: int, repeats: int) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=f"{checkout / 'src'}{os.pathsep}{ROOT}")
-    argv = [sys.executable, __file__, "--seed", str(seed), "--repeats", str(repeats)]
-    return json.loads(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout)["calls"]
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -124,8 +116,9 @@ def main() -> None:
     if args.before is None:
         print(json.dumps({"machine": machine(), "seed": args.seed, "calls": time_calls(args.seed, args.repeats)}))
         return
-    before = run_checkout(args.before.resolve(), args.seed, args.repeats)
-    after = run_checkout(ROOT, args.seed, args.repeats)
+    argv = ["--seed", str(args.seed), "--repeats", str(args.repeats)]
+    before = run_checkout(__file__, args.before.resolve(), argv)["calls"]
+    after = run_checkout(__file__, ROOT, argv)["calls"]
     summary = compare(before, after)
     for b, a in zip(before, after):
         s = summary[b["group"]]

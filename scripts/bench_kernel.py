@@ -13,13 +13,12 @@ the same machine to compare them; BLAS threads follow the environment.
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import time
 
 import numpy as np
-import scipy
+
+from bench_models import machine
 
 from markovdual import max_duality_rank, residual, rw_reflected_absorbed, solve_duality_space
 
@@ -51,17 +50,7 @@ def main() -> None:
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 24, 32, 48, 64, 96])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    machine = {
-        "nproc": len(os.sched_getaffinity(0)),
-        "platform": platform.platform(),
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-    print(json.dumps({"machine": machine, "rw54": [time_size(n, args.repeats) for n in args.sizes]}, indent=2))
+    print(json.dumps({"machine": machine(), "rw54": [time_size(n, args.repeats) for n in args.sizes]}, indent=2))
 
 
 if __name__ == "__main__":

@@ -154,10 +154,14 @@ def machine() -> dict:
     }
 
 
-def run_checkout(checkout: Path, seed: int, repeats: int) -> list[dict]:
+def run_checkout(script: str, checkout: Path, argv: list[str]) -> dict:
+    """The JSON object `script` prints in a fresh interpreter that imports `checkout`'s src/.
+
+    The repository root of this script is on the path too, for `perfbench`.
+    """
     env = dict(os.environ, PYTHONPATH=f"{checkout / 'src'}{os.pathsep}{ROOT}")
-    argv = [sys.executable, __file__, "--seed", str(seed), "--repeats", str(repeats)]
-    return json.loads(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout)["calls"]
+    out = subprocess.run([sys.executable, script, *argv], env=env, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
 
 
 def compare(before: list[dict], after: list[dict]) -> dict:
@@ -183,8 +187,9 @@ def main() -> None:
     if args.before is None:
         print(json.dumps({"machine": machine(), "seed": args.seed, "calls": time_calls(args.seed, args.repeats)}))
         return
-    before = run_checkout(args.before.resolve(), args.seed, args.repeats)
-    after = run_checkout(ROOT, args.seed, args.repeats)
+    argv = ["--seed", str(args.seed), "--repeats", str(args.repeats)]
+    before = run_checkout(__file__, args.before.resolve(), argv)["calls"]
+    after = run_checkout(__file__, ROOT, argv)["calls"]
     record = {
         "what": "wall time per call of the exclusion-model builders on the inputs of one "
         "exclusion-transforms round (perfbench.workloads.ExclusionTransforms), before = --before "

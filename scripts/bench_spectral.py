@@ -1,41 +1,51 @@
 #!/usr/bin/env python3
 """Time decompose on the input classes of a spectral-build round and on a dense size ladder.
 
-Usage: PYTHONPATH=src:. python scripts/bench_spectral.py [--seed 0] [--sizes 60 120 240] [--repeats 3]
+Usage:
+  PYTHONPATH=src:. python scripts/bench_spectral.py [--seed 0] [--sizes 60 120 240] [--repeats 3]
+  python scripts/bench_spectral.py --before <checkout> [--seed 0] [--sizes 60 120 240] [--repeats 3] [--out BENCH_spectral.json]
 
 The round inputs are the ones perfbench's spectral-build workload draws
 (dense, birth-death, complete-graph SEP and Jordan-sum generators, each
 randomly relabelled), built with `perfbench.inputs`, hence the repository
-root on the path.  Prints one JSON object: per input, the min and median
-wall time of `decompose` over the repeats (after one untimed call), the
-number of Jordan blocks and distinct eigenvalues, the largest block, the
-structure as [Re, Im, size] triples (eigenvalues rounded to 9 digits, so two
-checkouts can be compared block by block) and the residual; per class the sum of the medians; for the dense ladder the fitted
-exponent log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes; and a
-machine block (nproc, BLAS and its thread setting, numpy, scipy).  Run it on
-two checkouts of the same machine to compare them; BLAS threads follow the
-environment.
+root on the path.  Per input it reports the min and median wall time of
+`decompose` over the repeats (after one untimed call), the number of Jordan
+blocks and distinct eigenvalues, the largest block, a digest of the
+structure as [Re, Im, size] triples (eigenvalues rounded to 9 digits), and
+the residual; the dense ladder rows (class "dense-ladder")
+report the same, plus the fitted exponent log(t_b / t_a) / log(n_b / n_a)
+between neighbouring sizes.
+
+Without --before it prints one JSON object for the markovdual on the path.
+With --before it runs itself twice in fresh interpreters, first on the
+checkout given (importing its `src/`), then on this one, each with the
+repository root of this script on the path for `perfbench`, and writes
+{machine, command, summary, before, after} to --out: per class the sum of
+the medians on both sides and their ratio, and whether every input's
+structure digest matched.  BLAS threads follow the environment.
 """
 
 import argparse
+import hashlib
 import json
 import math
-import os
-import platform
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
-import scipy
 
-from markovdual import decompose, generator
-from markovdual.scenarios import jordan_block_generator
-from perfbench import inputs
-from perfbench.workloads import SpectralBuild
+from bench_models import compare, machine, run_checkout
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def round_inputs(rng: np.random.Generator) -> list[tuple[str, str, np.ndarray]]:
     """(class, label, matrix) for every input class of one spectral-build round."""
+    from markovdual.scenarios import jordan_block_generator
+    from perfbench import inputs
+    from perfbench.workloads import SpectralBuild
+
     out = [("dense", f"n={n}", inputs.dense_generator(rng, n)) for n in SpectralBuild.DENSE]
     out += [("birth-death", f"n={n}", inputs.birth_death(rng, n)) for n in SpectralBuild.BIRTH_DEATH]
     out += [
@@ -51,6 +61,8 @@ def round_inputs(rng: np.random.Generator) -> list[tuple[str, str, np.ndarray]]:
 
 
 def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
+    from markovdual import decompose, generator
+
     l = generator(m)
     sd = decompose(l)
     walls = []
@@ -58,8 +70,12 @@ def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
         t0 = time.perf_counter()
         decompose(l)
         walls.append(time.perf_counter() - t0)
+    structure = [
+        [round(b.eigenvalue.real, 9) + 0.0, round(b.eigenvalue.imag, 9) + 0.0, b.size]
+        for b in sd.structure.blocks
+    ]
     return {
-        "class": kind,
+        "group": kind,
         "input": label,
         "n": l.n,
         "min_s": min(walls),
@@ -68,10 +84,7 @@ def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
         "blocks": len(sd.structure.blocks),
         "distinct_eigenvalues": len({b.eigenvalue for b in sd.structure.blocks}),
         "largest_block": max(b.size for b in sd.structure.blocks),
-        "structure": [
-            [round(b.eigenvalue.real, 9) + 0.0, round(b.eigenvalue.imag, 9) + 0.0, b.size]
-            for b in sd.structure.blocks
-        ],
+        "digest": hashlib.sha256(json.dumps(structure).encode()).hexdigest()[:16],
         "residual": sd.residual,
     }
 
@@ -87,42 +100,53 @@ def fitted_exponents(ladder: list[dict]) -> list[dict]:
     ]
 
 
+def time_calls(seed: int, sizes: list[int], repeats: int) -> list[dict]:
+    from perfbench import inputs
+
+    rng = np.random.default_rng(seed)
+    rows = [time_input(*spec, repeats) for spec in round_inputs(rng)]
+    rows += [time_input("dense-ladder", f"n={n}", inputs.dense_generator(rng, n), repeats) for n in sizes]
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sizes", type=int, nargs="+", default=[60, 120, 240])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--before", type=Path, help="checkout to compare against (runs both sides)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_spectral.json")
     args = parser.parse_args()
-    rng = np.random.default_rng(args.seed)
-    rows = [time_input(*spec, args.repeats) for spec in round_inputs(rng)]
-    classes = {}
-    for row in rows:
-        classes[row["class"]] = classes.get(row["class"], 0.0) + row["median_s"]
-    ladder = [time_input("dense", f"n={n}", inputs.dense_generator(rng, n), args.repeats) for n in args.sizes]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    machine = {
-        "nproc": len(os.sched_getaffinity(0)),
-        "platform": platform.platform(),
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
+    if args.before is None:
+        rows = time_calls(args.seed, args.sizes, args.repeats)
+        ladder = [r for r in rows if r["group"] == "dense-ladder"]
+        record = {"machine": machine(), "seed": args.seed, "calls": rows, "dense_ladder_exponents": fitted_exponents(ladder)}
+        print(json.dumps(record))
+        return
+    argv = ["--seed", str(args.seed), "--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
+    before = run_checkout(__file__, args.before.resolve(), argv)
+    after = run_checkout(__file__, ROOT, argv)
+    summary = compare(before["calls"], after["calls"])
+    rounds = [sum(r["median_s"] for r in side["calls"] if r["group"] != "dense-ladder") for side in (before, after)]
+    record = {
+        "what": "wall time of decompose(l) on the inputs of one spectral-build round "
+        "(perfbench.workloads.SpectralBuild: dense, birth-death, complete-graph SEP and Jordan-sum "
+        "generators, randomly relabelled; the round decomposes each twice) and on a dense ladder, "
+        "before = --before checkout, after = this checkout; the structure digest of every input "
+        "must match between the sides",
+        "command": " ".join(["python3", "scripts/bench_spectral.py", "--before", "<parent checkout>", *argv]),
+        "machine": machine(),
+        "seed": args.seed,
+        "summary": {
+            "round_median_sum_s": {"before": rounds[0], "after": rounds[1], "speedup": rounds[0] / rounds[1]},
+            "classes": summary,
+            "dense_ladder_exponents": {"before": before["dense_ladder_exponents"], "after": after["dense_ladder_exponents"]},
+        },
+        "before": before["calls"],
+        "after": after["calls"],
     }
-    print(
-        json.dumps(
-            {
-                "machine": machine,
-                "seed": args.seed,
-                "round": rows,
-                "round_class_median_sum_s": classes,
-                "round_median_sum_s": sum(classes.values()),
-                "dense_ladder": ladder,
-                "dense_ladder_exponents": fitted_exponents(ladder),
-            },
-            indent=2,
-        )
-    )
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record["summary"], indent=2))
 
 
 if __name__ == "__main__":

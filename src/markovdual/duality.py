@@ -94,17 +94,31 @@ class DualityFunction:
 class DualitySpace:
     """Basis of the linear space {D : L_hat D = D L^T}, with its rank-decision margins.
 
-    cutoff is the singular-value threshold the solver used; largest_discarded
-    is the largest singular value it treated as zero (0.0 if none) and
-    smallest_kept the smallest it treated as nonzero (inf if none).
+    basis is one read-only (dimension, n_hat, n) array, basis[k] the k-th
+    element (shape (0, n_hat, n) for the zero space); a sequence of n_hat x n
+    matrices is stacked into one.  cutoff is the singular-value threshold the
+    solver used; largest_discarded is the largest singular value it treated
+    as zero (0.0 if none) and smallest_kept the smallest it treated as
+    nonzero (inf if none).
     """
 
     dual_space: StateSpace
     primal_space: StateSpace
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     cutoff: float = 0.0
     largest_discarded: float = 0.0
     smallest_kept: float = math.inf
+
+    def __post_init__(self):
+        shape = (self.dual_space.n, self.primal_space.n)
+        basis = np.asarray(self.basis, dtype=float)
+        if basis.size == 0:
+            basis = basis.reshape(0, *shape)
+        if basis.ndim != 3 or basis.shape[1:] != shape:
+            raise ShapeMismatchError(f"basis shape {basis.shape} does not match spaces {shape}")
+        basis = basis.view()
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:
@@ -251,7 +265,7 @@ def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
         f = carried + (s[a:b, b:].T @ y.reshape(w, -1)).reshape(shape)
 
     dim = f.shape[2]
-    basis: tuple[np.ndarray, ...] = ()
+    basis = np.zeros((0, nh, n))
     if dim:
         p = np.eye(dim)
         cols = []
@@ -261,7 +275,7 @@ def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
         yv = np.concatenate(cols[::-1]).reshape(n, nh * dim)  # yv[j, (i, k)] = Y_k[i, j]
         yz = (z @ yv).reshape(n, nh, dim).transpose(1, 0, 2)  # (Y_k Z^T)[i, j]
         dv = (q @ yz.reshape(nh, n * dim)).reshape(nh * n, dim)
-        basis = tuple(dv.T.reshape(dim, nh, n))
+        basis = dv.T.reshape(dim, nh, n)
     return DualitySpace(lhat.space, l.space, basis, cutoff, largest_discarded, smallest_kept)
 
 
@@ -277,15 +291,15 @@ def max_duality_rank(space: DualitySpace, seed: int = 0) -> int:
     plain SVD default because each basis element is accurate only to about
     space.cutoff / space.smallest_kept (the subspace error of the kernel
     solve), so singular values at that level are not rank.  All samples are
-    formed and their singular values taken in one stacked call each: there
-    are MAX_RANK_SAMPLES of them, each with cutoff `rank_threshold` at
-    MAX_RANK_RTOL.
+    formed by one contraction with the basis array and their singular values
+    taken in one stacked call: there are MAX_RANK_SAMPLES of them, each with
+    cutoff `rank_threshold` at MAX_RANK_RTOL.
     """
     if space.dimension == 0:
         return 0
     coeffs = np.random.default_rng(seed).standard_normal((MAX_RANK_SAMPLES, space.dimension))
-    sv = np.linalg.svd(np.tensordot(coeffs, np.stack(space.basis), 1), compute_uv=False)
-    shape = space.basis[0].shape
+    sv = np.linalg.svd(np.tensordot(coeffs, space.basis, 1), compute_uv=False)
+    shape = space.basis.shape[1:]
     return max(int(np.sum(s > rank_threshold(s, shape, MAX_RANK_RTOL))) for s in sv)
 
 

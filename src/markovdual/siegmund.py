@@ -5,7 +5,8 @@ a generator L_hat is built entrywise from
 
     L(y,x) = sum_{x'>=y} [L_hat(x,x') - L_hat(x-1,x')],   L_hat(row 0) := 0,
 
-(1-indexed formula; arrays here are 0-based).  The dual is a sub-generator
+(1-indexed formula; arrays here are 0-based), with each tail sum taken from
+off-diagonal rates only (see _cumulative_rate_sums).  The dual is a sub-generator
 exactly when L_hat generates a monotone chain, which this module also checks
 directly via the cumulative-rate condition.
 """
@@ -56,19 +57,37 @@ def siegmund_matrix(n: int) -> np.ndarray:
 
 
 def _cumulative_rate_sums(lhat: np.ndarray) -> np.ndarray:
-    """S[y, x] = sum_{x'>=y} lhat[x, x'] - lhat[x-1, x'] (row -1 treated as zero)."""
+    """S[y, x] = t[x, y] - t[x-1, y] (row -1 zero), t[x, y] = sum_{x'>=y} lhat[x, x'], from off-diagonal rates only.
+
+    A zero row sum gives t[x, y] = -sum_{x'<y} lhat[x, x'], so each tail sum
+    is taken from the side that does not hold the diagonal: with p the
+    exclusive prefix sums of the off-diagonal part and r its row sums (the
+    last entries of the same cumsum), t[x, y] = -p[x, y] for y <= x and
+    r[x] - p[x, y] for y > x.  An entry whose range holds no rate is then
+    exactly zero, not rounding: the dual of a birth-death chain is exactly
+    tridiagonal.  Where a row sum of lhat is not zero, S differs from the
+    formula with the diagonal by those row sums, so for a generator by at
+    most 2 row_tol per entry.
+    """
     n = lhat.shape[0]
-    padded = np.vstack([np.zeros((1, n)), lhat])
-    diff = padded[1:] - padded[:-1]  # diff[x] = lhat[x] - lhat[x-1]
-    tails = np.cumsum(diff[:, ::-1], axis=1)[:, ::-1]  # tails[x, y] = sum_{x'>=y} diff[x, x']
-    return tails.T
+    prefix = lhat.copy()
+    np.fill_diagonal(prefix, 0.0)
+    np.cumsum(prefix, axis=1, out=prefix)  # prefix[x, y] = p[x, y + 1]; prefix[x, -1] = r[x]
+    tails = np.zeros((n + 1, n))  # row 0 is row -1
+    np.multiply(np.arange(n) > np.arange(n)[:, None], prefix[:, -1:], out=tails[1:])
+    tails[1:, 1:] -= prefix[:, :-1]
+    return np.diff(tails, axis=0).T
 
 
 def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
     """Build the Siegmund dual of a generator on the ordered space {0..n-1}.
 
     The construction is total: validity of the dual as a (sub-)generator is
-    reported through its `kind`, never enforced.  The residual
+    reported through its `kind`, never enforced.  Every entry of the dual
+    is summed from off-diagonal rates of L_hat only (_cumulative_rate_sums),
+    so entries that are zero by structure are exactly zero; the dual then
+    differs from the formula with the diagonal by the row sums of L_hat, at
+    most 2 tol (row_tol) per entry.  The residual
     max|L_hat D_s - D_s L^T| is taken in O(n^2) with no D_s: row x of
     L_hat D_s is the tail sums sum_{x' >= y} L_hat[x, x'] of row x of L_hat,
     and column y of D_s L^T is the prefix sums sum_{x' <= x} L[y, x'] of

@@ -6,7 +6,10 @@ involution and the rank-r similarity test that turn shared spectral structure
 into duality functions (see markovdual.duality.build_from_spectra).
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
-(ones on the superdiagonal inside each block).
+(ones on the superdiagonal inside each block).  A simple eigenvalue's chain is
+its `eig` column; every repeated eigenvalue, real or complex, gets its chains
+from the leading block of one dtrsen-reordered real Schur form, mapped back
+through the Schur vectors (Kagstrom-Ruhe, ACM TOMS 1980).
 """
 
 from __future__ import annotations
@@ -143,39 +146,40 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     return groups, means[: len(groups)]
 
 
-def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float):
+def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float, n: int):
     """Null dims and orthonormal bases of a^k, k = 1.., for one cluster.
 
-    The terminal null dimension is pinned to the known algebraic multiplicity;
-    `spread` (cluster radius) widens the singular-value cutoff because the
-    shifted matrix inherits that much error from the cluster representative.
-    The k-th cutoff is max(n eps s_k, sqrt(eps) s_k, 20 k spread
-    max(1, ||a||_2)^(k-1)) with s_k the largest singular value of a^k; the
-    k = 1 SVD also gives ||a||_2 = s_1.  Cost: one dense n x n SVD per power,
-    O(s n^3) for largest block size s.  _semisimple_basis certifies the
-    semisimple case (null dimension m_alg at k = 1) without it.
+    a = T11 - lam I is the cluster's leading block of the reordered Schur form
+    (m_alg x m_alg, or 2 m_alg x 2 m_alg for a complex lam).  The cutoffs scale
+    with the full n x n matrix M - lam I, not with a, which for a semisimple
+    cluster holds only rounding: with s = `scale`, the largest column norm of
+    M - lam I, the k-th cutoff is max(n eps s^k, sqrt(eps) s^k, 20 k spread
+    max(1, s)^(k-1)).  `spread` (cluster radius) widens it because the shifted
+    matrix inherits that much error from the cluster representative.  The
+    terminal null dimension is pinned to the known algebraic multiplicity.
+    A null space that is the whole block gets the identity as its basis.
+    Cost: per power, the block's singular values, and its singular vectors
+    unless the whole block is null: O(s_max m_alg^3) for largest block size
+    s_max.
     """
-    n = a.shape[0]
-    opnorm = 0.0
     dims, bases = [0], []
-    ak = np.eye(n, dtype=a.dtype)
     for k in range(1, m_alg + 1):
-        ak = ak @ a
-        _, s, vh = np.linalg.svd(ak)
-        if k == 1:
-            opnorm = float(s[0])
-        smax = float(s[0]) if s[0] > 0 else 1.0
+        ak = a if k == 1 else ak @ a
+        sv = np.linalg.svd(ak, compute_uv=False)
         cutoff = max(
-            n * EPS * smax,
-            np.sqrt(EPS) * smax,
-            20.0 * k * spread * max(1.0, opnorm) ** (k - 1),
+            n * EPS * scale**k,
+            np.sqrt(EPS) * scale**k,
+            20.0 * k * spread * max(1.0, scale) ** (k - 1),
         )
-        d = int(np.sum(s <= cutoff))
+        d = int(np.sum(sv <= cutoff))
         d = min(max(d, dims[-1]), m_alg)
         if k == m_alg and d < m_alg:
             # generalized eigenspace dimension equals the algebraic multiplicity
             d = m_alg
-        bases.append(vh[len(s) - d :].conj().T if d else np.zeros((n, 0), dtype=a.dtype))
+        if d == len(sv):  # the whole space is null
+            bases.append(np.eye(d, dtype=a.dtype))
+        else:
+            bases.append(np.linalg.svd(ak)[2][len(sv) - d :].conj().T)
         dims.append(d)
         if d == m_alg:
             break
@@ -194,44 +198,6 @@ def _schur_eigenvalues(t: np.ndarray) -> np.ndarray:
     w[pairs] += 1j * np.sqrt(np.abs(t[pairs, pairs + 1] * t[pairs + 1, pairs]))
     w[pairs + 1] = w[pairs].conj()
     return w
-
-
-def _semisimple_basis(
-    mat: np.ndarray, schur_form, lam: float, m_alg: int, spread: float, tol: float
-) -> np.ndarray | None:
-    """Orthonormal eigenbasis of a semisimple real cluster from the real Schur form, or None.
-
-    schur_form = (T, Z) with mat = Z T Z^T.  dtrsen moves the eigenvalues of
-    T within tol of lam to the front (a near-real 2 x 2 block, which the QR
-    algorithm often makes of a repeated eigenvalue, moves whole), so the
-    leading m_alg columns Z_1 of the reordered Z span the cluster's
-    invariant subspace.  They are eigenvectors when A Z_1 = 0 for
-    A = mat - lam I; the certificate is ||A Z_1||_2 <= C = max(n eps s,
-    sqrt(eps) s, 20 spread), s the largest column norm of A.  As
-    s <= ||A||_2, C is at most _null_basis_sequence's k = 1 cutoff, and by
-    Courant-Fischer sigma_{n-m_alg+1}(A) <= ||A Z_1||_2, so the SVD route
-    would find null dimension m_alg at k = 1 as well: the certificate accepts
-    no cluster that route calls defective.  Returns None, and the caller
-    takes the SVD route, when the number of selected eigenvalues is not
-    m_alg, dtrsen fails, or the certificate fails (as it does for a defective
-    cluster).  Cost: one dtrsen, O(m_alg n^2), and one n x m_alg product and
-    SVD.
-    """
-    t, z = schur_form
-    n = t.shape[0]
-    select = np.abs(_schur_eigenvalues(t) - lam) <= tol
-    if np.count_nonzero(select) != m_alg:
-        return None
-    _, z, *_, info = dtrsen(select.astype(np.int32), t, z, job="N")
-    if info != 0:
-        return None
-    z1 = z[:, :m_alg]
-    a = mat - lam * np.eye(n)
-    s = float(np.max(np.linalg.norm(a, axis=0)))
-    cutoff = max(n * EPS * s, np.sqrt(EPS) * s, 20.0 * spread)
-    if np.linalg.svd(a @ z1, compute_uv=False)[0] > cutoff:
-        return None
-    return z1
 
 
 def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) -> np.ndarray:
@@ -256,24 +222,26 @@ def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) 
     return qc[:, :want] * (pivots / np.abs(pivots))
 
 
-def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> list[list[np.ndarray]]:
-    """Jordan chains for one eigenvalue cluster, each chain eigenvector-first.
+def _jordan_chains(
+    a: np.ndarray, lam: complex, m_alg: int, spread: float, scale: float, n: int
+) -> list[list[np.ndarray]]:
+    """Jordan chains of a = T11 - lam I for one eigenvalue cluster, each chain eigenvector-first.
 
-    Top vectors are picked per level (descending) from Null((M-lam I)^k) by
-    _pivoted_picks, avoiding Null((M-lam I)^{k-1}) and the level-k members of
-    already-chosen chains, which makes the output deterministic.  Cost: one
-    SVD per power of M-lam I up to the largest block size s, O(s n^3), plus
-    one pivoted QR of at most n x m_alg per level.  Raises
-    DecompositionFailedError when the chains do not hold exactly m_alg
-    vectors, as when the null dimensions grow more at a later power than at
-    an earlier one, which no Jordan structure allows.
+    The k = 1 exit: when the null dimension of a is already the size of a
+    (a real semisimple cluster, a numerically zero block), the chains are the
+    unit vectors, which Z1 maps to the cluster's Schur vectors.  Otherwise top
+    vectors are picked per level (descending) from Null(a^k) by
+    _pivoted_picks, avoiding Null(a^{k-1}) and the level-k members of
+    already-chosen chains, which makes the output deterministic.  Cutoffs as
+    in _null_basis_sequence, with `scale` and `n` from the full matrix.  Cost:
+    the SVDs of _null_basis_sequence plus one pivoted QR per level, all of
+    block size.  Raises DecompositionFailedError when the chains do not hold
+    exactly m_alg vectors, as when the null dimensions grow more at a later
+    power than at an earlier one, which no Jordan structure allows.
     """
-    n = m.shape[0]
-    if lam.imag == 0.0 and not np.iscomplexobj(m):
-        a = m - lam.real * np.eye(n)
-    else:
-        a = m.astype(complex) - lam * np.eye(n, dtype=complex)
-    dims, bases = _null_basis_sequence(a, m_alg, spread)
+    dims, bases = _null_basis_sequence(a, m_alg, spread, scale, n)
+    if dims[1] == a.shape[0]:
+        return [[e] for e in bases[0].T]
     chains: list[list[np.ndarray]] = []
     for level in range(len(bases), 0, -1):
         want = (dims[level] - dims[level - 1]) - sum(1 for c in chains if len(c) >= level)
@@ -285,11 +253,7 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
         members = [c[level - 1] for c in chains if len(c) >= level]
         if members:
             avoid.append(np.array(members).T)
-        tops = _pivoted_picks(
-            bases[level - 1].astype(a.dtype),
-            np.hstack([x.astype(a.dtype) for x in avoid]) if avoid else None,
-            want,
-        )
+        tops = _pivoted_picks(bases[level - 1], np.hstack(avoid) if avoid else None, want)
         for top in tops.T:
             chain = [top]
             for _ in range(level - 1):
@@ -307,28 +271,55 @@ def _jordan_chains(m: np.ndarray, lam: complex, m_alg: int, spread: float) -> li
 
 def _cluster_chains(
     mat: np.ndarray,
+    schur_form,
     eigs: np.ndarray,
     vecs: np.ndarray,
     group: list[int],
     lam: complex,
-    schur_form,
     tol: float,
 ) -> list[list[np.ndarray]]:
-    """Chains of one cluster at lam.
+    """Chains of one cluster at lam, as columns of the n x n matrix.
 
-    A simple eigenvalue takes its eig column, a real cluster certified
-    semisimple its reordered Schur vectors (_semisimple_basis), and any other
-    cluster the null spaces of the powers of M - lam I (_jordan_chains).
+    A simple eigenvalue takes its eig column.  A cluster of m_alg >= 2
+    members takes its chains from the leading block of the real Schur form
+    schur_form = (T, Z, c), mat = Z T Z^T, c the squared column norms of mat:
+    dtrsen moves the Schur positions within tol of lam (and of conj(lam) for
+    a complex lam, 2 m_alg positions in all) to the front, so M Z1 = Z1 T11
+    and Z1 maps each chain of T11 - lam I (_jordan_chains) to a chain of
+    M - lam I.  The cutoffs scale with s, the largest column norm of
+    M - lam I, read off c and the diagonal of mat.  Cost: one dtrsen,
+    O(m_alg n^2), plus work of block size.  Raises DecompositionFailedError
+    when the selection does not hold exactly m_alg (2 m_alg) positions or
+    dtrsen fails.
     """
     if len(group) == 1:
         v = vecs[:, group[0]]
         return [[v.real if lam.imag == 0.0 else v]]
+    t, z, colsq = schur_form
+    m_alg = len(group)
+    w = _schur_eigenvalues(t)
+    select = np.abs(w - lam) <= tol
+    size = m_alg
+    if lam.imag != 0.0:
+        select |= np.abs(w - lam.conjugate()) <= tol
+        size = 2 * m_alg
+    count = int(np.count_nonzero(select))
+    if count != size:
+        raise DecompositionFailedError(
+            f"eigenvalue cluster at {lam:.6g} needs {size} Schur positions within {tol:.3g}, "
+            f"the Schur form holds {count}"
+        )
+    t, z, *_, info = dtrsen(select.astype(np.int32), t, z, job="N")
+    if info != 0:
+        raise DecompositionFailedError(f"dtrsen failed with info = {info} at {lam:.6g}")
+    diag = np.diag(mat)
+    scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
     spread = float(np.max(np.abs(eigs[group] - lam)))
-    if lam.imag == 0.0:
-        basis = _semisimple_basis(mat, schur_form, lam.real, len(group), spread, tol)
-        if basis is not None:
-            return [[v] for v in basis.T]
-    return _jordan_chains(mat, lam, len(group), spread)
+    shift = lam.real if lam.imag == 0.0 else lam
+    block = t[:size, :size] - shift * np.eye(size)
+    chains = _jordan_chains(block, lam, m_alg, spread, scale, mat.shape[0])
+    cols = iter((z[:, :size] @ np.array([v for c in chains for v in c]).T).T)
+    return [[next(cols) for _ in c] for c in chains]
 
 
 def decompose(
@@ -342,27 +333,25 @@ def decompose(
     tol_cluster are merged before chain construction, so floating-point splits
     of designed Jordan blocks are re-absorbed (size-2 blocks split by
     ~sqrt(eps), within the default; deeper blocks need a looser tol_cluster).
-    Each cluster takes one of three routes:
+    Each cluster takes one of two routes:
 
     - one member: a simple eigenvalue, its `eig` column (a real column for a
       real eigenvalue);
-    - a real cluster of m_alg >= 2 members that _semisimple_basis certifies
-      semisimple: m_alg chains of length 1, the cluster's Schur vectors after
-      one dtrsen reordering of the real Schur form (taken once, and only when
-      such a cluster exists);
-    - every other cluster (defective, complex, or one whose Schur diagonal
-      does not hold exactly m_alg entries within tol_cluster): chains from
-      the null spaces of the powers of M - lam I (see _jordan_chains).
+    - m_alg >= 2 members, real or complex: chains from the leading block T11
+      of the real Schur form M = Z T Z^T after one dtrsen reordering, mapped
+      back through the leading Schur vectors Z1 (see _cluster_chains).  The
+      Schur form is taken once, and only when such a cluster exists.  A real
+      cluster whose block T11 - lam I has null dimension m_alg at the first
+      power is semisimple, and its chains are the m_alg columns of Z1.
 
-    The certificate's cutoff is never above the SVD route's k = 1 cutoff, so
-    both routes give the same structure.  Complex clusters are processed once
-    and mirrored, so conjugate blocks carry exactly conjugate columns.  Cost:
+    The null-space cutoffs scale with the full M - lam I, not with the block
+    (see _null_basis_sequence).  Complex clusters are processed once and
+    mirrored, so conjugate blocks carry exactly conjugate columns.  Cost:
     O(n^3) for `eig`, the Schur form, the inverse and the residual check,
-    O(m_alg n^2) per certified cluster, plus O(s n^3) per cluster on the SVD
-    route with largest block size s; a matrix whose clusters are all simple or
-    semisimple and real costs O(n^3).
+    plus O(m_alg n^2) per cluster for its dtrsen and work of block size.
 
-    Raises DecompositionFailedError if the reconstruction or inversion
+    Raises DecompositionFailedError if a cluster's Schur positions or chains
+    do not match its multiplicity, or if the reconstruction or inversion
     residual exceeds tol_residual.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
@@ -371,8 +360,8 @@ def decompose(
     eigs, vecs = np.linalg.eig(mat)
     groups, reps = _cluster_eigenvalues(eigs, tol_cluster)
     schur_form = None
-    if any(len(g) > 1 and abs(lam.imag) <= tol_cluster for g, lam in zip(groups, reps)):
-        schur_form = scipy.linalg.schur(mat, output="real")
+    if any(len(g) > 1 for g in groups):
+        schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
     done = np.zeros(len(groups), dtype=bool)
     blocks: list[tuple[complex, list[np.ndarray]]] = []
     for gi, group in enumerate(groups):
@@ -381,7 +370,7 @@ def decompose(
         lam = complex(reps[gi])
         if abs(lam.imag) <= tol_cluster:
             lam = complex(lam.real, 0.0)
-            for chain in _cluster_chains(mat, eigs, vecs, group, lam, schur_form, tol_cluster):
+            for chain in _cluster_chains(mat, schur_form, eigs, vecs, group, lam, tol_cluster):
                 blocks.append((lam, chain))
             done[gi] = True
         else:
@@ -395,7 +384,7 @@ def decompose(
                 )
             upper = gi if lam.imag > 0 else partner
             lam = complex(reps[upper])
-            for chain in _cluster_chains(mat, eigs, vecs, groups[upper], lam, schur_form, tol_cluster):
+            for chain in _cluster_chains(mat, schur_form, eigs, vecs, groups[upper], lam, tol_cluster):
                 blocks.append((lam, chain))
                 blocks.append((lam.conjugate(), [v.conj() for v in chain]))
             done[gi] = done[partner] = True
@@ -526,9 +515,13 @@ def match_jordan_blocks(
 
 @dataclass(frozen=True)
 class Witness:
-    """Rank-r similarity witness: hat_side T satisfying Jhat T = T J."""
+    """Rank-r similarity witness: the matched block pairs of a T with Jhat T = T J.
 
-    t_matrix: np.ndarray
+    T (hat.n x primal.n) maps the first `size` chain positions of each
+    matched hat block onto the last `size` positions of the matched primal
+    block; it is a 0/1 matrix of rank r and is not formed.
+    """
+
     matched: tuple[MatchedBlock, ...]
     rank: int
 
@@ -538,10 +531,9 @@ def check_r_similar(
 ) -> Witness | None:
     """Witness that the two matrices are r-similar, or None.
 
-    The witness T maps the first `size` chain positions of each matched hat
-    block onto the last `size` positions of the matched primal block, so that
-    Jhat T = T J holds exactly for the assembled Jordan matrices (up to the
-    eigenvalue matching tolerance).
+    The matched blocks, truncated to total size r, define a T with
+    Jhat T = T J exactly for the assembled Jordan matrices (up to the
+    eigenvalue matching tolerance); see Witness.
     """
     if r < 1 or r > min(hat.n, primal.n):
         raise ValueError(f"rank r={r} out of range 1..{min(hat.n, primal.n)}")
@@ -557,11 +549,7 @@ def check_r_similar(
         take = min(u.size, remaining)
         kept.append(u._replace(size=take))
         remaining -= take
-    t = np.zeros((hat.n, primal.n))
-    for u in kept:
-        for i in range(u.size):
-            t[u.hat_offset + i, u.offset + u.primal_size - u.size + i] = 1.0
-    return Witness(t_matrix=t, matched=tuple(kept), rank=r)
+    return Witness(matched=tuple(kept), rank=r)
 
 
 def check_biorthogonal(

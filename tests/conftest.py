@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from markovdual import RateMatrix, SpaceKind
-from markovdual.linalg import max_abs, numerical_rank, rank_threshold
+from markovdual.errors import DecompositionFailedError
+from markovdual.linalg import EPS, max_abs, numerical_rank, rank_threshold
 from markovdual.models import _rate_table
+from markovdual.spectral import _pivoted_picks
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -91,6 +93,16 @@ def build_from_spectra_loop(hat_data, primal_data, witness, coefficients) -> np.
     return d
 
 
+def witness_matrix(hat_data, primal_data, witness) -> np.ndarray:
+    """The T of a Witness: ones mapping the first `size` chain positions of each matched hat block
+    onto the last `size` positions of its primal block, so Jhat T = T J."""
+    t = np.zeros((hat_data.n, primal_data.n))
+    for u in witness.matched:
+        for i in range(u.size):
+            t[u.hat_offset + i, u.offset + u.primal_size - u.size + i] = 1.0
+    return t
+
+
 def kronecker_duality_space(lhat: RateMatrix, l: RateMatrix) -> np.ndarray:
     """Brute-force oracle: orthonormal columns spanning {vec D : L_hat D = D L^T}.
 
@@ -165,6 +177,79 @@ def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):
         gaps.append((norms[j] - max(rest)) / norms[j] if rest else np.inf)
         picked.append(vectors[j] / norms[j])
     return np.array(picked).T, gaps
+
+
+def svd_power_null_bases(a: np.ndarray, m_alg: int, spread: float):
+    """Reference for spectral._null_basis_sequence: null dims and bases of the n x n powers of a = M - lam I.
+
+    One full SVD per power; the k-th cutoff is max(n eps s_k, sqrt(eps) s_k,
+    20 k spread max(1, ||a||_2)^(k-1)) with s_k the largest singular value of
+    a^k, and the terminal null dimension is pinned to m_alg.
+    """
+    n = a.shape[0]
+    opnorm = 0.0
+    dims, bases = [0], []
+    ak = np.eye(n, dtype=a.dtype)
+    for k in range(1, m_alg + 1):
+        ak = ak @ a
+        _, s, vh = np.linalg.svd(ak)
+        if k == 1:
+            opnorm = float(s[0])
+        smax = float(s[0]) if s[0] > 0 else 1.0
+        cutoff = max(n * EPS * smax, np.sqrt(EPS) * smax, 20.0 * k * spread * max(1.0, opnorm) ** (k - 1))
+        d = min(max(int(np.sum(s <= cutoff)), dims[-1]), m_alg)
+        if k == m_alg and d < m_alg:
+            d = m_alg
+        bases.append(vh[len(s) - d :].conj().T)
+        dims.append(d)
+        if d == m_alg:
+            break
+    return dims, bases
+
+
+def svd_power_chains(mat: np.ndarray, lam: complex, m_alg: int, spread: float) -> list[list[np.ndarray]]:
+    """Reference for spectral._jordan_chains: chains picked from the null spaces of the n x n powers of M - lam I.
+
+    Tops are picked per level (descending) by spectral._pivoted_picks, as in
+    the library; raises DecompositionFailedError when the chains do not hold
+    m_alg vectors.
+    """
+    n = mat.shape[0]
+    a = mat - lam.real * np.eye(n) if lam.imag == 0.0 else mat.astype(complex) - lam * np.eye(n)
+    dims, bases = svd_power_null_bases(a, m_alg, spread)
+    chains: list[list[np.ndarray]] = []
+    for level in range(len(bases), 0, -1):
+        want = (dims[level] - dims[level - 1]) - sum(1 for c in chains if len(c) >= level)
+        if want <= 0:
+            continue
+        avoid = [bases[level - 2]] if level >= 2 else []
+        members = [c[level - 1] for c in chains if len(c) >= level]
+        if members:
+            avoid.append(np.array(members).T)
+        tops = _pivoted_picks(bases[level - 1], np.hstack(avoid) if avoid else None, want)
+        for top in tops.T:
+            chain = [top]
+            for _ in range(level - 1):
+                chain.append(a @ chain[-1])
+            chains.append(chain[::-1])
+    if sum(len(c) for c in chains) != m_alg:
+        raise DecompositionFailedError(f"Jordan chains at {lam:.6g} do not hold {m_alg} vectors (dims {dims})")
+    return chains
+
+
+def svd_power_cluster_chains(mat, schur_form, eigs, vecs, group, lam, tol):
+    """Reference for spectral._cluster_chains (same signature; schur_form and tol unused).
+
+    A simple eigenvalue takes its eig column; every cluster of two or more
+    members, semisimple or not, real or complex, takes svd_power_chains on the
+    n x n matrix: the route decompose took for defective and complex clusters
+    before its chains came from the reordered leading Schur block.
+    """
+    if len(group) == 1:
+        v = vecs[:, group[0]]
+        return [[v.real if lam.imag == 0.0 else v]]
+    spread = float(np.max(np.abs(eigs[group] - lam)))
+    return svd_power_chains(mat, lam, len(group), spread)
 
 
 def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
@@ -322,6 +407,18 @@ def rw_blocked_absorbed_loops(n: int):
         )
         u[:, i] = norm * np.sin(theta * (x - 1))
     return lhat, u, uhat
+
+
+def cumulative_rate_sums_with_diagonal(lhat) -> np.ndarray:
+    """Reference for siegmund._cumulative_rate_sums: S[y, x] = sum_{x'>=y} lhat[x, x'] - lhat[x-1, x'].
+
+    Row differences first, then one tail cumsum per row, diagonal included, so
+    entries that should vanish come out as rounding.
+    """
+    lhat = np.asarray(lhat)
+    padded = np.vstack([np.zeros((1, lhat.shape[0])), lhat])
+    diff = padded[1:] - padded[:-1]
+    return np.cumsum(diff[:, ::-1], axis=1)[:, ::-1].T
 
 
 def siegmund_residual_product(lhat, dual) -> float:

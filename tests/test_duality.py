@@ -8,6 +8,7 @@ from scipy.linalg import schur, subspace_angles
 from markovdual import (
     ConfigurationSpace,
     DualityFunction,
+    DualitySpace,
     Measure,
     RateMatrix,
     adjoint,
@@ -129,6 +130,25 @@ class TestSolveDualitySpace:
         assert space.dimension >= 1
         for b in space.basis:
             assert residual(lhat, l, b) < 1e-9
+
+    def test_basis_is_one_read_only_array(self):
+        rw = rw_reflected_absorbed(5)
+        space = solve_duality_space(rw.lhat, rw.l)
+        assert isinstance(space.basis, np.ndarray) and space.basis.shape == (5, 5, 5)
+        assert not space.basis.flags.writeable
+        assert len(space.basis) == space.dimension and [b.shape for b in space.basis] == [(5, 5)] * 5
+        with pytest.raises(ValueError):
+            space.basis[0, 0, 0] = 1.0
+
+    def test_basis_sequences_are_stacked_and_checked(self):
+        spaces = (StateSpace(2), StateSpace(3))
+        empty = DualitySpace(*spaces, ())
+        assert empty.basis.shape == (0, 2, 3) and empty.dimension == 0
+        assert max_duality_rank(empty) == 0
+        stacked = DualitySpace(*spaces, [np.ones((2, 3)), np.eye(2, 3)])
+        assert stacked.basis.shape == (2, 2, 3) and max_duality_rank(stacked) == 2
+        with pytest.raises(ShapeMismatchError):
+            DualitySpace(*spaces, [np.ones((3, 2))])
 
     def test_shared_zero_only_gives_constant(self):
         lhat = cyclic_generator()

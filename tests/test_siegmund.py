@@ -8,6 +8,7 @@ from markovdual import (
     MatrixKind,
     RateMatrix,
     check_monotone,
+    decompose,
     cumulative_transform,
     extend_with_cemetery,
     generator,
@@ -21,7 +22,12 @@ from markovdual.errors import AlreadyConservativeError, NotBiorthogonalError
 from markovdual.linalg import EPS
 from markovdual.scenarios import cyclic_generator
 
-from conftest import random_birth_death, random_generator, siegmund_residual_product
+from conftest import (
+    cumulative_rate_sums_with_diagonal,
+    random_birth_death,
+    random_generator,
+    siegmund_residual_product,
+)
 
 
 class TestSiegmundMatrix:
@@ -64,6 +70,31 @@ class TestSiegmundDual:
         lhat = random_generator(np.random.default_rng(seed), n)
         pair = siegmund_dual(lhat)
         assert pair.residual < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 30, 250])
+    def test_birth_death_dual_is_exactly_tridiagonal(self, n):
+        dual = np.asarray(siegmund_dual(random_birth_death(np.random.default_rng(n), n)).l.entries)
+        assert np.count_nonzero(np.triu(dual, 2)) == 0
+        assert np.count_nonzero(np.tril(dual, -2)) == 0
+
+    def test_birth_death_duals_decompose(self):
+        # with the diagonal inside every tail sum, rounding filled the dual's zero entries
+        # and decompose failed its residual gate on 25 of these 36 chains
+        rng = np.random.default_rng(1)
+        for n in range(5, 41):
+            pair = siegmund_dual(random_birth_death(rng, n))
+            assert decompose(pair.l).residual <= 1e-9
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.booleans())
+    def test_entries_match_formula_with_diagonal(self, seed, n, dense):
+        # entry (y, x) sums rates of rows x and x - 1: within (n + 1) eps max|row| of the reference
+        rng = np.random.default_rng(seed)
+        lhat = random_generator(rng, n) if dense else random_birth_death(rng, n)
+        m = np.asarray(lhat.entries)
+        row = np.abs(m).max(axis=1)
+        scale = np.maximum(row, np.concatenate([[0.0], row[:-1]]))
+        defect = np.abs(np.asarray(siegmund_dual(lhat).l.entries) - cumulative_rate_sums_with_diagonal(m))
+        assert np.all(defect <= (n + 1) * EPS * scale[None, :])
 
     @staticmethod
     def _assert_residual_matches_products(pair):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
@@ -39,6 +40,8 @@ from conftest import (
     random_birth_death,
     random_generator,
     random_jordan_blocks,
+    svd_power_cluster_chains,
+    witness_matrix,
 )
 
 
@@ -96,15 +99,34 @@ class TestDecompose:
         with pytest.raises(DecompositionFailedError):
             decompose(cyclic_generator(), tol_residual=1e-30)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_deep_blocks_decompose_on_every_seed(self, seed):
+        # the n x n SVD-of-powers route read null dimensions [0, 1, 2, 4] at lam ~ 0
+        # on 20 of these seeds and raised; the leading Schur block reads [0, 1, 2, 3, 4]
+        m = jordan_assembled([(-2.0, 2), (-1.0, 3), (0.0, 4)], np.random.default_rng(seed))
+        sd = decompose(m, tol_cluster=1e-3)
+        assert _block_list(sd.structure) == [(0.0, 0.0, 4), (-1.0, 0.0, 3), (-2.0, 0.0, 2)]
+
     def test_impossible_null_dimensions_name_the_chain_count(self):
-        # at lam ~ 0 the null dimensions of the powers read [0, 1, 2, 4]: a jump of 2
-        # after jumps of 1, which no Jordan structure has; the chains would hold 6 vectors
-        m = jordan_assembled([(-2.0, 2), (-1.0, 3), (0.0, 4)], np.random.default_rng(0))
+        # a nilpotent block of size 3 beside delta = 1e-3: delta and delta^2 stay above the
+        # k = 1, 2 cutoffs (sqrt(eps)), delta^3 falls below the k = 3 one, so the null
+        # dimensions read [0, 1, 2, 4], which no Jordan structure has; 2 chains of 3 = 6 vectors
+        block = np.diag([1.0, 1.0], 1)
+        a = np.zeros((4, 4))
+        a[:3, :3] = block
+        a[3, 3] = 1e-3
         with pytest.raises(
             DecompositionFailedError,
             match=r"hold 6 vectors for algebraic multiplicity 4 \(null dimensions of the powers \[0, 1, 2, 4\]\)",
         ):
-            decompose(m, tol_cluster=1e-3)
+            spectral._jordan_chains(a, 0j, 4, 0.0, 1.0, 4)
+
+    def test_schur_selection_must_match_the_cluster(self):
+        mat = np.diag([0.0, 0.0, 0.0, 1.0])
+        t, z = scipy.linalg.schur(mat, output="real")
+        eigs, vecs = np.linalg.eig(mat)
+        with pytest.raises(DecompositionFailedError, match=r"needs 2 Schur positions .* holds 3"):
+            spectral._cluster_chains(mat, (t, z, np.sum(mat**2, axis=0)), eigs, vecs, [0, 1], 0j, 1e-7)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
     def test_rebuild_random_generator(self, seed, n):
@@ -256,6 +278,15 @@ def _sep(rng, vertices, gamma, random_rates):
     return permuted(rng, sep_generator(ConfigurationSpace.sep(vertices, gamma), p))
 
 
+def _complex_jordan(rng, size):
+    """S J S^-1 for J = one real Jordan block of `size` 2 x 2 rotations (eigenvalues -1 +- i), beside -2."""
+    n = 2 * size + 1
+    j = np.kron(np.eye(size), [[-1.0, 1.0], [-1.0, -1.0]]) + np.eye(2 * size, k=2)
+    j = np.block([[j, np.zeros((2 * size, 1))], [np.zeros((1, 2 * size)), -2.0 * np.eye(1)]])
+    s = rng.random((n, n)) + 2.0 * np.eye(n)
+    return RateMatrix.from_entries(s @ j @ np.linalg.inv(s))
+
+
 # label -> (build(rng) -> RateMatrix, tol_cluster); a designed block of size m
 # splits by about eps^(1/m), so sizes 3 and 4 need the looser tolerance
 ROUTE_CASES = {
@@ -278,56 +309,69 @@ ROUTE_CASES = {
     "battery primal": (lambda rng: jordan_assembled(THREE_VERSUS_FIVE[1], rng), 1e-3),
     "battery random 1": (lambda rng: jordan_assembled(random_jordan_blocks(rng), rng), 1e-3),
     "battery random 2": (lambda rng: jordan_assembled(random_jordan_blocks(rng, 8), rng), 1e-3),
+    "cycles 3": (lambda rng: direct_sum(rng, cyclic_generator(), 3), 1e-7),
+    "cycles 5": (lambda rng: direct_sum(rng, cyclic_generator(), 5), 1e-7),
+    "complex jordan 2": (lambda rng: _complex_jordan(rng, 2), 1e-7),
 }
 
 
 def _semisimple_clusters(structure: JordanStructure):
-    """Column ranges of the real eigenvalues carried by two or more blocks, all of size 1."""
+    """Column ranges of the eigenvalues carried by two or more blocks, all of size 1."""
     out, pos = [], 0
     for ev in dict.fromkeys(b.eigenvalue for b in structure.blocks):
         sizes = [b.size for b in structure.blocks if b.eigenvalue == ev]
-        if ev.imag == 0.0 and len(sizes) > 1 and max(sizes) == 1:
+        if len(sizes) > 1 and max(sizes) == 1:
             out.append((ev, slice(pos, pos + len(sizes))))
         pos += sum(sizes)
     return out
 
 
-class TestSemisimpleRoute:
-    """Reordered Schur vectors for semisimple real clusters against the SVD-of-powers route."""
+class TestLeadingBlockRoute:
+    """Chains from the reordered leading Schur block against the n x n SVD-of-powers reference in conftest."""
 
     @staticmethod
     def spy(monkeypatch):
-        """Record (lam, certified) for every _semisimple_basis call."""
+        """Record (lam, exited at k = 1) for every _jordan_chains call."""
         calls = []
-        real = spectral._semisimple_basis
+        real = spectral._jordan_chains
 
-        def recording(mat, schur_form, lam, m_alg, spread, tol):
-            out = real(mat, schur_form, lam, m_alg, spread, tol)
-            calls.append((round(lam, 6), out is not None))
+        def recording(a, lam, m_alg, *args):
+            out = real(a, lam, m_alg, *args)
+            exited = len(out) == m_alg and np.array_equal([c[0] for c in out], np.eye(m_alg))
+            calls.append((round(lam.real, 6), exited))
             return out
 
-        monkeypatch.setattr(spectral, "_semisimple_basis", recording)
+        monkeypatch.setattr(spectral, "_jordan_chains", recording)
         return calls
 
     @pytest.mark.parametrize("case", list(ROUTE_CASES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_structure_and_span_match_svd_route(self, case, seed, monkeypatch):
+    def test_structure_and_span_match_svd_reference(self, case, seed, monkeypatch):
         build, tol = ROUTE_CASES[case]
         l = build(np.random.default_rng(seed))
-        calls = self.spy(monkeypatch)
         fast = decompose(l, tol_cluster=tol)
-        monkeypatch.setattr(spectral, "_semisimple_basis", lambda *args: None)
+        monkeypatch.setattr(spectral, "_cluster_chains", svd_power_cluster_chains)
         svd = decompose(l, tol_cluster=tol)
         assert fast.structure == svd.structure
-        clusters = _semisimple_clusters(fast.structure)
-        # every semisimple cluster took the Schur route, and nothing else did
-        assert sorted(lam for lam, ok in calls if ok) == sorted(round(ev.real, 6) for ev, _ in clusters)
-        for _, cols in clusters:
+        for _, cols in _semisimple_clusters(fast.structure):
             assert np.max(subspace_angles(fast.U[:, cols], svd.U[:, cols])) <= 1e-8
         assert fast.residual <= 1e-11
+        upper = [ev for ev in dict.fromkeys(b.eigenvalue for b in fast.structure.blocks) if ev.imag > 0]
+        for ev in upper:
+            cols = [self.columns(fast.structure, e) for e in (ev, ev.conjugate())]
+            npt.assert_array_equal(fast.U[:, cols[0]].conj(), fast.U[:, cols[1]])
+
+    @staticmethod
+    def columns(structure: JordanStructure, ev: complex) -> list[int]:
+        return [
+            offset + i
+            for offset, b in zip(structure.offsets, structure.blocks)
+            if b.eigenvalue == ev
+            for i in range(b.size)
+        ]
 
     @pytest.mark.parametrize("copies", [1, 2, 6, 12])
-    def test_defective_clusters_never_take_the_schur_route(self, copies, monkeypatch):
+    def test_defective_clusters_never_exit_at_k1(self, copies, monkeypatch):
         calls = self.spy(monkeypatch)
         decompose(direct_sum(np.random.default_rng(copies), jordan_block_generator(), copies))
         expected = [(-1.5, True), (-1.0, False), (0.0, True)] if copies > 1 else [(-1.0, False)]
@@ -335,7 +379,7 @@ class TestSemisimpleRoute:
 
     @pytest.mark.parametrize("vertices,gamma", [(3, 2), (3, 3), (4, 2), (2, 8)])
     @pytest.mark.parametrize("random_rates", [False, True])
-    def test_sep_clusters_always_take_the_schur_route(self, vertices, gamma, random_rates, monkeypatch):
+    def test_sep_clusters_always_exit_at_k1(self, vertices, gamma, random_rates, monkeypatch):
         calls = self.spy(monkeypatch)
         sd = decompose(_sep(np.random.default_rng(vertices * gamma), vertices, gamma, random_rates))
         eigenvalues = [b.eigenvalue for b in sd.structure.blocks]
@@ -343,7 +387,7 @@ class TestSemisimpleRoute:
         assert calls and all(ok for _, ok in calls)
         assert len(calls) == len(repeated)
 
-    def test_no_schur_form_without_a_real_cluster(self, monkeypatch):
+    def test_no_schur_form_without_a_repeated_eigenvalue(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("schur called")
 
@@ -390,7 +434,8 @@ class TestRSimilar:
             w = check_r_similar(sd, sd, r=l.n)
             assert w is not None and w.rank == l.n
             j = sd.structure.jordan_matrix()
-            assert np.max(np.abs(j @ w.t_matrix - w.t_matrix @ j)) < 1e-9
+            t = witness_matrix(sd, sd, w)
+            assert np.max(np.abs(j @ t - t @ j)) < 1e-9
 
     def test_rw54_pair_full_rank(self):
         rw = rw_reflected_absorbed(6)
@@ -398,7 +443,8 @@ class TestRSimilar:
         assert w is not None
         jh = rw.spectral_hat.structure.jordan_matrix()
         j = rw.spectral.structure.jordan_matrix()
-        assert np.max(np.abs(jh @ w.t_matrix - w.t_matrix @ j)) < 1e-12
+        t = witness_matrix(rw.spectral_hat, rw.spectral, w)
+        assert np.max(np.abs(jh @ t - t @ j)) < 1e-12
 
     def test_disjoint_spectra_share_only_zero(self):
         # complex cyclic spectrum vs real birth-death spectrum: only lambda=0 is common
@@ -422,7 +468,7 @@ class TestRSimilar:
         w = check_r_similar(sd, sd, r=2)
         assert w is not None
         assert sum(u.size for u in w.matched) == 2
-        assert np.linalg.matrix_rank(w.t_matrix) == 2
+        assert np.linalg.matrix_rank(witness_matrix(sd, sd, w)) == 2
 
     def test_out_of_range_rank(self):
         sd = decompose(cyclic_generator())
