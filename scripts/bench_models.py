@@ -16,8 +16,10 @@ ladder/SEP sizes, `rw_blocked_absorbed` at the blocked-walk sizes,
 orthogonal parameters.  Two rows lie beyond one round and are summarized on
 their own: `sep_generator` and `factorized_duality` on SEP V = 8, gamma = 2
 (6,561 states, three timed calls each).  Per call and size it reports the min
-and median wall time over the repeats (after one untimed call), and the
-output's fingerprint: a digest of the generator, duality, Siegmund dual,
+and median wall time over the repeats (after one untimed call), the
+tracemalloc peak of one more call in MiB (`peak_mib`: numpy arrays and
+Python objects, not BLAS or LAPACK work space), and the output's
+fingerprint: a digest of the generator, duality, Siegmund dual,
 projection or operator matrix, the duality's rank, its recorded residual
 and, as its own field, the dense max|L D - D L^T| (taken by blocks of rows,
 untimed), the Siegmund pair's residual, the walk's two spectral residuals,
@@ -28,8 +30,9 @@ With --before it runs itself twice in fresh interpreters, first on the
 checkout given (importing its `src/`), then on this one, each with the
 repository root of this script on the path for `perfbench`, and writes
 {machine, command, summary, before, after} to --out: per call the sum of
-the medians on both sides and their ratio, and whether every fingerprint
-matched.  BLAS threads follow the environment.
+the medians on both sides and their ratio, the largest `peak_mib` on each
+side, and whether every fingerprint field (digest, rank, residual,
+dense_residual) matched exactly.  BLAS threads follow the environment.
 """
 
 import argparse
@@ -41,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,16 @@ def timed(fn, repeats: int) -> tuple[object, dict]:
     return out, {"min_s": min(walls), "median_s": statistics.median(walls), "repeats": repeats}
 
 
+def traced_peak_mib(fn) -> float:
+    """tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def dense_residual(l, d) -> float:
     """max|L D - D L^T| by blocks of rows, so no N x N temporary beyond L and D."""
     l, d = np.asarray(l.entries), np.asarray(d.matrix)
@@ -80,7 +94,8 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
 
     def row(call, label, states, fn, fingerprint, times=repeats, group=None):
         out, walls = timed(fn, times)
-        rows.append({"call": call, "group": group or call, "input": label, "states": states, **walls, **fingerprint(out)})
+        peak = traced_peak_mib(fn)
+        rows.append({"call": call, "group": group or call, "input": label, "states": states, **walls, "peak_mib": peak, **fingerprint(out)})
 
     def duality(l):
         return lambda d: {"digest": digest(d.matrix), "rank": d.rank, "residual": d.residual, "dense_residual": dense_residual(l, d)}
@@ -164,14 +179,20 @@ def run_checkout(script: str, checkout: Path, argv: list[str]) -> dict:
     return json.loads(out.stdout)
 
 
-def compare(before: list[dict], after: list[dict]) -> dict:
+FINGERPRINT = ("digest", "rank", "residual", "dense_residual")
+
+
+def compare(before: list[dict], after: list[dict], exact=FINGERPRINT) -> dict:
+    """Per group: summed medians, their ratio, the largest peak_mib (where recorded) and whether the `exact` fields match."""
     summary = {}
     for b, a in zip(before, after):
         s = summary.setdefault(b["group"], {"before_s": 0.0, "after_s": 0.0, "same_output": True})
         s["before_s"] += b["median_s"]
         s["after_s"] += a["median_s"]
-        exact = {k for k in ("digest", "rank") if k in b}
-        s["same_output"] &= all(a[k] == b[k] for k in exact)
+        if "peak_mib" in b and "peak_mib" in a:
+            s["before_peak_mib"] = max(s.get("before_peak_mib", 0.0), b["peak_mib"])
+            s["after_peak_mib"] = max(s.get("after_peak_mib", 0.0), a["peak_mib"])
+        s["same_output"] &= all(a[k] == b[k] for k in exact if k in b)
     for s in summary.values():
         s["speedup"] = s["before_s"] / s["after_s"]
     return summary
@@ -193,7 +214,8 @@ def main() -> None:
     record = {
         "what": "wall time per call of the exclusion-model builders on the inputs of one "
         "exclusion-transforms round (perfbench.workloads.ExclusionTransforms), before = --before "
-        "checkout, after = this checkout; digest/rank must match between the sides",
+        "checkout, after = this checkout; peak_mib = tracemalloc peak of one call; digest, rank, residual and "
+        "dense_residual must match exactly between the sides",
         "command": " ".join(["python3", "scripts/bench_models.py", "--before", "<parent checkout>",
                              "--seed", str(args.seed), "--repeats", str(args.repeats)]),
         "machine": machine(),

@@ -18,7 +18,7 @@ import scipy.sparse.csgraph
 
 from .config import DEFAULTS
 from .errors import NoPositiveSolutionError, NotIrreducibleError, ShapeMismatchError
-from .linalg import max_abs
+from .linalg import max_abs, off_diagonal
 
 
 class MatrixKind(enum.Enum):
@@ -47,6 +47,9 @@ class StateSpace:
 
 
 def _frozen_array(entries, dtype=float) -> np.ndarray:
+    """A read-only array of `dtype`: a read-only array of that dtype is kept as is, anything else is copied."""
+    if isinstance(entries, np.ndarray) and entries.dtype == dtype and not entries.flags.writeable:
+        return entries
     arr = np.array(entries, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -61,8 +64,7 @@ def classify_matrix(entries, row_tol: float = DEFAULTS.row) -> MatrixKind:
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
-    off = m - np.diag(np.diag(m))
-    if off.size and off.min(initial=0.0) < -row_tol:
+    if off_diagonal(m).min(initial=0.0) < -row_tol:
         return MatrixKind.INVALID
     row_sums = m.sum(axis=1)
     if np.all(np.abs(row_sums) <= row_tol):
@@ -80,12 +82,14 @@ def _require_finite(entries: np.ndarray) -> None:
         raise ValueError(f"rate matrix entry {index} is {entries[index]}, not finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Square rate matrix over an indexed state space.
 
     kind GENERATOR / SUB_GENERATOR certify the sign and row-sum constraints;
     RAW carries no constraint and is used for adjoints and intermediates.
+    entries is a read-only float64 array; a read-only float64 array passed
+    in is kept, not copied.  Equality and hashing go by identity.
     """
 
     space: StateSpace
@@ -117,6 +121,7 @@ class RateMatrix:
         entries; unclassifiable matrices fall back to RAW when kind is None.
         """
         arr = np.array(entries, dtype=float)
+        arr.setflags(write=False)  # the constructor keeps this private copy instead of copying it again
         _require_finite(arr)  # before classifying, so the error names the entry rather than a kind
         found = classify_matrix(arr, row_tol)
         if kind is None:
@@ -141,9 +146,9 @@ def generator(entries, labels: Sequence[str] | None = None, row_tol: float = DEF
     return RateMatrix.from_entries(entries, kind=MatrixKind.GENERATOR, labels=labels, row_tol=row_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
-    """Strictly positive weight vector over a state space."""
+    """Strictly positive weight vector over a state space (read-only); equality goes by identity."""
 
     space: StateSpace
     weights: np.ndarray
@@ -204,12 +209,18 @@ def stationary_measure(l: RateMatrix, tol: float = DEFAULTS.residual) -> Measure
 
 
 def check_detailed_balance(l: RateMatrix, mu: Measure, tol: float = DEFAULTS.residual) -> bool:
-    """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within tol."""
+    """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within tol.
+
+    The flux mu(x) L(x,y) is the one n x n buffer; its difference from its
+    transpose is taken by blocks of rows of at most 2^17 entries.
+    """
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.asarray(mu.weights)
     flux = w[:, None] * np.asarray(l.entries)
-    return max_abs(flux - flux.T) <= tol
+    step = max(1, 2**17 // l.n)
+    worst = [max_abs(flux[a : a + step] - flux[:, a : a + step].T) for a in range(0, l.n, step)]
+    return bool(np.max(worst) <= tol)
 
 
 def adjoint(l: RateMatrix, mu: Measure) -> RateMatrix:

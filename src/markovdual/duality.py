@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualityFunction:
     """A duality matrix D indexed by (dual state, primal state).
 
@@ -67,7 +67,7 @@ class DualityFunction:
     instance, for a duality read from JSON).  It is the max-abs entry of
     L_hat D - D L^T, or, for the product dualities of `models`, an upper
     bound on it from two-site terms.  rank is the numerical rank at the
-    default singular-value threshold.
+    default singular-value threshold.  Equality and hashing go by identity.
     """
 
     dual_space: StateSpace
@@ -75,7 +75,7 @@ class DualityFunction:
     matrix: np.ndarray
     residual: float
     rank: int
-    pair: tuple[RateMatrix, RateMatrix] | None = field(default=None, compare=False, repr=False)
+    pair: tuple[RateMatrix, RateMatrix] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -90,7 +90,7 @@ class DualityFunction:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualitySpace:
     """Basis of the linear space {D : L_hat D = D L^T}, with its rank-decision margins.
 
@@ -99,7 +99,7 @@ class DualitySpace:
     matrices is stacked into one.  cutoff is the singular-value threshold the
     solver used; largest_discarded is the largest singular value it treated
     as zero (0.0 if none) and smallest_kept the smallest it treated as
-    nonzero (inf if none).
+    nonzero (inf if none).  Equality and hashing go by identity.
     """
 
     dual_space: StateSpace
@@ -529,9 +529,11 @@ def build_from_spectra(
     primal_cols = [u.offset + u.size - 1 - i for u in units for i in range(u.size)]
     c = np.repeat(a.ravel(), [u.size for u in units])
     d = (hat_data.U[:, hat_cols] * c) @ primal_data.U[:, primal_cols].T
-    imag = max_abs(d.imag)
-    if imag > tol * max(1.0, max_abs(d.real)):
-        raise ComplexResidueError(
-            f"imaginary residue {imag:.3e}: conjugate blocks are not tied"
-        )
-    return make_duality(hat_data.source, primal_data.source, d.real)
+    if np.iscomplexobj(d):  # two real bases give a real D and need no check
+        imag = max_abs(d.imag)
+        if imag > tol * max(1.0, max_abs(d.real)):
+            raise ComplexResidueError(
+                f"imaginary residue {imag:.3e}: conjugate blocks are not tied"
+            )
+        d = d.real
+    return make_duality(hat_data.source, primal_data.source, d)

@@ -31,13 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwiningOperator:
     """Rectangular operator Lambda between two state spaces.
 
     from_space is the space of L (size n), to_space the space of Ltilde
     (size ntilde); the matrix is ntilde x n.  `stochastic` is derived:
-    nonnegative rows summing to one.
+    nonnegative rows summing to one.  Equality and hashing go by identity.
     """
 
     from_space: StateSpace

@@ -8,9 +8,38 @@ EPS = float(np.finfo(float).eps)
 
 
 def max_abs(a) -> float:
-    """Largest absolute entry of an array (0.0 for empty input)."""
+    """Largest absolute entry of an array (0.0 for empty input); NaN if any entry is NaN.
+
+    Real input is read by one max and one min, with no |a| temporary (a NaN
+    makes both extremes NaN, so it propagates); the extremes are converted
+    to float before the negation, so a signed or unsigned integer extreme
+    cannot wrap.  Complex input takes np.abs.
+    """
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    if a.dtype.kind == "c":
+        return float(np.abs(a).max())
+    return max(float(a.max()), -float(a.min()))
+
+
+def inverse_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a b - I| for square a b, with the product as the only n x n buffer (I subtracted in place)."""
+    product = a @ b
+    product.flat[:: product.shape[0] + 1] -= 1.0
+    return max_abs(product)
+
+
+def off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square matrix, as an (n - 1, n) strided view.
+
+    Row i holds the entries between diagonal entries i and i + 1 in memory
+    order, so a C- or F-contiguous matrix gives a view and no copy (any other
+    layout is copied once by ravel).
+    """
+    n = a.shape[0]
+    flat = a.ravel(order="F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C")
+    return flat[1:].reshape(n - 1, n + 1)[:, :n] if n else flat.reshape(0, 0)
 
 
 def rank_threshold(s: np.ndarray, shape, rtol: float | None = None) -> float:
@@ -27,4 +56,3 @@ def numerical_rank(a: np.ndarray, rtol: float | None = None) -> int:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > rank_threshold(s, a.shape, rtol)))
-

@@ -174,6 +174,11 @@ class _Hops(NamedTuple):
     free: np.ndarray
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @functools.lru_cache(maxsize=16)
 def _hop_pattern(n_sites: int, capacity: int) -> _Hops:
     """The _Hops of n_sites sites at `capacity`: read-only, cached, in the smallest integer types that hold them."""
@@ -196,8 +201,7 @@ def _hop_pattern(n_sites: int, capacity: int) -> _Hops:
         eta[rows, src[h]].astype(count),
         (capacity - eta[rows, dst[h]]).astype(count),
     )
-    for a in pattern:
-        a.setflags(write=False)
+    _freeze(*pattern)
     return pattern
 
 
@@ -570,13 +574,18 @@ def _walk_interior(n: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReflectedAbsorbedRW:
     """Reflected/absorbed walk pair on {1..n} with analytic spectral data.
 
     l reflects at the left boundary and is absorbed (frozen) at the right;
     lhat mirrors this.  Both share the spectrum lambda_1 = 0,
     lambda_i = 2(cos theta_i - 1) with theta_i = (i - 1/2) pi / (n-1).
+
+    Every array is read-only float64.  The eigenvalues are in canonical
+    order already, so spectral.U is u and spectral_hat.U is uhat (shared
+    memory, no copies); each Uinv is the inverse np.linalg.inv computes.
+    Equality and hashing go by identity.
     """
 
     n: int
@@ -613,6 +622,7 @@ def rw_reflected_absorbed(n: int, tol: float = DEFAULTS.residual) -> ReflectedAb
     u[:, 0] = uhat[:, 0] = 1.0 / np.sqrt(n)
     u[:, 1:] = np.cos(arg) / np.sqrt(n)
     uhat[:, 1:] = np.sin(arg) / np.sqrt(n)
+    _freeze(lambdas, thetas, u, uhat)
     l_rm = RateMatrix.from_entries(l)
     lhat_rm = RateMatrix.from_entries(lhat)
     return ReflectedAbsorbedRW(
@@ -628,13 +638,19 @@ def rw_reflected_absorbed(n: int, tol: float = DEFAULTS.residual) -> ReflectedAb
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockedAbsorbedRW:
     """Blocked walk, its absorbed Siegmund dual, and the analytic eigenbases.
 
     uhat columns are counting-measure-orthonormal eigenfunctions of the
     (symmetric) blocked generator; u columns are their tail sums, eigen for
     the absorbed sub-generator at the same eigenvalues.
+
+    Every array is read-only float64, and the closed forms are stored once:
+    spectral.U is u, spectral_hat.U is uhat and spectral_hat.Uinv is the view
+    uhat.T (shared memory, no copies); spectral.Uinv is the closed-form
+    inverse, the row differences of uhat.T.  Equality and hashing go by
+    identity.
     """
 
     n: int
@@ -659,23 +675,32 @@ def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorb
     lhat = _walk_interior(n)
     lhat[0, 0], lhat[0, 1] = -1.0, 1.0
     lhat[n - 1, n - 2], lhat[n - 1, n - 1] = 1.0, -1.0
+    lhat_rm = RateMatrix.from_entries(lhat, kind=MatrixKind.GENERATOR)
+    del lhat  # lhat_rm holds its own copy
+    pair = siegmund_dual(lhat_rm)
     thetas = (np.arange(2, n + 1) - 1) * np.pi / n
     lambdas = np.concatenate([[0.0], 2.0 * (np.cos(thetas) - 1.0)])
     x = np.arange(1, n + 1)
-    arg = np.outer(x - 1, thetas)
     norm = 1.0 / np.sqrt(n * (1.0 - np.cos(thetas)))
     uhat = np.empty((n, n))
     u = np.empty((n, n))
     uhat[:, 0] = 1.0 / np.sqrt(n)
     u[:, 0] = (n + 1 - x) / np.sqrt(n)
-    uhat[:, 1:] = norm * (-np.sin(thetas) * np.cos(arg) + (1.0 - np.cos(thetas)) * np.sin(arg))
-    u[:, 1:] = norm * np.sin(arg)
-    del arg  # n x n; freed so the closed-form inverse below adds no array at the peak
+    # u = norm sin(arg) and uhat = norm (-sin(theta) cos(arg) + (1 - cos(theta)) sin(arg)),
+    # evaluated in place in two n x n buffers
+    arg = np.outer(x - 1, thetas)
+    sin = np.sin(arg)
+    np.multiply(norm, sin, out=u[:, 1:])
+    sin *= 1.0 - np.cos(thetas)
+    cos = np.cos(arg, out=arg)
+    cos *= -np.sin(thetas)
+    cos += sin
+    np.multiply(norm, cos, out=uhat[:, 1:])
+    del arg, sin, cos  # freed so the closed-form inverse below adds no array at the peak
     # uhat is orthogonal and u = S uhat with S[x, y] = [y >= x] (tail sums), so
     # u^{-1} = uhat^T S^{-1}: u^{-1}[i, y] = uhat[y, i] - uhat[y - 1, i], uhat[-1] = 0
     uinv = np.diff(uhat.T, axis=1, prepend=0.0)
-    lhat_rm = RateMatrix.from_entries(lhat, kind=MatrixKind.GENERATOR)
-    pair = siegmund_dual(lhat_rm)
+    _freeze(lambdas, thetas, u, uhat)
     return BlockedAbsorbedRW(
         n=n,
         pair=pair,

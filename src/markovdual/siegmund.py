@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULTS
 from .core import MatrixKind, RateMatrix
 from .errors import AlreadyConservativeError, NotBiorthogonalError, ShapeMismatchError
-from .linalg import max_abs
+from .linalg import inverse_defect, max_abs, off_diagonal
 
 __all__ = [
     "SiegmundPair",
@@ -67,16 +67,19 @@ def _cumulative_rate_sums(lhat: np.ndarray) -> np.ndarray:
     exactly zero, not rounding: the dual of a birth-death chain is exactly
     tridiagonal.  Where a row sum of lhat is not zero, S differs from the
     formula with the diagonal by those row sums, so for a generator by at
-    most 2 row_tol per entry.
+    most 2 row_tol per entry.  Two n x n buffers: the prefix sums, which
+    become the result, and the tail sums t.
     """
     n = lhat.shape[0]
     prefix = lhat.copy()
     np.fill_diagonal(prefix, 0.0)
     np.cumsum(prefix, axis=1, out=prefix)  # prefix[x, y] = p[x, y + 1]; prefix[x, -1] = r[x]
-    tails = np.zeros((n + 1, n))  # row 0 is row -1
-    np.multiply(np.arange(n) > np.arange(n)[:, None], prefix[:, -1:], out=tails[1:])
-    tails[1:, 1:] -= prefix[:, :-1]
-    return np.diff(tails, axis=0).T
+    tails = np.multiply(np.arange(n) > np.arange(n)[:, None], prefix[:, -1:])  # t[x, y] = r[x] - p[x, y] ...
+    tails[:, 1:] -= prefix[:, :-1]  # ... for y > x, and -p[x, y] for y <= x
+    # S^T = the row differences of t (row -1 zero), written into the spent prefix buffer
+    prefix[0] = tails[0]
+    np.subtract(tails[1:], tails[:-1], out=prefix[1:])
+    return prefix.T
 
 
 def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
@@ -97,17 +100,15 @@ def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
         raise ValueError("siegmund_dual requires a generator")
     entries = np.asarray(lhat.entries)
     dual = _cumulative_rate_sums(entries)
-    l = RateMatrix.from_entries(dual, row_tol=tol)  # an INVALID dual is kept as RAW
+    monotone = _off_diagonal_nonnegative(dual, tol)
+    l = RateMatrix.from_entries(dual, row_tol=tol)  # an INVALID dual is kept as RAW; l holds a copy
     defect = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # L_hat D_s
-    defect -= np.cumsum(dual, axis=1).T  # D_s L^T
-    res = max_abs(defect)
-    return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=_off_diagonal_nonnegative(dual, tol), residual=res)
+    defect -= np.cumsum(dual, axis=1, out=dual).T  # D_s L^T, in the spent buffer of dual
+    return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=monotone, residual=max_abs(defect))
 
 
 def _off_diagonal_nonnegative(sums: np.ndarray, tol: float) -> bool:
-    off = sums.copy()
-    np.fill_diagonal(off, 0.0)
-    return bool(off.min(initial=0.0) >= -tol)
+    return bool(off_diagonal(sums).min(initial=0.0) >= -tol)
 
 
 def check_monotone(lhat: RateMatrix, tol: float = DEFAULTS.row) -> bool:
@@ -136,14 +137,19 @@ def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray, tol: float = DEFAULT
     bi-orthogonal to the uhat_i under counting measure; the w_i are recovered
     by differencing and the pairing checked (NotBiorthogonalError on
     failure).  Under the preconditions the result equals siegmund_matrix(n).
+    The check holds two n x n buffers, w and its Gram matrix (I subtracted
+    in place), both freed before the result is formed.
     """
     uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if uhats.shape != us.shape or uhats.shape[0] != uhats.shape[1]:
         raise ShapeMismatchError("expected two square eigenfunction families of equal shape")
     # w_i(y) = u_i(y) - u_i(y+1) inverts the tail-sum transform
-    w = us - np.vstack([us[1:], np.zeros((1, us.shape[1]))])
-    defect = max_abs(w.T @ uhats - np.eye(us.shape[1]))
+    w = np.empty_like(us)
+    np.subtract(us[:-1], us[1:], out=w[:-1])
+    w[-1] = us[-1]
+    defect = inverse_defect(w.T, uhats)
+    del w
     if defect > max(tol, 1e-8):
         raise NotBiorthogonalError(f"bi-orthogonality defect {defect:.3e}")
     return uhats @ us.T

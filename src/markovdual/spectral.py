@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dtrsen
 from .config import DEFAULTS
 from .core import Measure, RateMatrix
 from .errors import DecompositionFailedError, NotOrthonormalError, ShapeMismatchError
-from .linalg import EPS, max_abs
+from .linalg import EPS, inverse_defect, max_abs
 
 __all__ = [
     "JordanBlock",
@@ -77,11 +77,19 @@ class JordanStructure:
             pos += b.size
         return tuple(out)
 
+    def is_real(self) -> bool:
+        return all(b.eigenvalue.imag == 0.0 for b in self.blocks)
+
     def jordan_matrix(self) -> np.ndarray:
-        """Assemble J: eigenvalues on the diagonal, ones on in-block superdiagonals."""
-        j = np.zeros((self.n, self.n), dtype=complex)
+        """Assemble J: eigenvalues on the diagonal, ones on in-block superdiagonals.
+
+        float64 when every eigenvalue is real, complex128 otherwise.
+        """
+        real = self.is_real()
+        j = np.zeros((self.n, self.n), dtype=float if real else complex)
         pos = 0
         for ev, m in self.blocks:
+            ev = ev.real if real else ev
             for i in range(m):
                 j[pos + i, pos + i] = ev
                 if i + 1 < m:
@@ -93,13 +101,19 @@ class JordanStructure:
         return all(b.size == 1 for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Jordan decomposition M = U J U^{-1} of a rate matrix.
 
     Columns of U are (generalized) eigenfunctions grouped by block in chain
     order; rows of Uinv are the dual functions w_i with <w_i, u_j> = delta_ij.
     residual = max of the reconstruction and inversion defects (max-abs entry).
+
+    Storage: U and Uinv are read-only, float64 when every block eigenvalue
+    is real and complex128 otherwise (spectral_from_eigenbasis keeps the
+    given basis's dtype, widened to float64 or complex128).  They may be
+    views of arrays the producer was given (see spectral_from_eigenbasis).
+    Equality and hashing go by identity.
     """
 
     source: RateMatrix
@@ -350,13 +364,17 @@ def decompose(
     O(n^3) for `eig`, the Schur form, the inverse and the residual check,
     plus O(m_alg n^2) per cluster for its dtrsen and work of block size.
 
+    Storage: U and Uinv are read-only, float64 when every block eigenvalue
+    is real (the chains of a real eigenvalue are real columns) and
+    complex128 otherwise; each residual gate forms one n x n product and
+    subtracts in place.
+
     Raises DecompositionFailedError if a cluster's Schur positions or chains
     do not match its multiplicity, or if the reconstruction or inversion
     residual exceeds tol_residual.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
-    n = mat.shape[0]
     eigs, vecs = np.linalg.eig(mat)
     groups, reps = _cluster_eigenvalues(eigs, tol_cluster)
     schur_form = None
@@ -390,18 +408,27 @@ def decompose(
             done[gi] = done[partner] = True
     blocks.sort(key=lambda b: _canonical_key(JordanBlock(b[0], len(b[1]))))
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
-    u = np.array([v for _, chain in blocks for v in chain], dtype=complex).T
+    dtype = float if structure.is_real() else complex
+    u = np.array([v for _, chain in blocks for v in chain], dtype=dtype).T
     try:
         uinv = np.linalg.inv(u)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailedError("generalized eigenbasis is numerically singular") from exc
-    j = structure.jordan_matrix()
-    residual = max(max_abs(mat @ u - u @ j), max_abs(uinv @ u - np.eye(n)))
+    defect = mat @ u
+    defect -= u @ structure.jordan_matrix()
+    residual = max(max_abs(defect), inverse_defect(uinv, u))
     if residual > tol_residual:
         raise DecompositionFailedError(
             f"decomposition residual {residual:.3e} exceeds tolerance {tol_residual:.3e}"
         )
-    return SpectralData(source, structure, u, uinv, residual)
+    return SpectralData(source, structure, _read_only(u), _read_only(uinv), residual)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a (a itself stays as it was)."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def spectral_from_eigenbasis(
@@ -415,26 +442,37 @@ def spectral_from_eigenbasis(
 
     J is diagonal, so the reconstruction defect M U - U J is checked as
     M U - U diag(lambda).  A known inverse `uinv` (rows dual to the columns
-    of u, e.g. a closed form) is taken as given, its rows re-sorted like the
-    columns; otherwise U is inverted in its own dtype (a real basis stays
-    real).  Either way Uinv U - I is gated by tol_residual, and U and Uinv are
-    stored complex, like decompose's.
+    of u, e.g. a closed form) is taken as given; otherwise U is inverted.
+    Either way Uinv U - I is gated by tol_residual, each gate with one n x n
+    product buffer.
+
+    Storage: U keeps u's dtype, widened to float64 or complex128 (a real
+    basis stays real), and Uinv is the given or computed inverse.  Both are
+    stored read-only.  When the eigenvalues are already in canonical order
+    (real part descending, as for the walks of `models`), no column is
+    moved: U and a given Uinv are read-only views of u and uinv, not copies,
+    so the caller must not write to those arrays afterwards.  Otherwise the
+    columns of u, and the rows of a given uinv, are re-sorted into copies.
     """
     structure = JordanStructure(tuple(JordanBlock(complex(ev), 1) for ev in eigenvalues))
     keys = [_canonical_key(JordanBlock(complex(ev), 1)) for ev in eigenvalues]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    # re-sort columns (and the inverse's rows) so they line up with the canonical block order
-    ordered = np.asarray(u)[:, order]
-    uinv = np.linalg.inv(ordered) if uinv is None else np.asarray(uinv)[order]
-    residual = max(
-        max_abs(np.asarray(source.entries) @ ordered - ordered * np.asarray(eigenvalues)[order]),
-        max_abs(uinv @ ordered - np.eye(source.n)),
-    )
+    u = np.asarray(u)
+    u = u.astype(np.result_type(u.dtype, float), copy=False)
+    lams = np.asarray(eigenvalues)
+    if order != list(range(len(order))):
+        # re-sort columns (and the inverse's rows) so they line up with the canonical block order
+        u, lams = u[:, order], lams[order]
+        uinv = None if uinv is None else np.asarray(uinv)[order]
+    uinv = np.linalg.inv(u) if uinv is None else np.asarray(uinv)
+    defect = (np.asarray(source.entries) @ u).astype(np.result_type(u, lams), copy=False)
+    defect -= u * lams
+    residual = max(max_abs(defect), inverse_defect(uinv, u))
     if residual > tol_residual:
         raise DecompositionFailedError(
             f"analytic eigenbasis residual {residual:.3e} exceeds {tol_residual:.3e}"
         )
-    return SpectralData(source, structure, ordered.astype(complex), uinv.astype(complex), residual)
+    return SpectralData(source, structure, _read_only(u), _read_only(uinv), residual)
 
 
 def build_bj(structure: JordanStructure) -> np.ndarray:

@@ -428,6 +428,53 @@ def siegmund_residual_product(lhat, dual) -> float:
     return float(np.max(np.abs(lhat @ ds - ds @ dual.T)))
 
 
+def cumulative_rate_sums_out_of_place(lhat) -> np.ndarray:
+    """Reference for siegmund._cumulative_rate_sums: the same sums with a fresh array per step.
+
+    Off-diagonal prefix sums, tail sums t in an (n + 1) x n array whose row 0
+    is row -1, and np.diff for the row differences.
+    """
+    lhat = np.asarray(lhat)
+    n = lhat.shape[0]
+    prefix = lhat.copy()
+    np.fill_diagonal(prefix, 0.0)
+    np.cumsum(prefix, axis=1, out=prefix)
+    tails = np.zeros((n + 1, n))
+    np.multiply(np.arange(n) > np.arange(n)[:, None], prefix[:, -1:], out=tails[1:])
+    tails[1:, 1:] -= prefix[:, :-1]
+    return np.diff(tails, axis=0).T
+
+
+def siegmund_residual_out_of_place(lhat, dual) -> float:
+    """Reference for siegmund_dual's residual: the tail-sum and prefix-sum formula with out-of-place steps."""
+    lhat, dual = np.asarray(lhat), np.asarray(dual)
+    return float(np.max(np.abs(np.cumsum(lhat[:, ::-1], axis=1)[:, ::-1] - np.cumsum(dual, axis=1).T)))
+
+
+def eigenbasis_residual_out_of_place(m, u, lams, uinv) -> float:
+    """Reference for spectral_from_eigenbasis's residual: max of |M U - U diag(lam)| and |Uinv U - I|."""
+    m = np.asarray(m)
+    return max(
+        float(np.max(np.abs(m @ u - u * lams))),
+        float(np.max(np.abs(uinv @ u - np.eye(m.shape[0])))),
+    )
+
+
+def decompose_residual_out_of_place(m, u, j, uinv) -> float:
+    """Reference for decompose's residual: max of |M U - U J| and |Uinv U - I|."""
+    m = np.asarray(m)
+    return max(
+        float(np.max(np.abs(m @ u - u @ j))),
+        float(np.max(np.abs(uinv @ u - np.eye(m.shape[0])))),
+    )
+
+
+def balance_defect_out_of_place(l, mu) -> float:
+    """Reference for check_detailed_balance: max|F - F^T| of the flux F = diag(mu) L."""
+    flux = np.asarray(mu.weights)[:, None] * np.asarray(l.entries)
+    return float(np.max(np.abs(flux - flux.T)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -569,9 +569,12 @@ class TestBlockedAbsorbedRW:
         rw = rw_blocked_absorbed(10)
         assert rw.spectral.residual < 1e-9
         assert rw.spectral_hat.residual < 1e-9
-        # the real analytic bases are validated in float but stored complex, like decompose's
-        for sd in (rw.spectral, rw.spectral_hat):
-            assert sd.U.dtype == sd.Uinv.dtype == complex
+        # the real analytic bases are stored once, as read-only float64 arrays shared with the walk
+        for sd, basis in ((rw.spectral, rw.u), (rw.spectral_hat, rw.uhat)):
+            assert sd.U.dtype == sd.Uinv.dtype == np.float64
+            assert not sd.U.flags.writeable and not sd.Uinv.flags.writeable
+            assert np.shares_memory(sd.U, basis)
+        assert np.shares_memory(rw.spectral_hat.Uinv, rw.uhat)
 
     def test_general_duality_form(self, rng):
         rw = rw_blocked_absorbed(7)
