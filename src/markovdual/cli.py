@@ -230,7 +230,10 @@ def _vertices_from_arg(raw: str):
         if isinstance(doc, list):
             return doc, 1.0
         if isinstance(doc, dict) and ("vertices" in doc or "V" in doc):
-            return doc.get("vertices", doc.get("V")), doc.get("p", 1.0)
+            vertices = doc.get("vertices", doc.get("V"))
+            if isinstance(vertices, bool) or not isinstance(vertices, (int, list)):
+                raise ParseError(f"vertex file {raw}: vertices must be a count or a list, got {vertices!r}")
+            return vertices, doc.get("p", 1.0)
         raise ParseError(f"cannot interpret vertex file {raw}")
     try:
         return int(raw), 1.0
@@ -238,10 +241,22 @@ def _vertices_from_arg(raw: str):
         raise ParseError(f"--V must be an integer or a JSON file, got {raw!r}") from exc
 
 
+def _rates_from_doc(p, v: int):
+    """The rate argument of a vertex file: a number, or a V x V numeric matrix (ParseError otherwise)."""
+    number = isinstance(p, (int, float)) and not isinstance(p, bool)
+    try:
+        table = np.array(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is None or table.shape != (() if number else (v, v)):
+        raise ParseError(f"vertex file rates p must be a number or a {v} x {v} numeric matrix, got {p!r}")
+    return float(table) if number else table
+
+
 def cmd_model_sep(args) -> int:
     vertices, p = _vertices_from_arg(args.V)
     space = ConfigurationSpace.sep(vertices, args.gamma)
-    l = sep_generator(space, p)
+    l = sep_generator(space, _rates_from_doc(p, space.n_vertices))
     return _write_model(
         args,
         {"sep_generator": l},

@@ -1,8 +1,14 @@
 """Global numerical defaults.
 
-All tolerances can be overridden per call; these defaults are tuned for the
-package's intended regime of small (n up to a few hundred), well-conditioned
-dense matrices.
+Every threshold in the package is read from DEFAULTS where it is applied.
+A function takes a tolerance argument only where a caller needs a value
+other than the default (classify_matrix and RateMatrix.from_entries
+row_tol, check_detailed_balance tol, decompose tol_residual and
+tol_cluster, match_jordan_blocks and check_r_similar tol, push_duality and
+push_duality_left tol, check_biorthogonal tol).  The defaults are tuned for
+the package's intended regime of small (n up to a few hundred),
+well-conditioned dense matrices.  The configuration-space cap is set only
+through the DUALITY_MAX_STATES environment variable.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
+from scipy.linalg.lapack import dgesv
 
 from .config import DEFAULTS
 from .errors import NoPositiveSolutionError, NotIrreducibleError, ShapeMismatchError
@@ -141,18 +142,21 @@ class RateMatrix:
         return self.space.n
 
 
-def generator(entries, labels: Sequence[str] | None = None, row_tol: float = DEFAULTS.row) -> RateMatrix:
-    """Strict constructor: raises if `entries` is not a generator."""
-    return RateMatrix.from_entries(entries, kind=MatrixKind.GENERATOR, labels=labels, row_tol=row_tol)
+def generator(entries) -> RateMatrix:
+    """Strict constructor: raises if `entries` is not a generator at row_tol = DEFAULTS.row."""
+    return RateMatrix.from_entries(entries, kind=MatrixKind.GENERATOR)
 
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Strictly positive weight vector over a state space (read-only); equality goes by identity."""
+    """Strictly positive weight vector over a state space (read-only); equality goes by identity.
+
+    `normalized` is derived, not passed: the weights sum to 1 within 1e-12.
+    """
 
     space: StateSpace
     weights: np.ndarray
-    normalized: bool = field(default=False)
+    normalized: bool = field(init=False, default=False)
 
     def __post_init__(self):
         w = _frozen_array(self.weights)
@@ -169,9 +173,9 @@ class Measure:
         return cls(StateSpace(w.shape[0], tuple(labels) if labels is not None else None), w)
 
 
-def is_irreducible(l: RateMatrix, row_tol: float = DEFAULTS.row) -> bool:
-    """Strong connectivity of the digraph with edges where the rate exceeds row_tol."""
-    adj = (np.asarray(l.entries) > row_tol).astype(np.int8)
+def is_irreducible(l: RateMatrix) -> bool:
+    """Strong connectivity of the digraph with edges where the rate exceeds DEFAULTS.row."""
+    adj = (np.asarray(l.entries) > DEFAULTS.row).astype(np.int8)
     np.fill_diagonal(adj, 0)
     ncomp, _ = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(adj), directed=True, connection="strong"
@@ -179,32 +183,35 @@ def is_irreducible(l: RateMatrix, row_tol: float = DEFAULTS.row) -> bool:
     return ncomp == 1
 
 
-def stationary_measure(l: RateMatrix, tol: float = DEFAULTS.residual) -> Measure:
+def stationary_measure(l: RateMatrix) -> Measure:
     """Unique stationary measure mu > 0 with mu^T L = 0, normalized to sum 1.
 
     mu solves L^T mu = 0 with its last equation replaced by sum(mu) = 1, by
-    one LU solve.  Irreducibility makes the kernel of L^T one-dimensional and
-    spanned by a positive vector, so that system is nonsingular; a solver
-    failure or a non-positive entry raises NoPositiveSolutionError.
+    one LU solve (LAPACK dgesv) that factors the one Fortran-ordered copy of
+    L^T in place.  Irreducibility makes the kernel of L^T one-dimensional and
+    spanned by a positive vector, so that system is nonsingular; a singular
+    factor, a non-positive entry, or a residual max|mu^T L| above
+    DEFAULTS.residual raises NoPositiveSolutionError.
     """
     if l.kind is not MatrixKind.GENERATOR:
         raise ValueError("stationary_measure requires a generator")
     if not is_irreducible(l):
         raise NotIrreducibleError("rate digraph is not strongly connected")
     m = np.asarray(l.entries)
-    a = m.T.copy()
+    a = np.array(m.T, order="F")
     a[-1] = 1.0
     rhs = np.zeros(l.n)
     rhs[-1] = 1.0
-    try:
-        mu = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoPositiveSolutionError(f"stationary system is singular: {exc}") from exc
+    _, _, mu, info = dgesv(a, rhs, overwrite_a=1)
+    if info > 0:
+        raise NoPositiveSolutionError(f"stationary system is singular: U({info}, {info}) is zero")
+    del a  # the LU factors; freed before the residual product
     if np.any(mu <= 0):
         raise NoPositiveSolutionError("kernel vector has a non-positive entry")
     mu = mu / mu.sum()
-    if max_abs(mu @ m) > tol:
-        raise NoPositiveSolutionError(f"stationary residual {max_abs(mu @ m):.3e} exceeds {tol:.3e}")
+    residual = max_abs(mu @ m)
+    if residual > DEFAULTS.residual:
+        raise NoPositiveSolutionError(f"stationary residual {residual:.3e} exceeds {DEFAULTS.residual:.3e}")
     return Measure(l.space, mu)
 
 

@@ -339,7 +339,6 @@ def tensor_duality(
     uhats: np.ndarray,
     us: np.ndarray,
     coefficients,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
     """D(xh, x) = sum_i a_i uhat_i(xh) u_i(x) from shared real eigenpairs.
 
@@ -348,7 +347,9 @@ def tensor_duality(
     uhats, L @ us) that gives every column's Rayleigh quotient and defect; the
     hat columns are checked first, then the primal columns, then the
     eigenvalue match, and NotEigenpairError names the first failing column.
+    Every check runs at tol = DEFAULTS.residual (see _validate_eigenpairs).
     """
+    tol = DEFAULTS.residual
     uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     a = np.asarray(coefficients, dtype=float)
@@ -370,9 +371,13 @@ def complex_pair_duality(
     uhat: np.ndarray,
     u: np.ndarray,
     a: float,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
-    """Real duality a uhat u + a uhat* u* = 2a Re(uhat (x) u) from a conjugate eigenpair."""
+    """Real duality a uhat u + a uhat* u* = 2a Re(uhat (x) u) from a conjugate eigenpair.
+
+    The eigenpair checks, the eigenvalue match and the test |Im lam| > tol
+    that rules out a real eigenvalue run at tol = DEFAULTS.residual.
+    """
+    tol = DEFAULTS.residual
     uhat = np.asarray(uhat, dtype=complex)
     u = np.asarray(u, dtype=complex)
     lam_hat = _validate_eigenpairs(lhat, uhat[:, None], tol)[0]
@@ -404,13 +409,14 @@ def chain_duality(
     l: RateMatrix,
     uhat_chain: np.ndarray,
     u_chain: np.ndarray,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
     """Order-reversed chain pairing D = sum_k uhat^(k) (x) u^(m+1-k).
 
     Both arguments hold Jordan chains as columns (eigenvector first) for a
     common eigenvalue; the order reversal is what makes the cross terms cancel.
+    The chain checks and the eigenvalue match run at tol = DEFAULTS.residual.
     """
+    tol = DEFAULTS.residual
     uhat_chain = np.atleast_2d(np.asarray(uhat_chain, dtype=float))
     u_chain = np.atleast_2d(np.asarray(u_chain, dtype=float))
     if uhat_chain.ndim != 2 or u_chain.ndim != 2 or uhat_chain.shape[1] != u_chain.shape[1]:
@@ -428,7 +434,6 @@ def orthogonal_selfduality(
     data: SpectralData,
     mu: Measure,
     tilde_us: np.ndarray,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
     """Orthogonal self-duality D = sum_i tilde_u_i (x) u_i for a reversible generator.
 
@@ -436,16 +441,17 @@ def orthogonal_selfduality(
     (columns) must be mu-orthonormal eigenfunctions for the same eigenvalues,
     in the same descending order.  The result satisfies row-orthogonality
     <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').  Every check runs at
-    max(tol, 1e-8): the mu-Gram matrix, then one product L @ tilde_us that
-    gives every column's Rayleigh quotient and defect, then the match with
-    the eigenvalues of u; NotEigenpairError names the first failing column.
+    max(DEFAULTS.residual, 1e-8): the mu-Gram matrix, then one product
+    L @ tilde_us that gives every column's Rayleigh quotient and defect,
+    then the match with the eigenvalues of u; NotEigenpairError names the
+    first failing column.
     """
     l = data.source
     lams, u = reversible_eigenbasis(l, mu)
     tilde = np.atleast_2d(np.asarray(tilde_us, dtype=float))
     if tilde.shape != (l.n, l.n):
         raise ShapeMismatchError("tilde_us must be a full square eigenbasis")
-    tol = max(tol, 1e-8)
+    tol = max(DEFAULTS.residual, 1e-8)
     w = np.asarray(mu.weights)
     gram = (tilde.T * w) @ tilde
     if max_abs(gram - np.eye(l.n)) > tol:
@@ -476,15 +482,15 @@ def compose_dualities(
     return make_duality(lhat, lhat, d)
 
 
-def factor_check(
-    d: DualityFunction, lhat: RateMatrix, l: RateMatrix, tol: float = DEFAULTS.residual
-):
+def factor_check(d: DualityFunction, lhat: RateMatrix, l: RateMatrix):
     """Extract (f, g, lam) from a rank-1 duality D = f (x) g, or None.
 
-    Uses the leading singular triple; validates that f and g are
-    eigenfunctions of lhat and l for a common eigenvalue.  Total function:
-    returns None when D is not numerically rank 1 or validation fails.
+    Uses the leading singular triple; validates at tol = DEFAULTS.residual
+    that f and g are eigenfunctions of lhat and l for a common eigenvalue.
+    Total function: returns None when D is not numerically rank 1 or
+    validation fails.
     """
+    tol = DEFAULTS.residual
     m = np.asarray(d.matrix)
     u, s, vh = np.linalg.svd(m)
     if int(np.sum(s > rank_threshold(s, m.shape))) != 1:
@@ -506,7 +512,6 @@ def build_from_spectra(
     primal_data: SpectralData,
     witness: Witness,
     coefficients,
-    tol: float = DEFAULTS.residual,
 ) -> DualityFunction:
     """Duality D = Uhat (sum_u c_u T_u) B_J U^T from matched Jordan blocks.
 
@@ -517,7 +522,7 @@ def build_from_spectra(
     primal columns reversed, and c repeats c_u k times: O(n_hat n r) for a
     witness of rank r.  Coefficients of conjugate block pairs must be tied
     (equal) so the combined matrix is real; otherwise ComplexResidueError is
-    raised.
+    raised when max|Im D| exceeds DEFAULTS.residual max(1, max|Re D|).
     """
     a = np.asarray(coefficients, dtype=float)
     if a.size != len(witness.matched):
@@ -531,7 +536,7 @@ def build_from_spectra(
     d = (hat_data.U[:, hat_cols] * c) @ primal_data.U[:, primal_cols].T
     if np.iscomplexobj(d):  # two real bases give a real D and need no check
         imag = max_abs(d.imag)
-        if imag > tol * max(1.0, max_abs(d.real)):
+        if imag > DEFAULTS.residual * max(1.0, max_abs(d.real)):
             raise ComplexResidueError(
                 f"imaginary residue {imag:.3e}: conjugate blocks are not tied"
             )

@@ -9,7 +9,7 @@ Ltilde @ Lam == Lam @ L; a duality for (Lhat, L) then pushes to a duality for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ class IntertwiningOperator:
     from_space: StateSpace
     to_space: StateSpace
     matrix: np.ndarray
-    stochastic: bool = False
+    stochastic: bool = field(init=False, default=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)

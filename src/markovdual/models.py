@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, max_states
+from .config import max_states
 from .core import MatrixKind, RateMatrix, StateSpace
 from .duality import DualityFunction
 from .errors import (
@@ -69,6 +69,11 @@ class ConfigurationSpace:
     is lexicographic and Kronecker: a product over sites of f_s(xi_s, eta_s) is
     the matrix f_0 (x) f_1 (x) ... .  No configuration is stored; digits()
     computes the (size, n_sites) table of all of them.
+
+    The constructors sep() and ladder() take a vertex count (vertices
+    0..count-1) or any vertex sequence, and raise ValueError for a negative
+    count or gamma and SpaceTooLargeError when the size exceeds
+    config.max_states(), the DUALITY_MAX_STATES cap.
     """
 
     kind: SpaceKind
@@ -76,19 +81,23 @@ class ConfigurationSpace:
     gamma: int
 
     @classmethod
-    def sep(cls, vertices, gamma: int, cap: int | None = None) -> "ConfigurationSpace":
-        return cls._capped(SpaceKind.SEP, vertices, gamma, cap)
+    def sep(cls, vertices, gamma: int) -> "ConfigurationSpace":
+        return cls._capped(SpaceKind.SEP, vertices, gamma)
 
     @classmethod
-    def ladder(cls, vertices, gamma: int, cap: int | None = None) -> "ConfigurationSpace":
-        return cls._capped(SpaceKind.LADDER, vertices, gamma, cap)
+    def ladder(cls, vertices, gamma: int) -> "ConfigurationSpace":
+        return cls._capped(SpaceKind.LADDER, vertices, gamma)
 
     @classmethod
-    def _capped(cls, kind: SpaceKind, vertices, gamma: int, cap: int | None) -> "ConfigurationSpace":
+    def _capped(cls, kind: SpaceKind, vertices, gamma: int) -> "ConfigurationSpace":
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        space = cls(kind, tuple(range(vertices)) if isinstance(vertices, int) else tuple(vertices), gamma)
-        cap = cap or max_states()
+        if isinstance(vertices, int):
+            if vertices < 0:
+                raise ValueError(f"vertex count must be >= 0, got {vertices}")
+            vertices = range(vertices)
+        space = cls(kind, tuple(vertices), gamma)
+        cap = max_states()
         if space.size > cap:
             raise SpaceTooLargeError(f"{kind.name} space size {space.size} exceeds cap {cap}")
         return space
@@ -501,7 +510,9 @@ def ladder_bracket_sum(
 
     xi_pattern defaults to k ones followed by zeros; the value depends on the
     pattern only through its total (a property the tests assert).  Equals 1
-    for delta = 0 by the Vandermonde convolution.
+    for delta = 0 by the Vandermonde convolution.  Only the C(gamma, n)
+    patterns eta with n occupied rungs are generated, in lexicographic order
+    of eta (the reverse of the combinations' order of the occupied rungs).
     """
     if xi_pattern is None:
         xi_pattern = [1] * k + [0] * (gamma - k)
@@ -509,9 +520,10 @@ def ladder_bracket_sum(
     if len(xi_pattern) != gamma or sum(xi_pattern) != k:
         raise ValueError("xi_pattern must have length gamma and total k")
     total = 0.0
-    for eta in itertools.product((0, 1), repeat=gamma):
-        if sum(eta) != n:
-            continue
+    for rungs in reversed(list(itertools.combinations(range(gamma), n))):
+        eta = [0] * gamma
+        for a in rungs:
+            eta[a] = 1
         value = 1.0
         for site_xi, site_eta in zip(xi_pattern, eta):
             value *= _power(alpha + beta * site_eta, delta * site_xi)
@@ -599,12 +611,13 @@ class ReflectedAbsorbedRW:
     spectral_hat: SpectralData
 
 
-def rw_reflected_absorbed(n: int, tol: float = DEFAULTS.residual) -> ReflectedAbsorbedRW:
+def rw_reflected_absorbed(n: int) -> ReflectedAbsorbedRW:
     """Build the reflected-left/absorbed-right walk and its mirror, with spectra.
 
     Eigenfunctions: u_i(x) = cos(theta_i (x-1)) / sqrt(n) for l,
     uhat_i(x) = sin(theta_i (x-1)) / sqrt(n) for lhat, plus the constant
-    1/sqrt(n) at eigenvalue zero.
+    1/sqrt(n) at eigenvalue zero.  Both bases are validated by
+    spectral_from_eigenbasis, at DEFAULTS.residual.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -633,8 +646,8 @@ def rw_reflected_absorbed(n: int, tol: float = DEFAULTS.residual) -> ReflectedAb
         thetas=thetas,
         u=u,
         uhat=uhat,
-        spectral=spectral_from_eigenbasis(l_rm, lambdas, u, tol),
-        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, tol),
+        spectral=spectral_from_eigenbasis(l_rm, lambdas, u),
+        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat),
     )
 
 
@@ -663,12 +676,13 @@ class BlockedAbsorbedRW:
     spectral_hat: SpectralData
 
 
-def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorbedRW:
+def rw_blocked_absorbed(n: int) -> BlockedAbsorbedRW:
     """Blocked-boundary walk and its Siegmund dual (absorbed walk with a leak).
 
     Spectrum lambda_1 = 0, lambda_i = 2(cos theta_i - 1), theta_i = (i-1) pi / n
     for i = 2..n; the dual's eigenfunctions are tail sums of the blocked
-    walk's, including u_1(x) = (n + 1 - x)/sqrt(n) at eigenvalue zero.
+    walk's, including u_1(x) = (n + 1 - x)/sqrt(n) at eigenvalue zero.  Both
+    bases are validated by spectral_from_eigenbasis, at DEFAULTS.residual.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -708,6 +722,6 @@ def rw_blocked_absorbed(n: int, tol: float = DEFAULTS.residual) -> BlockedAbsorb
         thetas=thetas,
         u=u,
         uhat=uhat,
-        spectral=spectral_from_eigenbasis(pair.l, lambdas, u, tol, uinv),
-        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, tol, uhat.T),
+        spectral=spectral_from_eigenbasis(pair.l, lambdas, u, uinv),
+        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, uhat.T),
     )

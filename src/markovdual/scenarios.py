@@ -160,7 +160,7 @@ def scenario_cyclic3(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
 def scenario_jordan4(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
     rep = ScenarioReport("jordan4")
     l = jordan_block_generator()
-    sd = decompose(l, tol_cluster=1e-7)
+    sd = decompose(l)
     has_block = any(abs(b.eigenvalue - (-1.0)) < 1e-6 and b.size == 2 for b in sd.structure.blocks)
     rep.equals("size-2 Jordan block at lambda = -1", True, has_block)
     rep.bound("decomposition residual", sd.residual, DEFAULTS.residual)
@@ -253,9 +253,9 @@ def scenario_sep_intertwine(n=None, gamma=None, seed=0, out=None) -> ScenarioRep
     params = SingleSiteDualityParams(alpha=1.0, beta=1.0, epsilon=0.0, delta=1.0, gamma=gamma)
     d_tilde = ssep_selfduality(ladder_space, params, l_ladder)
     rep.bound("ladder product self-duality residual", d_tilde.residual, 1e-12)
-    pushed = push_duality(d_tilde, lam_inv, l_sep, l_ladder, l_ladder, tol=1e-9)
+    pushed = push_duality(d_tilde, lam_inv, l_sep, l_ladder, l_ladder)
     rep.bound("pushed duality residual (ladder dual, SEP primal)", pushed.residual, 1e-12)
-    both = push_duality_left(pushed, lam_inv, l_sep, l_ladder, l_sep, tol=1e-9)
+    both = push_duality_left(pushed, lam_inv, l_sep, l_ladder, l_sep)
     table = single_site_duality(params)
     d_fact = factorized_duality([table, table], sep_space, l_sep)
     rep.bound("factorized duality residual", d_fact.residual, 1e-10)

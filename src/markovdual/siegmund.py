@@ -67,7 +67,7 @@ def _cumulative_rate_sums(lhat: np.ndarray) -> np.ndarray:
     exactly zero, not rounding: the dual of a birth-death chain is exactly
     tridiagonal.  Where a row sum of lhat is not zero, S differs from the
     formula with the diagonal by those row sums, so for a generator by at
-    most 2 row_tol per entry.  Two n x n buffers: the prefix sums, which
+    most 2 DEFAULTS.row per entry.  Two n x n buffers: the prefix sums, which
     become the result, and the tail sums t.
     """
     n = lhat.shape[0]
@@ -82,15 +82,16 @@ def _cumulative_rate_sums(lhat: np.ndarray) -> np.ndarray:
     return prefix.T
 
 
-def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
+def siegmund_dual(lhat: RateMatrix) -> SiegmundPair:
     """Build the Siegmund dual of a generator on the ordered space {0..n-1}.
 
     The construction is total: validity of the dual as a (sub-)generator is
-    reported through its `kind`, never enforced.  Every entry of the dual
-    is summed from off-diagonal rates of L_hat only (_cumulative_rate_sums),
-    so entries that are zero by structure are exactly zero; the dual then
-    differs from the formula with the diagonal by the row sums of L_hat, at
-    most 2 tol (row_tol) per entry.  The residual
+    reported through its `kind`, never enforced: both the classification and
+    `monotone` (off-diagonal entries >= -DEFAULTS.row) run at DEFAULTS.row.
+    Every entry of the dual is summed from off-diagonal rates of L_hat only
+    (_cumulative_rate_sums), so entries that are zero by structure are
+    exactly zero; the dual then differs from the formula with the diagonal
+    by the row sums of L_hat, at most 2 DEFAULTS.row per entry.  The residual
     max|L_hat D_s - D_s L^T| is taken in O(n^2) with no D_s: row x of
     L_hat D_s is the tail sums sum_{x' >= y} L_hat[x, x'] of row x of L_hat,
     and column y of D_s L^T is the prefix sums sum_{x' <= x} L[y, x'] of
@@ -100,24 +101,24 @@ def siegmund_dual(lhat: RateMatrix, tol: float = DEFAULTS.row) -> SiegmundPair:
         raise ValueError("siegmund_dual requires a generator")
     entries = np.asarray(lhat.entries)
     dual = _cumulative_rate_sums(entries)
-    monotone = _off_diagonal_nonnegative(dual, tol)
-    l = RateMatrix.from_entries(dual, row_tol=tol)  # an INVALID dual is kept as RAW; l holds a copy
+    monotone = _off_diagonal_nonnegative(dual)
+    l = RateMatrix.from_entries(dual)  # an INVALID dual is kept as RAW; l holds a copy
     defect = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # L_hat D_s
     defect -= np.cumsum(dual, axis=1, out=dual).T  # D_s L^T, in the spent buffer of dual
     return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=monotone, residual=max_abs(defect))
 
 
-def _off_diagonal_nonnegative(sums: np.ndarray, tol: float) -> bool:
-    return bool(off_diagonal(sums).min(initial=0.0) >= -tol)
+def _off_diagonal_nonnegative(sums: np.ndarray) -> bool:
+    return bool(off_diagonal(sums).min(initial=0.0) >= -DEFAULTS.row)
 
 
-def check_monotone(lhat: RateMatrix, tol: float = DEFAULTS.row) -> bool:
-    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= 0 for x != y.
+def check_monotone(lhat: RateMatrix) -> bool:
+    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= -DEFAULTS.row for x != y.
 
     These sums are the off-diagonal entries of the Siegmund dual, so
     siegmund_dual reads `monotone` off the dual it builds.
     """
-    return _off_diagonal_nonnegative(_cumulative_rate_sums(np.asarray(lhat.entries)), tol)
+    return _off_diagonal_nonnegative(_cumulative_rate_sums(np.asarray(lhat.entries)))
 
 
 def cumulative_transform(w: np.ndarray) -> np.ndarray:
@@ -130,13 +131,13 @@ def cumulative_transform(w: np.ndarray) -> np.ndarray:
     return np.cumsum(w[::-1])[::-1]
 
 
-def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray, tol: float = DEFAULTS.residual) -> np.ndarray:
+def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Assemble sum_i uhat_i(x) u_i(y) from eigenfunction families (columns).
 
     The u_i must come from cumulative_transform of a family w_i that is
     bi-orthogonal to the uhat_i under counting measure; the w_i are recovered
-    by differencing and the pairing checked (NotBiorthogonalError on
-    failure).  Under the preconditions the result equals siegmund_matrix(n).
+    by differencing and the pairing checked: NotBiorthogonalError when
+    max|W^T Uhat - I| exceeds max(DEFAULTS.residual, 1e-8).  Under the preconditions the result equals siegmund_matrix(n).
     The check holds two n x n buffers, w and its Gram matrix (I subtracted
     in place), both freed before the result is formed.
     """
@@ -150,26 +151,28 @@ def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray, tol: float = DEFAULT
     w[-1] = us[-1]
     defect = inverse_defect(w.T, uhats)
     del w
-    if defect > max(tol, 1e-8):
+    if defect > max(DEFAULTS.residual, 1e-8):
         raise NotBiorthogonalError(f"bi-orthogonality defect {defect:.3e}")
     return uhats @ us.T
 
 
-def extend_with_cemetery(l: RateMatrix, tol: float = DEFAULTS.row) -> RateMatrix:
+def extend_with_cemetery(l: RateMatrix) -> RateMatrix:
     """Close a sub-generator into a generator by routing leak rates to a new absorbing state.
 
-    The new state (index n) is absorbing; row x gains the entry -rowsum(x).
-    Raises AlreadyConservativeError when every row already sums to zero
-    (the extension would only add an isolated absorbing state).
+    The new state (index n) is absorbing; row x gains the entry -rowsum(x),
+    where a leak within DEFAULTS.row of zero counts as zero.  Raises
+    AlreadyConservativeError when every row already sums to zero (the
+    extension would only add an isolated absorbing state).  The result is
+    classified as a generator at row_tol = max(DEFAULTS.row, 1e-9).
     """
     if l.kind not in (MatrixKind.SUB_GENERATOR, MatrixKind.GENERATOR):
         raise ValueError("extend_with_cemetery requires a (sub-)generator")
     entries = np.asarray(l.entries)
     leaks = -entries.sum(axis=1)
-    leaks[np.abs(leaks) <= tol] = 0.0
+    leaks[np.abs(leaks) <= DEFAULTS.row] = 0.0
     if not np.any(leaks > 0):
         raise AlreadyConservativeError("row sums already vanish; extension is a no-op")
     out = np.zeros((l.n + 1, l.n + 1))
     out[: l.n, : l.n] = entries
     out[: l.n, l.n] = leaks
-    return RateMatrix.from_entries(out, kind=MatrixKind.GENERATOR, row_tol=max(tol, 1e-9))
+    return RateMatrix.from_entries(out, kind=MatrixKind.GENERATOR, row_tol=max(DEFAULTS.row, 1e-9))

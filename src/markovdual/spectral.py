@@ -435,7 +435,6 @@ def spectral_from_eigenbasis(
     source: RateMatrix,
     eigenvalues: Sequence[complex],
     u: np.ndarray,
-    tol_residual: float = DEFAULTS.residual,
     uinv: np.ndarray | None = None,
 ) -> SpectralData:
     """SpectralData from a known eigenbasis (all blocks size 1), validated.
@@ -443,8 +442,9 @@ def spectral_from_eigenbasis(
     J is diagonal, so the reconstruction defect M U - U J is checked as
     M U - U diag(lambda).  A known inverse `uinv` (rows dual to the columns
     of u, e.g. a closed form) is taken as given; otherwise U is inverted.
-    Either way Uinv U - I is gated by tol_residual, each gate with one n x n
-    product buffer.
+    Both defects are gated: DecompositionFailedError when the larger max-abs
+    entry of M U - U diag(lambda) and Uinv U - I exceeds DEFAULTS.residual.
+    Each gate takes one n x n product buffer.
 
     Storage: U keeps u's dtype, widened to float64 or complex128 (a real
     basis stays real), and Uinv is the given or computed inverse.  Both are
@@ -468,9 +468,9 @@ def spectral_from_eigenbasis(
     defect = (np.asarray(source.entries) @ u).astype(np.result_type(u, lams), copy=False)
     defect -= u * lams
     residual = max(max_abs(defect), inverse_defect(uinv, u))
-    if residual > tol_residual:
+    if residual > DEFAULTS.residual:
         raise DecompositionFailedError(
-            f"analytic eigenbasis residual {residual:.3e} exceeds {tol_residual:.3e}"
+            f"analytic eigenbasis residual {residual:.3e} exceeds {DEFAULTS.residual:.3e}"
         )
     return SpectralData(source, structure, _read_only(u), _read_only(uinv), residual)
 

@@ -8,7 +8,7 @@ import pytest
 from markovdual import RateMatrix, SpaceKind
 from markovdual.errors import DecompositionFailedError
 from markovdual.linalg import EPS, max_abs, numerical_rank, rank_threshold
-from markovdual.models import _rate_table
+from markovdual.models import _power, _rate_table
 from markovdual.spectral import _pivoted_picks
 
 hypothesis.settings.register_profile(
@@ -359,6 +359,21 @@ def inverse_intertwiner_loops(sep_space, ladder_space) -> np.ndarray:
         eta = occupancy_tuple(ladder_space, tilde)
         m[sep_index[eta], col] = weights[eta]
     return m
+
+
+def ladder_bracket_sum_all_patterns(k, n, gamma, alpha, beta, delta, xi_pattern=None) -> float:
+    """models.ladder_bracket_sum as all 2^gamma rung patterns filtered to the C(gamma, n) with n occupied rungs."""
+    if xi_pattern is None:
+        xi_pattern = [1] * k + [0] * (gamma - k)
+    total = 0.0
+    for eta in itertools.product((0, 1), repeat=gamma):
+        if sum(eta) != n:
+            continue
+        value = 1.0
+        for site_xi, site_eta in zip(xi_pattern, eta):
+            value *= _power(alpha + beta * site_eta, delta * site_xi)
+        total += value
+    return total / math.comb(gamma, n)
 
 
 def rw_reflected_absorbed_loops(n: int):

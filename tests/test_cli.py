@@ -302,6 +302,29 @@ def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({"vertices": 2, "p": {"a": 1}}, "2 x 2 numeric matrix"),
+        ({"vertices": 2, "p": [[0, 1, 2]]}, "2 x 2 numeric matrix"),
+        ({"vertices": 2, "p": None}, "2 x 2 numeric matrix"),
+        ({"vertices": 2, "p": 10**400}, "2 x 2 numeric matrix"),
+        ({"vertices": None}, "vertices must be a count or a list"),
+        (-3, "vertex count must be >= 0"),
+    ],
+)
+def test_malformed_vertex_argument_exits_2_with_one_error_line(doc, named, tmp_path, capsys):
+    raw = str(doc)
+    if not isinstance(doc, int):
+        raw = str(tmp_path / "v.json")
+        (tmp_path / "v.json").write_text(json.dumps(doc))
+    assert main(["model", "sep", "--V", raw, "--gamma", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv,named",
     [
         (["--alpha", "1e200", "--beta", "1", "--eps", "2", "--delta", "1"], "1e+200 to the power"),

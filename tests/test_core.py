@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg.lapack import dgesv
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from markovdual import (
     is_irreducible,
     stationary_measure,
 )
+from markovdual import core
 from markovdual.errors import NoPositiveSolutionError, NotIrreducibleError, ShapeMismatchError
 from markovdual.scenarios import cyclic_generator
 
@@ -128,12 +132,27 @@ class TestStationary:
         npt.assert_allclose(mu.weights, w, rtol=0.0, atol=1e-9 * w.max())
 
     def test_singular_solve_is_typed(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def singular(a, b, overwrite_a=0):  # dgesv's report of an exactly zero pivot U(2, 2)
+            return a, np.arange(1, len(b) + 1, dtype=np.int32), b, 2
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(NoPositiveSolutionError):
-            stationary_measure(cyclic_generator())
+        monkeypatch.setattr(core, "dgesv", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoPositiveSolutionError, match="singular"):
+                stationary_measure(cyclic_generator())
+
+    def test_solve_factors_its_one_copy_in_place(self, monkeypatch):
+        seen = []
+
+        def recording(a, b, overwrite_a=0):
+            result = dgesv(a, b, overwrite_a=overwrite_a)
+            seen.append((a.flags.f_contiguous, np.shares_memory(result[0], a)))
+            return result
+
+        monkeypatch.setattr(core, "dgesv", recording)
+        mu = stationary_measure(generator(blocked_rw(8)))
+        npt.assert_allclose(mu.weights, np.full(8, 1.0 / 8.0), atol=1e-12)
+        assert seen == [(True, True)]
 
     def test_reducible_raises(self):
         with pytest.raises(NotIrreducibleError):

@@ -47,6 +47,7 @@ from markovdual.models import _product_duality
 from conftest import (
     enumerate_configs,
     gather_product_duality,
+    ladder_bracket_sum_all_patterns,
     occupancy_tuple,
     ladder_sep_generator_loops,
     rw_blocked_absorbed_loops,
@@ -111,15 +112,21 @@ class TestConfigurationSpace:
         with pytest.raises(ValueError, match="gamma"):
             getattr(ConfigurationSpace, kind)(2, -1)
 
+    @pytest.mark.parametrize("kind", ["sep", "ladder"])
+    def test_negative_vertex_count_rejected(self, kind):
+        with pytest.raises(ValueError, match="vertex count"):
+            getattr(ConfigurationSpace, kind)(-3, 1)
+
     def test_spaces_compare_by_value(self):
         assert ConfigurationSpace.sep(2, 2) == ConfigurationSpace.sep((0, 1), 2)
         assert ConfigurationSpace.sep(2, 2) != ConfigurationSpace.ladder(2, 2)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("DUALITY_MAX_STATES", "1000")
         with pytest.raises(SpaceTooLargeError):
-            ConfigurationSpace.sep(10, 9, cap=1000)
+            ConfigurationSpace.sep(10, 9)
         with pytest.raises(SpaceTooLargeError):
-            ConfigurationSpace.ladder(8, 4, cap=1000)
+            ConfigurationSpace.ladder(8, 4)
 
     def test_env_cap_override(self, monkeypatch):
         monkeypatch.setenv("DUALITY_MAX_STATES", "8")
@@ -670,6 +677,22 @@ class TestReferenceRoutes:
         ladder = ConfigurationSpace.ladder(2 if gamma <= 4 else 1, gamma)
         d = ssep_selfduality(ladder, params, ladder_sep_generator(ladder))
         assert d.rank == numerical_rank(d.matrix)
+
+    @pytest.mark.parametrize("gamma", range(1, 9))
+    def test_bracket_sum_matches_all_patterns(self, gamma, rng):
+        # bit for bit: the same rung patterns summed in the same order, DomainError on the same inputs
+        def outcome(fn, *args):
+            try:
+                return fn(*args).hex()
+            except DomainError:
+                return "DomainError"
+
+        bases = [(a, b, d) for _, a, b, _, d in FAMILIES + FAMILY_EDGES] + [(1.3, 0.7, 2.0), (0.4, -1.1, 0.5)]
+        for (alpha, beta, delta), k, n in itertools.product(bases, range(gamma + 1), range(gamma + 1)):
+            xi = [int(v) for v in rng.permutation([1] * k + [0] * (gamma - k))]
+            for pattern in (None, xi):
+                args = (k, n, gamma, alpha, beta, delta, pattern)
+                assert outcome(ladder_bracket_sum, *args) == outcome(ladder_bracket_sum_all_patterns, *args), args
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20, 50, 200, 600])
     def test_walks_match_loops(self, n):
