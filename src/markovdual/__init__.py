@@ -25,7 +25,6 @@ from .duality import (
     build_from_spectra,
     chain_duality,
     cheap_duality,
-    complex_pair_duality,
     compose_dualities,
     factor_check,
     make_duality,
@@ -33,7 +32,6 @@ from .duality import (
     orthogonal_selfduality,
     residual,
     solve_duality_space,
-    tensor_duality,
 )
 from .intertwining import (
     IntertwiningOperator,

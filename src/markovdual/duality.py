@@ -11,10 +11,13 @@ is n_hat n eps (||L_hat||_2 + ||L||_2); near-equal diagonal entries of S that
 form a non-scalar block (a rounding-split Jordan eigenvalue) are solved
 together.  It costs about n^4 and never forms the (n_hat n)^2 Kronecker
 matrix I (x) L_hat - L (x) I, whose SVD survives in the tests as an oracle.
-The second route is the constructors, which assemble D from eigenfunctions,
-conjugate pairs, Jordan chains or whole spectral decompositions.  Residuals
-are the max-abs entry of L_hat D - D L^T; only the product dualities of
-`models` record an upper bound on it instead.
+The second route is the constructors.  The paper's one formula, the
+order-reversed sum of products of Jordan chains for shared eigenvalues, is
+`chain_duality`: an eigenfunction is a chain of length 1, and a
+complex-conjugate pair is two chains with tied coefficients.
+`build_from_spectra` takes the chains from whole spectral decompositions and
+sums them the same way.  Residuals are the max-abs entry of L_hat D - D L^T;
+only the product dualities of `models` record an upper bound on it instead.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import (
     ComplexResidueError,
     DecompositionFailedError,
     NotChainError,
-    NotConjugateClosedError,
     NotEigenpairError,
     NotOrthonormalError,
     ShapeMismatchError,
@@ -48,8 +50,6 @@ __all__ = [
     "solve_duality_space",
     "max_duality_rank",
     "cheap_duality",
-    "tensor_duality",
-    "complex_pair_duality",
     "chain_duality",
     "orthogonal_selfduality",
     "compose_dualities",
@@ -313,121 +313,115 @@ def cheap_duality(mu: Measure) -> DualityFunction:
     return DualityFunction(mu.space, mu.space, d, residual=0.0, rank=mu.space.n)
 
 
-def _validate_eigenpairs(l: RateMatrix, us: np.ndarray, tol: float) -> np.ndarray:
-    """Rayleigh eigenvalue estimates of the columns u of us, each validated to max|Lu - lam u| <= tol max(1, max|u|).
+def _validate_chains(l: RateMatrix, cols: np.ndarray, lengths, tol: float) -> np.ndarray:
+    """Eigenvalues of the Jordan chains laid out side by side in cols, each chain validated.
 
-    One product L @ us serves every column; lam = <u, Lu> / <u, u>.  Raises
-    NotEigenpairError naming the first column that is zero or fails the bound.
+    Chain i is lengths[i] consecutive columns, eigenvector first, and one
+    product L @ cols serves every chain.  Its eigenvalue is the Rayleigh
+    quotient lam = <u, Lu> / <u, u> of its first column u, which must be
+    nonzero with max|Lu - lam u| <= tol max(1, max|u|); every later column
+    must satisfy max|L u^(k) - lam u^(k) - u^(k-1)| <= tol max(1, max|chain|).
+    The first failing column is reported: NotEigenpairError ("column i: ...")
+    for a chain of length 1, NotChainError ("chain i: ... at order k") for a
+    longer one.
     """
-    us = np.asarray(us)
-    lu = np.asarray(l.entries) @ us
-    norm2 = np.einsum("ij,ij->j", us.conj(), us).real
-    lams = np.einsum("ij,ij->j", us.conj(), lu) / np.where(norm2 == 0, 1.0, norm2)
-    defects = np.max(np.abs(lu - lams * us), axis=0)
-    bad = (norm2 == 0) | (defects > tol * np.maximum(1.0, np.max(np.abs(us), axis=0)))
+    cols, lengths = np.asarray(cols), np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    lc = np.asarray(l.entries) @ cols
+    norm2 = np.einsum("ij,ij->j", cols.conj(), cols).real[starts]
+    lams = np.einsum("ij,ij->j", cols.conj(), lc)[starts] / np.where(norm2 == 0, 1.0, norm2)
+    below = np.concatenate([np.zeros_like(cols[:, :1]), cols[:, :-1]], axis=1)  # u^(k-1) under each u^(k)
+    below[:, starts] = 0.0  # and nothing under a chain's eigenvector
+    defects = np.max(np.abs(lc - lams[owner] * cols - below), axis=0, initial=0.0)
+    col_max = np.max(np.abs(cols), axis=0, initial=0.0)
+    scale = np.maximum.reduceat(col_max, starts)[owner]  # max|chain| for the later columns
+    scale[starts] = col_max[starts]  # and max|u| for each eigenvector
+    bad = defects > tol * np.maximum(1.0, scale)
+    bad[starts] |= norm2 == 0
     if bad.any():
-        i = int(np.argmax(bad))
-        if norm2[i] == 0:
-            raise NotEigenpairError(f"column {i}: zero vector is not an eigenfunction")
-        raise NotEigenpairError(f"column {i}: eigenpair defect {defects[i]:.3e} exceeds {tol:.3e}")
+        j = int(np.argmax(bad))
+        i = owner[j]
+        if lengths[i] == 1:
+            what = f"eigenpair defect {defects[j]:.3e} exceeds {tol:.3e}"
+            raise NotEigenpairError(f"column {i}: {'zero vector is not an eigenfunction' if norm2[i] == 0 else what}")
+        what = "zero vector" if norm2[i] == 0 else f"chain defect {defects[j]:.3e}"
+        raise NotChainError(f"chain {i}: {what} at order {j - starts[i] + 1}")
     return lams.astype(complex)
 
 
-def tensor_duality(
-    lhat: RateMatrix,
-    l: RateMatrix,
-    uhats: np.ndarray,
-    us: np.ndarray,
-    coefficients,
-) -> DualityFunction:
-    """D(xh, x) = sum_i a_i uhat_i(xh) u_i(x) from shared real eigenpairs.
-
-    uhats/us hold the eigenfunctions as columns; column i of both must belong
-    to a common eigenvalue.  Each side is validated by one product (L_hat @
-    uhats, L @ us) that gives every column's Rayleigh quotient and defect; the
-    hat columns are checked first, then the primal columns, then the
-    eigenvalue match, and NotEigenpairError names the first failing column.
-    Every check runs at tol = DEFAULTS.residual (see _validate_eigenpairs).
-    """
-    tol = DEFAULTS.residual
-    uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    a = np.asarray(coefficients, dtype=float)
-    if uhats.shape != (lhat.n, a.size) or us.shape != (l.n, a.size):
-        raise ShapeMismatchError("eigenfunction columns must match spaces and coefficient count")
-    lam_hat = _validate_eigenpairs(lhat, uhats, tol)
-    lam = _validate_eigenpairs(l, us, tol)
+def _check_matched(lam_hat: np.ndarray, lam: np.ndarray, lengths, tol: float) -> None:
+    """Raise unless |lam_hat - lam| <= tol max(1, |lam|) for every chain, naming the first as _validate_chains does."""
     mismatch = np.flatnonzero(np.abs(lam_hat - lam) > tol * np.maximum(1.0, np.abs(lam)))
     if mismatch.size:
         i = mismatch[0]
-        raise NotEigenpairError(f"column {i}: eigenvalues {lam_hat[i]:.6g} and {lam[i]:.6g} do not match")
-    d = (uhats * a) @ us.T
+        error, what = (NotEigenpairError, "column") if lengths[i] == 1 else (NotChainError, "chain")
+        raise error(f"{what} {i}: eigenvalues {lam_hat[i]:.6g} and {lam[i]:.6g} do not match")
+
+
+def _chain_blocks(chains, n: int) -> list:
+    """Each chain as an (n, k) array, eigenvector first; a 1-D array is a chain of length 1."""
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, chains)]
+    if any(b.ndim != 2 or b.shape[0] != n or b.shape[1] == 0 for b in blocks):
+        raise ShapeMismatchError(f"each chain must be a length-{n} vector or a nonempty ({n}, k) array")
+    return blocks
+
+
+def _side_by_side(blocks: list, n: int) -> np.ndarray:
+    """The blocks' columns as one C-ordered array, float64 or complex; (n, 0) for no blocks."""
+    return np.concatenate([np.zeros((n, 0)), *blocks], axis=1)
+
+
+def _paired_sum(
+    lhat: RateMatrix, l: RateMatrix, hat_cols: np.ndarray, primal_cols: np.ndarray, c
+) -> DualityFunction:
+    """D = sum_j c_j hat_cols[:, j] (x) primal_cols[:, j], in one product (hat_cols * c) @ primal_cols^T.
+
+    A complex D is returned as its real part.  Its conjugate terms must carry
+    tied (equal) coefficients: ComplexResidueError is raised when max|Im D|
+    exceeds DEFAULTS.residual max(1, max|Re D|).
+    """
+    d = (hat_cols * c) @ primal_cols.T
+    if np.iscomplexobj(d):  # two real sides give a real D and need no check
+        imag = max_abs(d.imag)
+        if imag > DEFAULTS.residual * max(1.0, max_abs(d.real)):
+            raise ComplexResidueError(f"imaginary residue {imag:.3e}: conjugate chains are not tied")
+        d = d.real
     return make_duality(lhat, l, d)
 
 
-def complex_pair_duality(
-    lhat: RateMatrix,
-    l: RateMatrix,
-    uhat: np.ndarray,
-    u: np.ndarray,
-    a: float,
-) -> DualityFunction:
-    """Real duality a uhat u + a uhat* u* = 2a Re(uhat (x) u) from a conjugate eigenpair.
+def chain_duality(lhat: RateMatrix, l: RateMatrix, hat_chains, chains, coefficients) -> DualityFunction:
+    """D = sum_i c_i sum_{j=1..k} uhat_i^(j) (x) u_i^(k+1-j) from Jordan chains for shared eigenvalues.
 
-    The eigenpair checks, the eigenvalue match and the test |Im lam| > tol
-    that rules out a real eigenvalue run at tol = DEFAULTS.residual.
+    hat_chains[i] and chains[i] are Jordan chains of L_hat and L for a common
+    eigenvalue, each an (n, k) array stored eigenvector first, with the same
+    k on both sides, and coefficients[i] is their real coefficient c_i.  A
+    1-D array is an eigenfunction (k = 1), so eigenfunctions give the
+    product duality sum_i c_i uhat_i (x) u_i.  The order reversal is what
+    makes the cross terms of a longer chain cancel.
+
+    Values may be real or complex, and a complex sum is returned as its real
+    part.  For a complex-conjugate eigenvalue pair, pass the chains of both
+    eigenvalues (u and conj(u) on each side) with tied (equal) coefficients:
+    c uhat (x) u + c conj(uhat (x) u) = 2c Re(uhat (x) u).  Untied conjugate
+    coefficients raise ComplexResidueError, as in build_from_spectra.
+
+    Both sides are validated by _validate_chains, the hat side first, then
+    the eigenvalues are matched, all at tol = DEFAULTS.residual: a failing
+    chain of length 1 raises NotEigenpairError ("column i: ..."), a longer one
+    NotChainError.
     """
     tol = DEFAULTS.residual
-    uhat = np.asarray(uhat, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    lam_hat = _validate_eigenpairs(lhat, uhat[:, None], tol)[0]
-    lam = _validate_eigenpairs(l, u[:, None], tol)[0]
-    if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):
-        raise NotEigenpairError(f"eigenvalues {lam_hat:.6g} and {lam:.6g} do not match")
-    if abs(lam.imag) <= tol:
-        raise NotConjugateClosedError("eigenvalue is real; use tensor_duality instead")
-    d = 2.0 * a * np.real(np.outer(uhat, u))
-    return make_duality(lhat, l, d)
-
-
-def _validate_chain(l: RateMatrix, chain: np.ndarray, tol: float) -> complex:
-    """Validate L u^(k) = lam u^(k) + u^(k-1); returns the shared eigenvalue."""
-    try:
-        lam = _validate_eigenpairs(l, chain[:, :1], tol)[0]
-    except NotEigenpairError as exc:
-        raise NotChainError(f"first chain element is not an eigenfunction: {exc}") from exc
-    rest = chain[:, 1:]
-    defects = np.max(np.abs(np.asarray(l.entries) @ rest - lam * rest - chain[:, :-1]), axis=0, initial=0.0)
-    bad = np.flatnonzero(defects > tol * max(1.0, max_abs(chain)))
-    if bad.size:
-        raise NotChainError(f"chain defect {defects[bad[0]]:.3e} at order {bad[0] + 2}")
-    return lam
-
-
-def chain_duality(
-    lhat: RateMatrix,
-    l: RateMatrix,
-    uhat_chain: np.ndarray,
-    u_chain: np.ndarray,
-) -> DualityFunction:
-    """Order-reversed chain pairing D = sum_k uhat^(k) (x) u^(m+1-k).
-
-    Both arguments hold Jordan chains as columns (eigenvector first) for a
-    common eigenvalue; the order reversal is what makes the cross terms cancel.
-    The chain checks and the eigenvalue match run at tol = DEFAULTS.residual.
-    """
-    tol = DEFAULTS.residual
-    uhat_chain = np.atleast_2d(np.asarray(uhat_chain, dtype=float))
-    u_chain = np.atleast_2d(np.asarray(u_chain, dtype=float))
-    if uhat_chain.ndim != 2 or u_chain.ndim != 2 or uhat_chain.shape[1] != u_chain.shape[1]:
-        raise ShapeMismatchError("chains must have the same length")
-    lam_hat = _validate_chain(lhat, uhat_chain, tol)
-    lam = _validate_chain(l, u_chain, tol)
-    if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):
-        raise NotChainError(f"chain eigenvalues {lam_hat:.6g} and {lam:.6g} do not match")
-    m = uhat_chain.shape[1]
-    d = sum(np.outer(uhat_chain[:, k], u_chain[:, m - 1 - k]) for k in range(m))
-    return make_duality(lhat, l, d)
+    a = np.asarray(coefficients, dtype=float).ravel()
+    hat, primal = _chain_blocks(hat_chains, lhat.n), _chain_blocks(chains, l.n)
+    lengths = [b.shape[1] for b in hat]
+    if a.size != len(hat) or lengths != [b.shape[1] for b in primal]:
+        raise ShapeMismatchError("need one coefficient per chain and paired chains of equal length")
+    hat_cols = _side_by_side(hat, lhat.n)
+    lam_hat = _validate_chains(lhat, hat_cols, lengths, tol)
+    _check_matched(lam_hat, _validate_chains(l, _side_by_side(primal, l.n), lengths, tol), lengths, tol)
+    reversed_cols = _side_by_side([b[:, ::-1] for b in primal], l.n)
+    return _paired_sum(lhat, l, hat_cols, reversed_cols, np.repeat(a, lengths))
 
 
 def orthogonal_selfduality(
@@ -456,11 +450,8 @@ def orthogonal_selfduality(
     gram = (tilde.T * w) @ tilde
     if max_abs(gram - np.eye(l.n)) > tol:
         raise NotOrthonormalError("tilde_us is not orthonormal in L^2(mu)")
-    lam = _validate_eigenpairs(l, tilde, tol)
-    mismatch = np.flatnonzero(np.abs(lam - lams) > tol * np.maximum(1.0, np.abs(lams)))
-    if mismatch.size:
-        i = mismatch[0]
-        raise NotEigenpairError(f"column {i}: tilde eigenvalue {lam[i]:.6g} differs from {lams[i]:.6g}")
+    ones = np.ones(l.n, dtype=int)
+    _check_matched(_validate_chains(l, tilde, ones, tol), lams, ones, tol)
     d = tilde @ u.T
     return make_duality(l, l, d)
 
@@ -498,13 +489,11 @@ def factor_check(d: DualityFunction, lhat: RateMatrix, l: RateMatrix):
     f = u[:, 0] * s[0]
     g = vh[0]
     try:
-        lam_hat = _validate_eigenpairs(lhat, f[:, None], tol)[0]
-        lam = _validate_eigenpairs(l, g[:, None], tol)[0]
+        lam_hat = _validate_chains(lhat, f[:, None], [1], tol)
+        _check_matched(lam_hat, _validate_chains(l, g[:, None], [1], tol), [1], tol)
     except NotEigenpairError:
         return None
-    if abs(lam_hat - lam) > tol * max(1.0, abs(lam)):
-        return None
-    return f, g, lam_hat
+    return f, g, lam_hat[0]
 
 
 def build_from_spectra(
@@ -520,25 +509,17 @@ def build_from_spectra(
     in one product (Uhat[:, hat_cols] * c) @ U[:, primal_cols]^T, where
     hat_cols lists each pair's first k hat columns, primal_cols its first k
     primal columns reversed, and c repeats c_u k times: O(n_hat n r) for a
-    witness of rank r.  Coefficients of conjugate block pairs must be tied
-    (equal) so the combined matrix is real; otherwise ComplexResidueError is
-    raised when max|Im D| exceeds DEFAULTS.residual max(1, max|Re D|).
+    witness of rank r.  This is chain_duality's sum on the chains of the
+    matched blocks, which decompose has validated already.  Coefficients of
+    conjugate block pairs must be tied (equal) so the combined matrix is real;
+    otherwise ComplexResidueError is raised when max|Im D| exceeds
+    DEFAULTS.residual max(1, max|Re D|).
     """
     a = np.asarray(coefficients, dtype=float)
     if a.size != len(witness.matched):
-        raise ShapeMismatchError(
-            f"need {len(witness.matched)} coefficients, got {a.size}"
-        )
+        raise ShapeMismatchError(f"need {len(witness.matched)} coefficients, got {a.size}")
     units = witness.matched
     hat_cols = [u.hat_offset + i for u in units for i in range(u.size)]
     primal_cols = [u.offset + u.size - 1 - i for u in units for i in range(u.size)]
     c = np.repeat(a.ravel(), [u.size for u in units])
-    d = (hat_data.U[:, hat_cols] * c) @ primal_data.U[:, primal_cols].T
-    if np.iscomplexobj(d):  # two real bases give a real D and need no check
-        imag = max_abs(d.imag)
-        if imag > DEFAULTS.residual * max(1.0, max_abs(d.real)):
-            raise ComplexResidueError(
-                f"imaginary residue {imag:.3e}: conjugate blocks are not tied"
-            )
-        d = d.real
-    return make_duality(hat_data.source, primal_data.source, d)
+    return _paired_sum(hat_data.source, primal_data.source, hat_data.U[:, hat_cols], primal_data.U[:, primal_cols], c)

@@ -25,10 +25,6 @@ class NotEigenpairError(MarkovDualityError):
     """A supplied function fails eigenfunction validation for the stated generator."""
 
 
-class NotConjugateClosedError(MarkovDualityError):
-    """A complex-pair construction was invoked with a real eigenvalue."""
-
-
 class NotChainError(MarkovDualityError):
     """A supplied sequence of functions is not a generalized-eigenfunction chain."""
 

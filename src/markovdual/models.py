@@ -71,9 +71,10 @@ class ConfigurationSpace:
     computes the (size, n_sites) table of all of them.
 
     The constructors sep() and ladder() take a vertex count (vertices
-    0..count-1) or any vertex sequence, and raise ValueError for a negative
-    count or gamma and SpaceTooLargeError when the size exceeds
-    config.max_states(), the DUALITY_MAX_STATES cap.
+    0..count-1) or any sequence of distinct vertex labels, and raise
+    ValueError for a negative count or gamma or a repeated label and
+    SpaceTooLargeError when the size exceeds config.max_states(), the
+    DUALITY_MAX_STATES cap.
     """
 
     kind: SpaceKind
@@ -96,7 +97,10 @@ class ConfigurationSpace:
             if vertices < 0:
                 raise ValueError(f"vertex count must be >= 0, got {vertices}")
             vertices = range(vertices)
-        space = cls(kind, tuple(vertices), gamma)
+        vertices = tuple(vertices)
+        if _has_repeats(vertices):
+            raise ValueError(f"vertex labels must be distinct, got {len(vertices)} with a repeat")
+        space = cls(kind, vertices, gamma)
         cap = max_states()
         if space.size > cap:
             raise SpaceTooLargeError(f"{kind.name} space size {space.size} exceeds cap {cap}")
@@ -142,6 +146,13 @@ class ConfigurationSpace:
 
     def state_space(self) -> StateSpace:
         return StateSpace(self.size)
+
+
+def _has_repeats(labels: tuple) -> bool:
+    try:
+        return len(set(labels)) < len(labels)
+    except TypeError:  # unhashable labels, such as lists read from a JSON vertex file
+        return any(v in labels[:i] for i, v in enumerate(labels))
 
 
 def _rate_table(p, m: int) -> np.ndarray:

@@ -22,11 +22,9 @@ from .core import (
 )
 from .duality import (
     chain_duality,
-    complex_pair_duality,
     max_duality_rank,
     residual,
     solve_duality_space,
-    tensor_duality,
 )
 from .errors import UnknownScenarioError
 from .intertwining import (
@@ -147,7 +145,7 @@ def scenario_cyclic3(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
     rep.equals("detailed balance (non-reversible)", False, check_detailed_balance(l, mu))
     x = np.arange(1, 4)
     u = np.exp(1j * 2 * np.pi / 3 * x)
-    d = complex_pair_duality(l, l, u, u, 0.5)
+    d = chain_duality(l, l, [u, u.conj()], [u, u.conj()], [0.5, 0.5])
     rep.bound("complex-pair self-duality residual", d.residual, 1e-12)
     cosine = np.cos(2 * np.pi / 3 * (x[:, None] + x[None, :]))
     rep.bound("duality equals cos(2 pi (x+y) / 3)", max_abs(np.asarray(d.matrix) - cosine), 1e-12)
@@ -166,7 +164,7 @@ def scenario_jordan4(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
     rep.bound("decomposition residual", sd.residual, DEFAULTS.residual)
     x = np.arange(1, 5)
     chain = np.column_stack([((-1.0) ** x) / 2.0, np.cos(np.pi * (x + 1) / 2)])
-    d = chain_duality(l, l, chain, chain)
+    d = chain_duality(l, l, [chain], [chain], [1.0])
     rep.bound("order-reversed chain duality residual", d.residual, 1e-10)
     bad = np.outer(chain[:, 0], chain[:, 0]) + np.outer(chain[:, 1], chain[:, 1])
     rep.exceeds("non-reversed pairing residual (control)", residual(l, l, bad), 1e-3)
@@ -183,11 +181,12 @@ def scenario_rw54(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
     rep.bound("analytic vs numerical spectrum", _match_eig_sets(sd.eigenvalues, rw.lambdas.astype(complex)), 1e-8)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n)
-    d_self = tensor_duality(rw.l, rw.l, rw.u, rw.u, a)
+    u, uhat = list(rw.u.T), list(rw.uhat.T)
+    d_self = chain_duality(rw.l, rw.l, u, u, a)
     rep.bound("self-duality residual (cos family)", d_self.residual, 1e-10)
-    d_self_hat = tensor_duality(rw.lhat, rw.lhat, rw.uhat, rw.uhat, a)
+    d_self_hat = chain_duality(rw.lhat, rw.lhat, uhat, uhat, a)
     rep.bound("self-duality residual (sin family)", d_self_hat.residual, 1e-10)
-    d_cross = tensor_duality(rw.lhat, rw.l, rw.uhat, rw.u, a)
+    d_cross = chain_duality(rw.lhat, rw.l, uhat, u, a)
     rep.bound("cross duality residual (sin x cos family)", d_cross.residual, 1e-10)
     space = solve_duality_space(rw.lhat, rw.l)
     rep.equals("duality space dimension", n, space.dimension)

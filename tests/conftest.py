@@ -5,8 +5,9 @@ import hypothesis
 import numpy as np
 import pytest
 
-from markovdual import RateMatrix, SpaceKind
-from markovdual.errors import DecompositionFailedError
+from markovdual import RateMatrix, SpaceKind, make_duality
+from markovdual.config import DEFAULTS
+from markovdual.errors import DecompositionFailedError, NotChainError, NotEigenpairError, ShapeMismatchError
 from markovdual.linalg import EPS, max_abs, numerical_rank, rank_threshold
 from markovdual.models import _power, _rate_table
 from markovdual.spectral import _pivoted_picks
@@ -131,7 +132,7 @@ def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: flo
 
 
 def validate_eigenpairs_loop(l: RateMatrix, us: np.ndarray, tol: float):
-    """Reference for duality._validate_eigenpairs: the one-column check, column by column.
+    """Reference for duality._validate_chains on chains of length 1: the one-column check, column by column.
 
     Each column u gets lam = <u, Lu> / <u, u> from two mat-vecs and fails if it
     is zero or if max|Lu - lam u| > tol max(1, max|u|).  Returns the
@@ -150,6 +151,78 @@ def validate_eigenpairs_loop(l: RateMatrix, us: np.ndarray, tol: float):
             return np.array(lams), i
         lams.append(lam)
     return np.array(lams), None
+
+
+def _eigenvalues_checked(l: RateMatrix, us: np.ndarray, tol: float) -> np.ndarray:
+    """validate_eigenpairs_loop as a check: the column eigenvalues, or NotEigenpairError for the first failing column."""
+    lams, bad = validate_eigenpairs_loop(l, us, tol)
+    if bad is not None:
+        raise NotEigenpairError(f"column {bad}: not an eigenfunction")
+    return lams.astype(complex)
+
+
+def _chain_eigenvalue_checked(l: RateMatrix, chain: np.ndarray, tol: float) -> complex:
+    """The eigenvalue of a Jordan chain (columns, eigenvector first), checked order by order, or NotChainError."""
+    try:
+        lam = _eigenvalues_checked(l, chain[:, :1], tol)[0]
+    except NotEigenpairError as exc:
+        raise NotChainError(f"first chain element is not an eigenfunction: {exc}") from exc
+    m = np.asarray(l.entries)
+    for k in range(1, chain.shape[1]):
+        if max_abs(m @ chain[:, k] - lam * chain[:, k] - chain[:, k - 1]) > tol * max(1.0, max_abs(chain)):
+            raise NotChainError(f"chain defect at order {k + 1}")
+    return lam
+
+
+def _matched(lam_hat, lam, tol: float, error) -> None:
+    if np.any(np.abs(lam_hat - lam) > tol * np.maximum(1.0, np.abs(lam))):
+        raise error("eigenvalues do not match")
+
+
+def tensor_duality_reference(lhat, l, uhats, us, coefficients):
+    """Reference for duality.chain_duality on eigenfunctions: the former tensor_duality.
+
+    D = (uhats * a) @ us^T from eigenfunction columns cast to float, each
+    side checked by validate_eigenpairs_loop at DEFAULTS.residual.
+    """
+    tol = DEFAULTS.residual
+    uhats = np.atleast_2d(np.asarray(uhats, dtype=float))
+    us = np.atleast_2d(np.asarray(us, dtype=float))
+    a = np.asarray(coefficients, dtype=float)
+    if uhats.shape != (lhat.n, a.size) or us.shape != (l.n, a.size):
+        raise ShapeMismatchError("eigenfunction columns must match spaces and coefficient count")
+    _matched(_eigenvalues_checked(lhat, uhats, tol), _eigenvalues_checked(l, us, tol), tol, NotEigenpairError)
+    return make_duality(lhat, l, (uhats * a) @ us.T)
+
+
+def complex_pair_duality_reference(lhat, l, uhat, u, a):
+    """Reference for duality.chain_duality on a tied conjugate pair: the former complex_pair_duality.
+
+    D = 2a Re(uhat (x) u).  The former function also rejected a real
+    eigenvalue; a real eigenvector is now one more chain, so that check is not
+    reproduced.
+    """
+    tol = DEFAULTS.residual
+    uhat, u = np.asarray(uhat, dtype=complex), np.asarray(u, dtype=complex)
+    lam_hat = _eigenvalues_checked(lhat, uhat[:, None], tol)[0]
+    _matched(lam_hat, _eigenvalues_checked(l, u[:, None], tol)[0], tol, NotEigenpairError)
+    return make_duality(lhat, l, 2.0 * a * np.real(np.outer(uhat, u)))
+
+
+def chain_duality_reference(lhat, l, uhat_chain, u_chain):
+    """Reference for duality.chain_duality on one chain pair: the former chain_duality.
+
+    D = sum_k uhat^(k) (x) u^(m+1-k), one outer product per chain position.
+    """
+    tol = DEFAULTS.residual
+    uhat_chain = np.atleast_2d(np.asarray(uhat_chain, dtype=float))
+    u_chain = np.atleast_2d(np.asarray(u_chain, dtype=float))
+    if uhat_chain.shape[1] != u_chain.shape[1]:
+        raise ShapeMismatchError("chains must have the same length")
+    lam_hat = _chain_eigenvalue_checked(lhat, uhat_chain, tol)
+    _matched(lam_hat, _chain_eigenvalue_checked(l, u_chain, tol), tol, NotChainError)
+    m = uhat_chain.shape[1]
+    return make_duality(lhat, l, sum(np.outer(uhat_chain[:, k], u_chain[:, m - 1 - k]) for k in range(m)))
 
 
 def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):

@@ -11,6 +11,7 @@ import numpy as np
 from markovdual import (
     MatrixKind,
     RateMatrix,
+    chain_duality,
     cheap_duality,
     compose_dualities,
     decompose,
@@ -22,7 +23,6 @@ from markovdual import (
     solve_duality_space,
     spectral_from_eigenbasis,
     stationary_measure,
-    tensor_duality,
 )
 from markovdual.scenarios import run_scenario
 
@@ -150,7 +150,7 @@ def test_criterion_8_reversible_constructions():
         mu = stationary_measure(l)
         lams, u = reversible_eigenbasis(l, mu)
         cheap = np.asarray(cheap_duality(mu).matrix)
-        d_tensor = tensor_duality(l, l, u, u, np.ones(n))
+        d_tensor = chain_duality(l, l, list(u.T), list(u.T), np.ones(n))
         gap = np.max(np.abs(np.asarray(d_tensor.matrix) - cheap))
         c.check(gap < 1e-9, f"tensor all-ones differs from cheap by {gap:.3e}")
         sd = spectral_from_eigenbasis(l, lams, u.astype(complex))

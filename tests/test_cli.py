@@ -309,6 +309,7 @@ def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
         ({"vertices": 2, "p": None}, "2 x 2 numeric matrix"),
         ({"vertices": 2, "p": 10**400}, "2 x 2 numeric matrix"),
         ({"vertices": None}, "vertices must be a count or a list"),
+        ({"vertices": ["a", "a"]}, "vertex labels must be distinct"),
         (-3, "vertex count must be >= 0"),
     ],
 )

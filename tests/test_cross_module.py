@@ -8,6 +8,7 @@ import pytest
 from markovdual import (
     RateMatrix,
     build_from_spectra,
+    chain_duality,
     check_r_similar,
     cumulative_transform,
     decompose,
@@ -18,7 +19,6 @@ from markovdual import (
     rw_reflected_absorbed,
     siegmund_dual,
     solve_duality_space,
-    tensor_duality,
 )
 from markovdual.config import max_states
 from markovdual.errors import ComplexResidueError
@@ -41,7 +41,7 @@ class TestBuildFromSpectraCrossGenerator:
         a = np.empty(7)
         for pos, idx in enumerate(order):
             a[pos] = coeffs[idx]
-        d_tensor = tensor_duality(rw.lhat, rw.l, rw.uhat, rw.u, a)
+        d_tensor = chain_duality(rw.lhat, rw.l, list(rw.uhat.T), list(rw.u.T), a)
         npt.assert_allclose(d.matrix, d_tensor.matrix, atol=1e-10)
 
     def test_even_grids_share_the_central_mode(self):

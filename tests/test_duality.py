@@ -17,7 +17,6 @@ from markovdual import (
     cheap_duality,
     check_biorthogonal,
     check_r_similar,
-    complex_pair_duality,
     compose_dualities,
     decompose,
     factor_check,
@@ -35,23 +34,25 @@ from markovdual import (
     solve_duality_space,
     spectral_from_eigenbasis,
     stationary_measure,
-    tensor_duality,
 )
 from markovdual.core import StateSpace
-from markovdual.duality import _validate_eigenpairs
+from markovdual.duality import _validate_chains
 from markovdual.errors import (
     ComplexResidueError,
+    MarkovDualityError,
     NotChainError,
-    NotConjugateClosedError,
     NotEigenpairError,
     NotOrthonormalError,
     ShapeMismatchError,
 )
+from markovdual.linalg import EPS, max_abs
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 
 from conftest import (
     THREE_VERSUS_FIVE,
     build_from_spectra_loop,
+    chain_duality_reference,
+    complex_pair_duality_reference,
     direct_sum,
     jordan_assembled,
     kronecker_duality_space,
@@ -60,6 +61,7 @@ from conftest import (
     random_birth_death,
     random_generator,
     random_jordan_blocks,
+    tensor_duality_reference,
     validate_eigenpairs_loop,
 )
 
@@ -68,6 +70,11 @@ BIRTH_DEATH = [[-2.0, 2.0, 0.0], [1.0, -4.0, 3.0], [0.0, 1.0, -1.0]]
 
 def complete_graph(n):
     return generator(np.ones((n, n)) - n * np.eye(n))
+
+
+def columns(u) -> list:
+    """The columns of an eigenfunction matrix as a list of 1-D eigenfunctions (chains of length 1)."""
+    return list(np.asarray(u).T)
 
 
 class TestResidual:
@@ -355,7 +362,7 @@ class TestTensor:
         l = generator(BIRTH_DEATH)
         n = 3
         const = np.full((n, 1), 1.0 / np.sqrt(n))
-        d = tensor_duality(l, l, const, const, [1.0])
+        d = chain_duality(l, l, columns(const), columns(const), [1.0])
         npt.assert_allclose(d.matrix, np.full((n, n), 1.0 / n))
         assert d.residual < 1e-12
 
@@ -363,25 +370,29 @@ class TestTensor:
         l = random_birth_death(rng, 6)
         mu = stationary_measure(l)
         _, u = reversible_eigenbasis(l, mu)
-        d = tensor_duality(l, l, u, u, np.ones(6))
+        d = chain_duality(l, l, columns(u), columns(u), np.ones(6))
         npt.assert_allclose(d.matrix, cheap_duality(mu).matrix, atol=1e-9)
 
     def test_rw54_random_coefficients(self, rng):
         rw = rw_reflected_absorbed(8)
-        d = tensor_duality(rw.lhat, rw.l, rw.uhat, rw.u, rng.standard_normal(8))
+        d = chain_duality(rw.lhat, rw.l, columns(rw.uhat), columns(rw.u), rng.standard_normal(8))
         assert d.residual < 1e-10
 
     def test_mismatched_eigenvalues_rejected(self):
         rw = rw_reflected_absorbed(5)
         shuffled = rw.u[:, [1, 0, 2, 3, 4]]
         with pytest.raises(NotEigenpairError):
-            tensor_duality(rw.lhat, rw.l, rw.uhat, shuffled, np.ones(5))
+            chain_duality(rw.lhat, rw.l, columns(rw.uhat), columns(shuffled), np.ones(5))
 
 
 class TestEigenpairValidation:
-    """_validate_eigenpairs (one product for all columns) against the column-by-column reference."""
+    """_validate_chains on chains of length 1 (one product for all columns) against the column-by-column reference."""
 
     TOL = 1e-9
+
+    @classmethod
+    def validate(cls, l, cols):
+        return _validate_chains(l, cols, np.ones(cols.shape[1], dtype=int), cls.TOL)
 
     @staticmethod
     def families(rng):
@@ -419,10 +430,10 @@ class TestEigenpairValidation:
             for cols in self.variants(rng, np.asarray(us)):
                 lams, first_bad = validate_eigenpairs_loop(l, cols, self.TOL)
                 if first_bad is None:
-                    npt.assert_allclose(_validate_eigenpairs(l, cols, self.TOL), lams, rtol=1e-12, atol=1e-12)
+                    npt.assert_allclose(self.validate(l, cols), lams, rtol=1e-12, atol=1e-12)
                 else:
                     with pytest.raises(NotEigenpairError, match=f"^column {first_bad}: "):
-                        _validate_eigenpairs(l, cols, self.TOL)
+                        self.validate(l, cols)
                 verdicts.append(first_bad is None)
         assert len(verdicts) == 55 and sum(verdicts) == 33  # the exact, 1e-13 and scaled variants pass
         assert complex_families >= 2
@@ -431,20 +442,62 @@ class TestEigenpairValidation:
         l = cyclic_generator()
         cols = np.column_stack([np.ones(3), np.zeros(3)])
         with pytest.raises(NotEigenpairError, match="column 1: zero vector"):
-            _validate_eigenpairs(l, cols, self.TOL)
+            self.validate(l, cols)
 
-    def test_tensor_duality_names_the_first_mismatched_column(self):
+    def test_product_duality_names_the_first_mismatched_column(self):
         rw = rw_reflected_absorbed(5)
         shuffled = rw.u[:, [0, 1, 3, 2, 4]]
         with pytest.raises(NotEigenpairError, match="column 2: eigenvalues"):
-            tensor_duality(rw.lhat, rw.l, rw.uhat, shuffled, np.ones(5))
+            chain_duality(rw.lhat, rw.l, columns(rw.uhat), columns(shuffled), np.ones(5))
 
     def test_chain_defect_names_its_order(self):
         l = jordan_block_generator()
         chain = TestChain().jordan_chain()
         chain = np.column_stack([chain, chain[:, 1]])  # order 3 is no chain element
         with pytest.raises(NotChainError, match="at order 3"):
-            chain_duality(l, l, chain, chain)
+            chain_duality(l, l, [chain], [chain], [1.0])
+
+    def test_chain_failures_name_the_chain_and_order(self):
+        l = jordan_block_generator()
+        chain = TestChain().jordan_chain()
+        zero_head = np.column_stack([np.zeros(4), chain[:, 1]])
+        with pytest.raises(NotChainError, match="^chain 1: zero vector at order 1"):
+            chain_duality(l, l, [chain, zero_head], [chain, chain], [1.0, 1.0])
+        ones = np.ones(4)  # eigenvalue 0, against the chain's -1
+        with pytest.raises(NotEigenpairError, match="^column 1: eigenvalues"):
+            chain_duality(l, l, [chain, ones], [chain, chain[:, 0]], [1.0, 1.0])
+
+    def test_chain_bounds_scale_with_the_eigenvector_and_with_the_whole_chain(self):
+        # L u2 = -u2 + u1 for u1 = s b e1, u2 = b e2; e3 (eigenvalue 0) carries each perturbation
+        def chain_on(s, b):
+            l = RateMatrix.from_entries([[-1.0, s, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+            return l, np.array([[s * b, 0.0], [0.0, b], [0.0, 0.0]])
+
+        l, chain = chain_on(100.0, 0.1)  # max|u2| = 0.1, max|chain| = 10
+        for defect, ok in ((5e-9, True), (5e-8, False)):  # against TOL max(1, max|chain|) = 1e-8
+            bent = chain.copy()
+            bent[2, 1] = defect
+            if ok:
+                npt.assert_allclose(_validate_chains(l, bent, [2], self.TOL), [-1.0])
+            else:
+                with pytest.raises(NotChainError, match="at order 2"):
+                    _validate_chains(l, bent, [2], self.TOL)
+        l, chain = chain_on(0.01, 10.0)  # max|u1| = 0.1, max|chain| = 10
+        bent = chain.copy()
+        bent[2, 0] = 5e-9  # above TOL max(1, max|u1|) = 1e-9
+        with pytest.raises(NotChainError, match="at order 1"):
+            _validate_chains(l, bent, [2], self.TOL)
+
+    def test_mixed_lengths_validated_by_one_product_per_side(self):
+        l = jordan_block_generator()
+        chain = TestChain().jordan_chain()
+        ones = np.ones(4)
+        cols = np.column_stack([ones, chain, ones])
+        lams = _validate_chains(l, cols, [1, 2, 1], 1e-12)
+        npt.assert_allclose(lams, [0.0, -1.0, 0.0], atol=1e-12)
+        bent = np.column_stack([ones, chain[:, 0], chain[:, 1] + 0.1 * ones, ones])  # defect 0.1 at order 2
+        with pytest.raises(NotChainError, match="^chain 1: chain defect 1.000e-01 at order 2"):
+            _validate_chains(l, bent, [1, 2, 1], 1e-12)
 
 
 class TestComplexPair:
@@ -452,26 +505,42 @@ class TestComplexPair:
         l = cyclic_generator()
         x = np.arange(1, 4)
         u = np.exp(1j * 2 * np.pi / 3 * x)
-        d = complex_pair_duality(l, l, u, u, 0.5)
+        d = chain_duality(l, l, [u, u.conj()], [u, u.conj()], [0.5, 0.5])
         npt.assert_allclose(d.matrix, np.cos(2 * np.pi / 3 * (x[:, None] + x[None, :])), atol=1e-12)
         assert d.residual < 1e-12
 
     def test_zero_coefficient(self):
         l = cyclic_generator()
         u = np.exp(1j * 2 * np.pi / 3 * np.arange(1, 4))
-        d = complex_pair_duality(l, l, u, u, 0.0)
+        d = chain_duality(l, l, [u, u.conj()], [u, u.conj()], [0.0, 0.0])
         npt.assert_array_equal(d.matrix, np.zeros((3, 3)))
 
     def test_output_exactly_real(self):
         l = cyclic_generator()
         u = np.exp(1j * 2 * np.pi / 3 * np.arange(1, 4))
-        d = complex_pair_duality(l, l, u, u, 1.3)
+        d = chain_duality(l, l, [u, u.conj()], [u, u.conj()], [1.3, 1.3])
         assert np.isrealobj(np.asarray(d.matrix))
 
-    def test_real_eigenvalue_rejected(self):
+    def test_untied_conjugate_coefficients_rejected(self):
         l = cyclic_generator()
-        with pytest.raises(NotConjugateClosedError):
-            complex_pair_duality(l, l, np.ones(3), np.ones(3), 1.0)
+        u = np.exp(1j * 2 * np.pi / 3 * np.arange(1, 4))
+        with pytest.raises(ComplexResidueError):
+            chain_duality(l, l, [u, u.conj()], [u, u.conj()], [1.0, 0.5])
+
+    def test_tied_conjugate_eigenvectors_of_a_dense_generator(self, rng):
+        # complex eig columns, kept complex: each conjugate pair with one tied
+        # coefficient gives a real duality; real eigenvalues ride along
+        lhat, l = random_generator(rng, 6), random_generator(rng, 6)
+        perm = np.eye(6)[rng.permutation(6)]
+        lhat = RateMatrix.from_entries(perm @ np.asarray(l.entries) @ perm.T)
+        lams, v = np.linalg.eig(np.asarray(l.entries))
+        assert np.any(lams.imag != 0.0)
+        c = 1.0 + np.abs(lams.imag) - 0.1 * lams.real  # equal on conjugates
+        d = chain_duality(lhat, l, columns(perm @ v), columns(v), c)
+        assert d.residual < 1e-10
+        assert d.rank == 6
+        with pytest.raises(ComplexResidueError):
+            chain_duality(lhat, l, columns(perm @ v), columns(v), c * (1.0 + (lams.imag > 0)))
 
 
 class TestChain:
@@ -483,13 +552,13 @@ class TestChain:
         l = generator(BIRTH_DEATH)
         mu = stationary_measure(l)
         _, u = reversible_eigenbasis(l, mu)
-        d = chain_duality(l, l, u[:, [1]], u[:, [1]])
+        d = chain_duality(l, l, [u[:, [1]]], [u[:, [1]]], [1.0])
         npt.assert_allclose(d.matrix, np.outer(u[:, 1], u[:, 1]), atol=1e-12)
 
     def test_jordan4_chain(self):
         l = jordan_block_generator()
         chain = self.jordan_chain()
-        d = chain_duality(l, l, chain, chain)
+        d = chain_duality(l, l, [chain], [chain], [1.0])
         assert d.residual < 1e-12
 
     def test_non_reversed_pairing_fails(self):
@@ -502,7 +571,141 @@ class TestChain:
         l = jordan_block_generator()
         chain = self.jordan_chain()[:, ::-1]  # wrong order: top first
         with pytest.raises(NotChainError):
-            chain_duality(l, l, chain, chain)
+            chain_duality(l, l, [chain], [chain], [1.0])
+
+    def test_one_dimensional_eigenfunction(self):
+        l = generator(BIRTH_DEATH)
+        _, u = reversible_eigenbasis(l, stationary_measure(l))
+        d = chain_duality(l, l, [u[:, 1]], [u[:, 1]], [0.7])
+        npt.assert_allclose(d.matrix, 0.7 * np.outer(u[:, 1], u[:, 1]), rtol=1e-15, atol=1e-15)
+
+    def test_chains_and_eigenfunctions_summed_with_their_coefficients(self):
+        l = jordan_block_generator()
+        chain = self.jordan_chain()
+        ones = np.ones(4)
+        d = chain_duality(l, l, [chain, ones], [chain, ones], [2.0, -0.5])
+        expected = 2.0 * (np.outer(chain[:, 0], chain[:, 1]) + np.outer(chain[:, 1], chain[:, 0])) - 0.5
+        npt.assert_allclose(d.matrix, expected, atol=1e-15)
+        assert d.residual < 1e-12
+
+    def test_shapes_checked(self):
+        l = jordan_block_generator()
+        chain = self.jordan_chain()
+        for hat, primal, c in (
+            ([chain], [chain[:, :1]], [1.0]),  # paired chains of unequal length
+            ([chain], [chain], [1.0, 1.0]),  # a coefficient per chain
+            ([chain[:3]], [chain[:3]], [1.0]),  # chains on the state space
+            ([np.zeros((4, 0))], [np.zeros((4, 0))], [1.0]),  # a chain holds one vector or more
+        ):
+            with pytest.raises(ShapeMismatchError):
+                chain_duality(l, l, hat, primal, c)
+
+
+class TestFoldedConstructorsParity:
+    """chain_duality against the three constructors it replaced, kept in conftest as references.
+
+    Every input their tests, acceptance criterion 8 and the scenarios gave
+    them: the matrix and the residual are bit-identical (for a conjugate pair
+    only where its coefficient is a power of two or zero), and an input the
+    old constructor rejected is rejected with the same error class.
+    """
+
+    @staticmethod
+    def tensor_inputs(rng):
+        """(lhat, l, uhats, us, coefficients) with eigenfunctions as columns."""
+        l = generator(BIRTH_DEATH)
+        const = np.full((3, 1), 1.0 / np.sqrt(3))
+        yield l, l, const, const, [1.0]
+        for n in (6, 5):
+            l = random_birth_death(rng, n)
+            _, u = reversible_eigenbasis(l, stationary_measure(l))
+            yield l, l, u, u, np.ones(n)
+            yield l, l, u[:, [2]], u[:, [2]], [0.9]
+            perm = np.eye(n)[rng.permutation(n)]
+            lhat = RateMatrix.from_entries(perm @ np.asarray(l.entries) @ perm.T)
+            yield lhat, l, perm @ u, u, rng.standard_normal(n)
+        for n, seeded in ((5, False), (6, False), (7, False), (8, False), (8, True), (20, True)):
+            rw = rw_reflected_absorbed(n)
+            a = np.random.default_rng(0).standard_normal(n) if seeded else rng.standard_normal(n)
+            yield rw.l, rw.l, rw.u, rw.u, a
+            yield rw.lhat, rw.lhat, rw.uhat, rw.uhat, a
+            yield rw.lhat, rw.l, rw.uhat, rw.u, a
+        rw = rw_reflected_absorbed(6)
+        yield rw.lhat, rw.l, rw.uhat[:, [1]], rw.u[:, [1]], [1.7]
+        rw = rw_reflected_absorbed(5)
+        for order in ([1, 0, 2, 3, 4], [0, 1, 3, 2, 4]):  # rejected: mismatched eigenvalues
+            yield rw.lhat, rw.l, rw.uhat, rw.u[:, order], np.ones(5)
+        crit8 = np.random.default_rng(88)
+        for _ in range(100):
+            n = int(crit8.integers(2, 9))
+            l = random_birth_death(crit8, n)
+            _, u = reversible_eigenbasis(l, stationary_measure(l))
+            yield l, l, u, u, np.ones(n)
+            crit8.choice([-1.0, 1.0], n)  # the criterion's sign draw, so its generators follow
+
+    @staticmethod
+    def chain_inputs():
+        """(l, uhat_chain, u_chain) self-duality inputs with chains as columns."""
+        l = generator(BIRTH_DEATH)
+        _, u = reversible_eigenbasis(l, stationary_measure(l))
+        yield l, u[:, [1]], u[:, [1]]
+        l = jordan_block_generator()
+        chain = TestChain().jordan_chain()
+        yield l, chain, chain
+        yield l, chain[:, ::-1], chain[:, ::-1]  # rejected: top first
+        bad = np.column_stack([chain, chain[:, 1]])
+        yield l, bad, bad  # rejected: no chain element at order 3
+
+    @staticmethod
+    def same(new, reference, exact=True):
+        """True if both build the same duality (bit for bit unless not exact), False if both reject the input."""
+        try:
+            expected = reference()
+        except MarkovDualityError as exc:
+            with pytest.raises(type(exc)):
+                new()
+            return False
+        d = new()
+        if exact:
+            npt.assert_array_equal(d.matrix, expected.matrix)
+            assert d.residual == expected.residual
+        else:
+            npt.assert_allclose(d.matrix, expected.matrix, rtol=0, atol=4 * EPS * max_abs(expected.matrix))
+            assert abs(d.residual - expected.residual) <= 4 * EPS * max_abs(expected.matrix)
+        assert d.rank == expected.rank
+        return True
+
+    def test_eigenfunction_products(self, rng):
+        built = [
+            self.same(
+                lambda: chain_duality(lhat, l, columns(uh), columns(u), a),
+                lambda: tensor_duality_reference(lhat, l, uh, u, a),
+            )
+            for lhat, l, uh, u, a in self.tensor_inputs(rng)
+        ]
+        assert len(built) == 128 and sum(built) == 126
+
+    def test_conjugate_pairs(self):
+        l = cyclic_generator()
+        u = np.exp(1j * 2 * np.pi / 3 * np.arange(1, 4))
+        # a (uhat (x) u) + a conj(uhat (x) u) rounds a u before the product and
+        # 2a Re(uhat (x) u) after it: bit for bit only where a is a power of two (or 0)
+        for a, exact in ((0.5, True), (0.0, True), (1.3, False)):
+            assert self.same(
+                lambda: chain_duality(l, l, [u, u.conj()], [u, u.conj()], [a, a]),
+                lambda: complex_pair_duality_reference(l, l, u, u, a),
+                exact,
+            )
+
+    def test_chains(self):
+        built = [
+            self.same(
+                lambda: chain_duality(l, l, [uh], [u], [1.0]),
+                lambda: chain_duality_reference(l, l, uh, u),
+            )
+            for l, uh, u in self.chain_inputs()
+        ]
+        assert built == [True, True, False, False]
 
 
 class TestOrthogonalSelfduality:
@@ -609,8 +812,8 @@ class TestCompose:
         perm = np.eye(5)[rng.permutation(5)]
         lhat = RateMatrix.from_entries(perm @ np.asarray(l.entries) @ perm.T)
         uhat = perm @ u
-        d1 = tensor_duality(lhat, l, uhat, u, rng.standard_normal(5))
-        d2 = tensor_duality(lhat, l, uhat, u, rng.standard_normal(5))
+        d1 = chain_duality(lhat, l, columns(uhat), columns(u), rng.standard_normal(5))
+        d2 = chain_duality(lhat, l, columns(uhat), columns(u), rng.standard_normal(5))
         out = compose_dualities(d1, d2, mu, lhat)
         assert out.residual < 1e-9
         assert out.dual_space.n == out.primal_space.n == 5
@@ -630,7 +833,7 @@ class TestFactorCheck:
 
     def test_rw54_single_mode(self):
         rw = rw_reflected_absorbed(6)
-        d = tensor_duality(rw.lhat, rw.l, rw.uhat[:, [1]], rw.u[:, [1]], [1.7])
+        d = chain_duality(rw.lhat, rw.l, [rw.uhat[:, 1]], [rw.u[:, 1]], [1.7])
         out = factor_check(d, rw.lhat, rw.l)
         assert out is not None
         _, _, lam = out
@@ -648,7 +851,7 @@ class TestFactorCheck:
         mu = stationary_measure(l)
         lams, u = reversible_eigenbasis(l, mu)
         i = 2
-        d = tensor_duality(l, l, u[:, [i]], u[:, [i]], [0.9])
+        d = chain_duality(l, l, [u[:, i]], [u[:, i]], [0.9])
         f, g, lam = factor_check(d, l, l)
         assert lam == pytest.approx(lams[i], abs=1e-9)
         corr = abs(f @ u[:, i]) / (np.linalg.norm(f) * np.linalg.norm(u[:, i]))

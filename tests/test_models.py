@@ -15,6 +15,7 @@ from markovdual import (
     RateMatrix,
     SingleSiteDualityParams,
     SpaceKind,
+    chain_duality,
     classify_regime,
     decompose,
     factorized_duality,
@@ -31,7 +32,6 @@ from markovdual import (
     solve_duality_space,
     spectral_from_eigenbasis,
     ssep_selfduality,
-    tensor_duality,
 )
 from markovdual.config import DEFAULTS
 from markovdual.errors import (
@@ -116,6 +116,15 @@ class TestConfigurationSpace:
     def test_negative_vertex_count_rejected(self, kind):
         with pytest.raises(ValueError, match="vertex count"):
             getattr(ConfigurationSpace, kind)(-3, 1)
+
+    @pytest.mark.parametrize("kind", ["sep", "ladder"])
+    @pytest.mark.parametrize("vertices", [("a", "a"), (0, 1, 0), ([0], [1], [0])])
+    def test_repeated_vertex_label_rejected(self, kind, vertices):
+        with pytest.raises(ValueError, match="distinct"):
+            getattr(ConfigurationSpace, kind)(vertices, 1)
+
+    def test_unhashable_distinct_labels_accepted(self):
+        assert ConfigurationSpace.sep([[0], [1]], 1).size == 4
 
     def test_spaces_compare_by_value(self):
         assert ConfigurationSpace.sep(2, 2) == ConfigurationSpace.sep((0, 1), 2)
@@ -548,7 +557,7 @@ class TestReflectedAbsorbedRW:
             (rw.lhat, rw.lhat, rw.uhat, rw.uhat),
             (rw.lhat, rw.l, rw.uhat, rw.u),
         ):
-            assert tensor_duality(lhat, l, uh, u, a).residual < 1e-10
+            assert chain_duality(lhat, l, list(uh.T), list(u.T), a).residual < 1e-10
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_duality_space_dimension(self, n):
