@@ -11,10 +11,15 @@ randomly relabelled), built with `perfbench.inputs`, hence the repository
 root on the path.  Per input it reports the min and median wall time of
 `decompose` over the repeats (after one untimed call), the number of Jordan
 blocks and distinct eigenvalues, the largest block, a digest of the
-structure as [Re, Im, size] triples (eigenvalues rounded to 9 digits), and
-the residual; the dense ladder rows (class "dense-ladder")
-report the same, plus the fitted exponent log(t_b / t_a) / log(n_b / n_a)
-between neighbouring sizes.
+structure as [Re, Im, size] triples (eigenvalues rounded to 9 digits), an
+exact digest of the same triples (every eigenvalue and the residual as
+float.hex, so it changes with any bit), a witness digest (the matched
+eigenvalue as float.hex, both offsets and the size of every block that
+`check_r_similar` matches at full rank between two relabelled copies of the
+input, drawn from a generator of their own so the round inputs stay the
+ones perfbench draws), and the residual; the dense ladder rows (class
+"dense-ladder") report the same, plus the fitted exponent
+log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -22,7 +27,7 @@ checkout given (importing its `src/`), then on this one, each with the
 repository root of this script on the path for `perfbench`, and writes
 {machine, command, summary, before, after} to --out: per class the sum of
 the medians on both sides and their ratio, and whether every input's
-structure digest matched.  BLAS threads follow the environment.
+structure, exact and witness digests matched.  BLAS threads follow the environment.
 """
 
 import argparse
@@ -60,7 +65,25 @@ def round_inputs(rng: np.random.Generator) -> list[tuple[str, str, np.ndarray]]:
     return [(kind, label, inputs.permuted(rng, m)) for kind, label, m in out]
 
 
-def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def witness_digest(m: np.ndarray, rng: np.random.Generator) -> str:
+    """Digest of the full-rank check_r_similar witness between two relabelled copies of m."""
+    from markovdual import check_r_similar, decompose, generator
+    from perfbench import inputs
+
+    hat, primal = (decompose(generator(inputs.permuted(rng, m))) for _ in range(2))
+    witness = check_r_similar(hat, primal, hat.n)
+    matched = [
+        [u.eigenvalue.real.hex(), u.eigenvalue.imag.hex(), u.hat_offset, u.offset, u.size]
+        for u in (witness.matched if witness is not None else ())
+    ]
+    return _digest(matched)
+
+
+def time_input(kind: str, label: str, m: np.ndarray, repeats: int, witness_rng: np.random.Generator) -> dict:
     from markovdual import decompose, generator
 
     l = generator(m)
@@ -74,6 +97,7 @@ def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
         [round(b.eigenvalue.real, 9) + 0.0, round(b.eigenvalue.imag, 9) + 0.0, b.size]
         for b in sd.structure.blocks
     ]
+    exact = [[b.eigenvalue.real.hex(), b.eigenvalue.imag.hex(), b.size] for b in sd.structure.blocks]
     return {
         "group": kind,
         "input": label,
@@ -84,7 +108,9 @@ def time_input(kind: str, label: str, m: np.ndarray, repeats: int) -> dict:
         "blocks": len(sd.structure.blocks),
         "distinct_eigenvalues": len({b.eigenvalue for b in sd.structure.blocks}),
         "largest_block": max(b.size for b in sd.structure.blocks),
-        "digest": hashlib.sha256(json.dumps(structure).encode()).hexdigest()[:16],
+        "digest": _digest(structure),
+        "exact_digest": _digest([exact, sd.residual.hex()]),
+        "witness_digest": witness_digest(m, witness_rng),
         "residual": sd.residual,
     }
 
@@ -103,9 +129,11 @@ def fitted_exponents(ladder: list[dict]) -> list[dict]:
 def time_calls(seed: int, sizes: list[int], repeats: int) -> list[dict]:
     from perfbench import inputs
 
-    rng = np.random.default_rng(seed)
-    rows = [time_input(*spec, repeats) for spec in round_inputs(rng)]
-    rows += [time_input("dense-ladder", f"n={n}", inputs.dense_generator(rng, n), repeats) for n in sizes]
+    rng, witness_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    rows = [time_input(*spec, repeats, witness_rng) for spec in round_inputs(rng)]
+    rows += [
+        time_input("dense-ladder", f"n={n}", inputs.dense_generator(rng, n), repeats, witness_rng) for n in sizes
+    ]
     return rows
 
 
@@ -126,14 +154,14 @@ def main() -> None:
     argv = ["--seed", str(args.seed), "--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
     before = run_checkout(__file__, args.before.resolve(), argv)
     after = run_checkout(__file__, ROOT, argv)
-    summary = compare(before["calls"], after["calls"], exact=("digest",))
+    summary = compare(before["calls"], after["calls"], exact=("digest", "exact_digest", "witness_digest"))
     rounds = [sum(r["median_s"] for r in side["calls"] if r["group"] != "dense-ladder") for side in (before, after)]
     record = {
         "what": "wall time of decompose(l) on the inputs of one spectral-build round "
         "(perfbench.workloads.SpectralBuild: dense, birth-death, complete-graph SEP and Jordan-sum "
         "generators, randomly relabelled; the round decomposes each twice) and on a dense ladder, "
-        "before = --before checkout, after = this checkout; the structure digest of every input "
-        "must match between the sides",
+        "before = --before checkout, after = this checkout; the structure, exact and witness "
+        "digests of every input must match between the sides",
         "command": " ".join(["python3", "scripts/bench_spectral.py", "--before", "<parent checkout>", *argv]),
         "machine": machine(),
         "seed": args.seed,

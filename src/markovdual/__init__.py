@@ -74,7 +74,6 @@ from .spectral import (
     SpectralData,
     Witness,
     build_bj,
-    check_biorthogonal,
     check_r_similar,
     decompose,
     match_jordan_blocks,

@@ -5,9 +5,8 @@ A function takes a tolerance argument only where a caller needs a value
 other than the default (classify_matrix and RateMatrix.from_entries
 row_tol, check_detailed_balance tol, decompose tol_residual and
 tol_cluster, match_jordan_blocks and check_r_similar tol, push_duality and
-push_duality_left tol, check_biorthogonal tol).  The defaults are tuned for
-the package's intended regime of small (n up to a few hundred),
-well-conditioned dense matrices.  The configuration-space cap is set only
+push_duality_left tol).  The defaults are tuned for the package's intended
+regime of small (n up to a few hundred), well-conditioned dense matrices.  The configuration-space cap is set only
 through the DUALITY_MAX_STATES environment variable.
 """
 

@@ -27,20 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.lapack import dtrsen
 
 from .config import DEFAULTS
 from .core import Measure, RateMatrix, StateSpace
 from .errors import (
     ComplexResidueError,
-    DecompositionFailedError,
     NotChainError,
     NotEigenpairError,
     NotOrthonormalError,
     ShapeMismatchError,
 )
 from .linalg import EPS, max_abs, numerical_rank, rank_threshold
-from .spectral import SpectralData, Witness, _cluster_eigenvalues, reversible_eigenbasis
+from .spectral import SpectralData, Witness, _cluster_eigenvalues, _reorder_schur, reversible_eigenbasis
 
 __all__ = [
     "DualityFunction",
@@ -149,28 +147,24 @@ def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunct
 def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     """Reorder the real Schur form S = Z^T L^T Z into the recursion's column blocks.
 
-    Diagonal entries of S with a neighbour within tau are grouped as
-    `decompose` groups eigenvalues (each within tau of its group's mean).  Both
+    Diagonal entries of S are grouped by `decompose`'s rule,
+    `_cluster_eigenvalues` (each within tau of its group's mean).  Both
     diagonal entries of a standardized 2 x 2 block equal the pair's real part,
     so a pair always falls in one group.  Each group with more than one member
-    is made contiguous by dtrsen (it keeps the relative order of everything it
-    does not select and keeps S quasi-triangular) and becomes one block unless
-    its Schur block is numerically scalar, i.e. within tau of c I; a scalar
-    (semisimple) group and every singleton is solved column by column.  The
-    two columns of a 2 x 2 block are never split, however small its
+    is made contiguous by `_reorder_schur` (dtrsen keeps the relative order of
+    everything it does not select and keeps S quasi-triangular) and becomes
+    one block unless its Schur block is numerically scalar, i.e. within tau
+    of c I; a scalar (semisimple) group and every singleton is solved column
+    by column.  The two columns of a 2 x 2 block are never split, however small its
     off-diagonal entries: the column recursion needs S block upper triangular.
     Returns the reordered (S, Z) and the blocks as (start, stop) column ranges.
     """
     n = s.shape[0]
     order = np.arange(n)  # original position of the eigenvalue now at each position
-    diag = np.diag(s)
-    near = np.flatnonzero(np.sum(np.abs(diag[:, None] - diag) <= tau, axis=1) > 1)
-    clusters = [near[g] for g in _cluster_eigenvalues(diag[near], tau)[0] if len(g) > 1]
+    clusters = [g for g in _cluster_eigenvalues(np.diag(s), tau)[0] if len(g) > 1]
     for g in clusters:
         select = np.isin(order, g)
-        s, z, *_, info = dtrsen(select.astype(np.int32), s, z, job="N")
-        if info != 0:
-            raise DecompositionFailedError(f"dtrsen failed with info = {info}")
+        s, z = _reorder_schur(s, z, select)
         order = np.concatenate([order[select], order[~select]])
     starts = np.ones(n + 1, dtype=bool)
     for g in clusters:

@@ -34,10 +34,11 @@ from .intertwining import (
     push_duality,
     push_duality_left,
 )
-from .linalg import max_abs
+from .linalg import EPS, max_abs
 from .models import (
     ConfigurationSpace,
     SingleSiteDualityParams,
+    _walk_interior,
     classify_regime,
     factorized_duality,
     ladder_bracket_sum,
@@ -202,10 +203,7 @@ def scenario_rw6_siegmund(n=None, gamma=None, seed=0, out=None) -> ScenarioRepor
     n = 8 if n is None else n
     rep = ScenarioReport("rw6-siegmund")
     rw = rw_blocked_absorbed(n)
-    absorbed = np.zeros((n, n))
-    for x in range(1, n - 1):
-        absorbed[x, x - 1] = absorbed[x, x + 1] = 1.0
-        absorbed[x, x] = -2.0
+    absorbed = _walk_interior(n)
     absorbed[n - 1, n - 2], absorbed[n - 1, n - 1] = 1.0, -2.0
     rep.bound("siegmund dual equals absorbed walk exactly", max_abs(np.asarray(rw.pair.l.entries) - absorbed), 0.0)
     rep.equals("blocked walk is monotone", True, rw.pair.monotone)
@@ -235,6 +233,13 @@ def scenario_rw6_siegmund(n=None, gamma=None, seed=0, out=None) -> ScenarioRepor
     return rep
 
 
+# The pushed residual max|L_hat P - P L^T| is rounding, so its bound is this
+# factor times eps times the largest entry of |L_hat||P| + |P||L|^T: it grows
+# with the ladder (1024 x 36 at gamma = 5, 4096 x 49 at gamma = 6), where an
+# absolute 1e-12 does not hold, and sits below 1e-12 for gamma <= 3.
+PUSHED_FACTOR = 4.0
+
+
 def scenario_sep_intertwine(n=None, gamma=None, seed=0, out=None) -> ScenarioReport:
     gamma = 2 if gamma is None else gamma
     rep = ScenarioReport("sep-intertwine")
@@ -253,7 +258,9 @@ def scenario_sep_intertwine(n=None, gamma=None, seed=0, out=None) -> ScenarioRep
     d_tilde = ssep_selfduality(ladder_space, params, l_ladder)
     rep.bound("ladder product self-duality residual", d_tilde.residual, 1e-12)
     pushed = push_duality(d_tilde, lam_inv, l_sep, l_ladder, l_ladder)
-    rep.bound("pushed duality residual (ladder dual, SEP primal)", pushed.residual, 1e-12)
+    p = np.asarray(pushed.matrix)
+    rounding = max_abs(np.abs(l_ladder.entries) @ np.abs(p) + np.abs(p) @ np.abs(l_sep.entries).T)
+    rep.bound("pushed duality residual (ladder dual, SEP primal)", pushed.residual, PUSHED_FACTOR * EPS * rounding)
     both = push_duality_left(pushed, lam_inv, l_sep, l_ladder, l_sep)
     table = single_site_duality(params)
     d_fact = factorized_duality([table, table], sep_space, l_sep)

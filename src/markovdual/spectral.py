@@ -6,10 +6,14 @@ involution and the rank-r similarity test that turn shared spectral structure
 into duality functions (see markovdual.duality.build_from_spectra).
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
-(ones on the superdiagonal inside each block).  A simple eigenvalue's chain is
-its `eig` column; every repeated eigenvalue, real or complex, gets its chains
-from the leading block of one dtrsen-reordered real Schur form, mapped back
-through the Schur vectors (Kagstrom-Ruhe, ACM TOMS 1980).
+(ones on the superdiagonal inside each block).  Which computed eigenvalues
+count as one is decided in one grouping pass, _cluster_eigenvalues, over the
+spectrum folded into the upper half-plane (re + i|im|): a conjugate pair is
+one cluster.  A simple eigenvalue's chain is its `eig` column; every repeated
+eigenvalue, real or complex, gets its chains from the leading block of one
+dtrsen-reordered real Schur form, mapped back through the Schur vectors
+(Kagstrom-Ruhe, ACM TOMS 1980).  _reorder_schur is the one dtrsen call, shared
+with the duality kernel's column blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "build_bj",
     "match_jordan_blocks",
     "check_r_similar",
-    "check_biorthogonal",
     "reversible_eigenbasis",
     "spectral_from_eigenbasis",
 ]
@@ -133,23 +136,29 @@ class SpectralData:
 
 
 def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]], np.ndarray]:
-    """Greedy merge of eigenvalues within tol of a group's running mean.
+    """Group eigenvalues: greedy merge within tol of a group's running mean.
 
-    Eigenvalues are visited in (real, imag) order; each joins the first group,
-    in creation order, whose current mean is within tol, or else starts a new
-    group.  Running sums and counts keep every mean at hand, so each visit is
-    one vectorized comparison against all groups: n Python steps of O(groups)
-    arithmetic.  Returns the groups (indices into eigs) and their means.
+    An eigenvalue with no other within tol (one n x n distance comparison) is
+    a group of its own.  The rest are visited in (real, imag) order; each
+    joins the first group, in creation order, whose current mean is within
+    tol, or else starts a new group.  Running sums and counts keep every mean
+    at hand, so each visit is one vectorized comparison against all groups.
+    Returns the groups (indices into eigs) and their means: the merged groups
+    in creation order, then the lone eigenvalues in index order.  This is the
+    one grouping rule: decompose applies it to the folded spectrum
+    (re + i|im|), the duality kernel to the diagonal of a real Schur form.
     """
-    order = np.lexsort((eigs.imag, eigs.real))
+    crowded = np.count_nonzero(np.abs(eigs[:, None] - eigs) <= tol, axis=1) > 1
+    lone = np.flatnonzero(~crowded)
+    near = np.flatnonzero(crowded)
     groups: list[list[int]] = []
-    sums = np.zeros(len(eigs), dtype=complex)
-    means = np.zeros(len(eigs), dtype=complex)
-    counts = np.zeros(len(eigs), dtype=int)
-    for idx in order:
-        near = np.flatnonzero(np.abs(eigs[idx] - means[: len(groups)]) <= tol)
-        if near.size:
-            g = near[0]
+    sums = np.zeros(near.size, dtype=complex)
+    means = np.zeros(near.size, dtype=complex)
+    counts = np.zeros(near.size, dtype=int)
+    for idx in near[np.lexsort((eigs.imag[near], eigs.real[near]))]:
+        close = np.flatnonzero(np.abs(eigs[idx] - means[: len(groups)]) <= tol)
+        if close.size:
+            g = close[0]
             groups[g].append(idx)
         else:
             g = len(groups)
@@ -157,7 +166,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
         sums[g] += eigs[idx]
         counts[g] += 1
         means[g] = sums[g] / counts[g]
-    return groups, means[: len(groups)]
+    return groups + [[i] for i in lone], np.concatenate([means[: len(groups)], eigs[lone]])
 
 
 def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float, n: int):
@@ -201,17 +210,29 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float,
 
 
 def _schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues on the diagonal of a standardized real Schur form, in position order.
+    """Folded eigenvalues (re + i|im|) on the diagonal of a standardized real Schur form, in position order.
 
-    A 2 x 2 block [[a, b], [c, a]] (b c < 0) holds a +- i sqrt(-b c): both of
-    its positions get the same real part and the imaginary part's magnitude,
-    so a selection by distance from a real lam takes the pair whole.
+    A 2 x 2 block [[a, b], [c, a]] (b c < 0) holds a +- i sqrt(-b c), so both
+    of its positions get a + i sqrt(|b c|), and a selection by distance from
+    a folded lam takes the pair whole.
     """
     w = np.diag(t).astype(complex)
     pairs = np.flatnonzero(np.diag(t, -1))
     w[pairs] += 1j * np.sqrt(np.abs(t[pairs, pairs + 1] * t[pairs + 1, pairs]))
-    w[pairs + 1] = w[pairs].conj()
+    w[pairs + 1] = w[pairs]
     return w
+
+
+def _reorder_schur(t: np.ndarray, z: np.ndarray, select: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move the selected positions of the real Schur form (t, z) to the front, by dtrsen.
+
+    Everything not selected keeps its relative order and the form stays
+    quasi-triangular; raises DecompositionFailedError when dtrsen fails.
+    """
+    t, z, *_, info = dtrsen(select.astype(np.int32), t, z, job="N")
+    if info != 0:
+        raise DecompositionFailedError(f"dtrsen failed with info = {info}")
+    return t, z
 
 
 def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) -> np.ndarray:
@@ -284,51 +305,39 @@ def _jordan_chains(
 
 
 def _cluster_chains(
-    mat: np.ndarray,
-    schur_form,
-    eigs: np.ndarray,
-    vecs: np.ndarray,
-    group: list[int],
-    lam: complex,
-    tol: float,
+    mat: np.ndarray, schur_form, members: np.ndarray, lam: complex, tol: float
 ) -> list[list[np.ndarray]]:
-    """Chains of one cluster at lam, as columns of the n x n matrix.
+    """Chains of one cluster of two or more eigenvalues at lam, as columns of the n x n matrix.
 
-    A simple eigenvalue takes its eig column.  A cluster of m_alg >= 2
-    members takes its chains from the leading block of the real Schur form
+    members are the cluster's folded eigenvalues and lam their folded mean
+    (its real part for a real cluster).  A real cluster has algebraic
+    multiplicity m_alg = len(members); a complex one holds both halves of
+    m_alg conjugate pairs, so m_alg = len(members) / 2.
+    The chains come from the leading block of the real Schur form
     schur_form = (T, Z, c), mat = Z T Z^T, c the squared column norms of mat:
-    dtrsen moves the Schur positions within tol of lam (and of conj(lam) for
-    a complex lam, 2 m_alg positions in all) to the front, so M Z1 = Z1 T11
+    _reorder_schur moves the Schur positions whose folded eigenvalue is within
+    tol of lam (len(members) positions in all) to the front, so M Z1 = Z1 T11
     and Z1 maps each chain of T11 - lam I (_jordan_chains) to a chain of
     M - lam I.  The cutoffs scale with s, the largest column norm of
     M - lam I, read off c and the diagonal of mat.  Cost: one dtrsen,
     O(m_alg n^2), plus work of block size.  Raises DecompositionFailedError
-    when the selection does not hold exactly m_alg (2 m_alg) positions or
+    when the selection does not hold exactly len(members) positions or
     dtrsen fails.
     """
-    if len(group) == 1:
-        v = vecs[:, group[0]]
-        return [[v.real if lam.imag == 0.0 else v]]
     t, z, colsq = schur_form
-    m_alg = len(group)
-    w = _schur_eigenvalues(t)
-    select = np.abs(w - lam) <= tol
-    size = m_alg
-    if lam.imag != 0.0:
-        select |= np.abs(w - lam.conjugate()) <= tol
-        size = 2 * m_alg
+    size = len(members)
+    m_alg = size if lam.imag == 0.0 else size // 2
+    select = np.abs(_schur_eigenvalues(t) - lam) <= tol
     count = int(np.count_nonzero(select))
     if count != size:
         raise DecompositionFailedError(
             f"eigenvalue cluster at {lam:.6g} needs {size} Schur positions within {tol:.3g}, "
             f"the Schur form holds {count}"
         )
-    t, z, *_, info = dtrsen(select.astype(np.int32), t, z, job="N")
-    if info != 0:
-        raise DecompositionFailedError(f"dtrsen failed with info = {info} at {lam:.6g}")
+    t, z = _reorder_schur(t, z, select)
     diag = np.diag(mat)
     scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
-    spread = float(np.max(np.abs(eigs[group] - lam)))
+    spread = float(np.max(np.abs(members - lam)))
     shift = lam.real if lam.imag == 0.0 else lam
     block = t[:size, :size] - shift * np.eye(size)
     chains = _jordan_chains(block, lam, m_alg, spread, scale, mat.shape[0])
@@ -343,69 +352,74 @@ def decompose(
 ) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
-    One `eig` call gives the eigenvalues and eigenvectors.  Eigenvalues within
+    One `eig` call gives the eigenvalues and eigenvectors.  One grouping pass
+    (_cluster_eigenvalues) over the spectrum folded into the upper half-plane,
+    re + i|im|, decides which eigenvalues count as one: eigenvalues within
     tol_cluster are merged before chain construction, so floating-point splits
     of designed Jordan blocks are re-absorbed (size-2 blocks split by
     ~sqrt(eps), within the default; deeper blocks need a looser tol_cluster).
-    Each cluster takes one of two routes:
+    A cluster whose folded mean lies within tol_cluster of the real axis is
+    real, with multiplicity m_alg its member count; any other cluster holds
+    m_alg conjugate pairs, half its member count (an odd count raises
+    DecompositionFailedError).  Each cluster takes one of two routes:
 
-    - one member: a simple eigenvalue, its `eig` column (a real column for a
-      real eigenvalue);
-    - m_alg >= 2 members, real or complex: chains from the leading block T11
-      of the real Schur form M = Z T Z^T after one dtrsen reordering, mapped
-      back through the leading Schur vectors Z1 (see _cluster_chains).  The
-      Schur form is taken once, and only when such a cluster exists.  A real
+    - m_alg = 1: a simple eigenvalue, its `eig` column (a real column for a
+      real eigenvalue, the upper eigenvalue's column for a pair);
+    - m_alg >= 2, real or complex: chains from the leading block T11 of the
+      real Schur form M = Z T Z^T after one dtrsen reordering, mapped back
+      through the leading Schur vectors Z1 (see _cluster_chains).  The Schur
+      form is taken once, and only when such a cluster exists.  A real
       cluster whose block T11 - lam I has null dimension m_alg at the first
       power is semisimple, and its chains are the m_alg columns of Z1.
 
     The null-space cutoffs scale with the full M - lam I, not with the block
-    (see _null_basis_sequence).  Complex clusters are processed once and
-    mirrored, so conjugate blocks carry exactly conjugate columns.  Cost:
-    O(n^3) for `eig`, the Schur form, the inverse and the residual check,
-    plus O(m_alg n^2) per cluster for its dtrsen and work of block size.
+    (see _null_basis_sequence).  A complex cluster is processed at its upper
+    eigenvalue and mirrored, so conjugate blocks carry exactly conjugate
+    columns.  Cost: O(n^3) for `eig`, the Schur form, the inverse and the
+    residual check, O(n^2) for the grouping's distance test, plus O(m_alg n^2)
+    per cluster for its dtrsen and work of block size.
 
     Storage: U and Uinv are read-only, float64 when every block eigenvalue
     is real (the chains of a real eigenvalue are real columns) and
     complex128 otherwise; each residual gate forms one n x n product and
     subtracts in place.
 
-    Raises DecompositionFailedError if a cluster's Schur positions or chains
-    do not match its multiplicity, or if the reconstruction or inversion
-    residual exceeds tol_residual.
+    Raises DecompositionFailedError if a complex cluster has an odd member
+    count, if a cluster's Schur positions or chains do not match its
+    multiplicity, or if the reconstruction or inversion residual exceeds
+    tol_residual.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
     eigs, vecs = np.linalg.eig(mat)
-    groups, reps = _cluster_eigenvalues(eigs, tol_cluster)
-    schur_form = None
-    if any(len(g) > 1 for g in groups):
-        schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
-    done = np.zeros(len(groups), dtype=bool)
-    blocks: list[tuple[complex, list[np.ndarray]]] = []
-    for gi, group in enumerate(groups):
-        if done[gi]:
-            continue
-        lam = complex(reps[gi])
-        if abs(lam.imag) <= tol_cluster:
+    folded = eigs.real + 1j * np.abs(eigs.imag)
+    groups, reps = _cluster_eigenvalues(folded, tol_cluster)
+    clusters = []
+    for group, rep in zip(groups, reps):
+        lam, m_alg = complex(rep), len(group)
+        if lam.imag <= tol_cluster:
             lam = complex(lam.real, 0.0)
-            for chain in _cluster_chains(mat, schur_form, eigs, vecs, group, lam, tol_cluster):
-                blocks.append((lam, chain))
-            done[gi] = True
+        elif m_alg % 2:
+            raise DecompositionFailedError(
+                f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({m_alg}) of eigenvalues"
+            )
         else:
-            dist = np.abs(reps - lam.conjugate())
-            dist[done] = np.inf
-            dist[gi] = np.inf
-            partner = int(np.argmin(dist))
-            if dist[partner] > 10 * tol_cluster:
-                raise DecompositionFailedError(
-                    f"no conjugate partner for eigenvalue cluster at {lam:.6g}"
-                )
-            upper = gi if lam.imag > 0 else partner
-            lam = complex(reps[upper])
-            for chain in _cluster_chains(mat, schur_form, eigs, vecs, groups[upper], lam, tol_cluster):
-                blocks.append((lam, chain))
+            m_alg //= 2
+        clusters.append((group, lam, m_alg))
+    schur_form = None
+    if any(m_alg > 1 for *_, m_alg in clusters):
+        schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
+    blocks: list[tuple[complex, list[np.ndarray]]] = []
+    for group, lam, m_alg in clusters:
+        if m_alg == 1:
+            v = vecs[:, max(group, key=eigs.imag.__getitem__)]
+            chains = [[v.real if lam.imag == 0.0 else v]]
+        else:
+            chains = _cluster_chains(mat, schur_form, folded[group], lam, tol_cluster)
+        for chain in chains:
+            blocks.append((lam, chain))
+            if lam.imag != 0.0:
                 blocks.append((lam.conjugate(), [v.conj() for v in chain]))
-            done[gi] = done[partner] = True
     blocks.sort(key=lambda b: _canonical_key(JordanBlock(b[0], len(b[1]))))
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex
@@ -588,22 +602,6 @@ def check_r_similar(
         kept.append(u._replace(size=take))
         remaining -= take
     return Witness(matched=tuple(kept), rank=r)
-
-
-def check_biorthogonal(
-    fs: Sequence[np.ndarray] | np.ndarray,
-    gs: Sequence[np.ndarray] | np.ndarray,
-    mu: Measure,
-    tol: float = DEFAULTS.residual,
-) -> bool:
-    """True iff sum_x F_i(x) G_j(x) mu(x) = delta_ij within tol (bilinear pairing)."""
-    f = np.atleast_2d(np.asarray(fs))
-    g = np.atleast_2d(np.asarray(gs))
-    w = np.asarray(mu.weights)
-    if f.shape[1] != w.shape[0] or g.shape[1] != w.shape[0]:
-        raise ShapeMismatchError("function length does not match the measure's space")
-    gram = (f * w) @ g.T
-    return max_abs(gram - np.eye(f.shape[0], g.shape[0])) <= tol
 
 
 def reversible_eigenbasis(l: RateMatrix, mu: Measure) -> tuple[np.ndarray, np.ndarray]:

@@ -310,33 +310,38 @@ def svd_power_chains(mat: np.ndarray, lam: complex, m_alg: int, spread: float) -
     return chains
 
 
-def svd_power_cluster_chains(mat, schur_form, eigs, vecs, group, lam, tol):
+def svd_power_cluster_chains(mat, schur_form, members, lam, tol):
     """Reference for spectral._cluster_chains (same signature; schur_form and tol unused).
 
-    A simple eigenvalue takes its eig column; every cluster of two or more
-    members, semisimple or not, real or complex, takes svd_power_chains on the
-    n x n matrix: the route decompose took for defective and complex clusters
-    before its chains came from the reordered leading Schur block.
+    Every cluster of two or more folded eigenvalues `members`, semisimple or
+    not, real or complex, takes svd_power_chains on the n x n matrix: the
+    route decompose took for defective and complex clusters before its chains
+    came from the reordered leading Schur block.
     """
-    if len(group) == 1:
-        v = vecs[:, group[0]]
-        return [[v.real if lam.imag == 0.0 else v]]
-    spread = float(np.max(np.abs(eigs[group] - lam)))
-    return svd_power_chains(mat, lam, len(group), spread)
+    m_alg = len(members) if lam.imag == 0.0 else len(members) // 2
+    spread = float(np.max(np.abs(members - lam)))
+    return svd_power_chains(mat, lam, m_alg, spread)
 
 
 def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Reference for spectral._cluster_eigenvalues: the per-group loop over np.mean."""
-    order = np.lexsort((eigs.imag, eigs.real))
-    groups: list[list[int]] = []
-    for idx in order:
-        for g in groups:
+    """Reference for spectral._cluster_eigenvalues: lone values first, then the per-group loop over np.mean.
+
+    A value with no other within tol is a group of its own; the rest join the
+    first group whose np.mean is within tol, in (real, imag) order.
+    """
+    lone = [i for i in range(len(eigs)) if sum(abs(eigs[i] - e) <= tol for e in eigs) == 1]
+    groups: list[list[int]] = [[i] for i in lone]
+    merged: list[list[int]] = []
+    for idx in np.lexsort((eigs.imag, eigs.real)):
+        if idx in lone:
+            continue
+        for g in merged:
             if abs(eigs[idx] - np.mean(eigs[g])) <= tol:
                 g.append(idx)
                 break
         else:
-            groups.append([idx])
-    return groups
+            merged.append([idx])
+    return merged + groups
 
 
 def enumerate_configs(space):

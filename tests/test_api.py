@@ -28,7 +28,6 @@ KEPT = {
     "check_r_similar(tol)": "tests/test_cross_module.py with a loose tol_cluster",
     "push_duality(tol)": "push_duality_left; perfbench's size-scaled residual bound",
     "push_duality_left(tol)": "perfbench's size-scaled residual bound",
-    "check_biorthogonal(tol)": "tests/test_duality.py, tests/test_spectral.py",
     # the default bundle itself: config.DEFAULTS = Tolerances()
     "Tolerances(row)": "config.DEFAULTS",
     "Tolerances(residual)": "config.DEFAULTS",
@@ -154,10 +153,9 @@ EXPORTS = {
     # exported with the unit tests as their only callers
     "adjoint": "tests/test_core.py",
     "build_bj": "tests/test_spectral.py",
-    "check_biorthogonal": "tests/test_spectral.py",
     "factor_check": "tests/test_duality.py",
 }
-TESTS_ONLY = {"adjoint", "build_bj", "check_biorthogonal", "factor_check"}
+TESTS_ONLY = {"adjoint", "build_bj", "factor_check"}
 ROOT = Path(__file__).resolve().parents[1]
 
 

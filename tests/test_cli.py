@@ -163,6 +163,17 @@ class TestScenarioCommand:
     def test_unknown_scenario(self, capsys):
         assert main(["scenario", "does-not-exist"]) == 2
 
+    @pytest.mark.parametrize("gamma", [1, 2, 3, 5, 6])
+    def test_sep_intertwine_pushed_bound_scales_with_the_ladder(self, gamma, capsys):
+        # the pushed residual is rounding that grows with the ladder: 2.2e-12 and 1.2e-11 on the
+        # 1024- and 4096-state ladders of gamma = 5 and 6, beyond an absolute 1e-12.  Its bound,
+        # 4 eps max(|L_hat||P| + |P||L|^T), holds there and stays within 1e-12 for gamma <= 3
+        assert main(["scenario", "sep-intertwine", "--gamma", str(gamma), "--json"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)
+        (check,) = [c for c in doc["checks"] if c["name"].startswith("pushed duality residual")]
+        assert check["observed"] <= check["tolerance"]
+        assert gamma > 3 or check["tolerance"] <= 1e-12
+
     def test_artifacts_written(self, tmp_path, capsys):
         assert main(["scenario", "cyclic3", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "cyclic3_duality.json").exists()
