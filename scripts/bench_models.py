@@ -22,8 +22,10 @@ Python objects, not BLAS or LAPACK work space), and the output's
 fingerprint: a digest of the generator, duality, Siegmund dual,
 projection or operator matrix, the duality's rank, its recorded residual
 and, as its own field, the dense max|L D - D L^T| (taken by blocks of rows,
-untimed), the Siegmund pair's residual, the walk's two spectral residuals,
-a digest of the site table rounded to 10 significant digits.
+untimed), the Siegmund pair's residual, the walk's digests of uhat,
+spectral.Uinv and the dual generator with its two spectral residuals (the
+dual's, `dual_residual`, is recorded but not compared), and a digest of the
+site table rounded to 10 significant digits.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -129,7 +131,11 @@ def time_calls(seed: int, repeats: int) -> list[dict]:
             f"n={n}",
             n,
             lambda: md.rw_blocked_absorbed(n),
-            lambda rw: {"residual": max(rw.spectral.residual, rw.spectral_hat.residual)},
+            lambda rw: {
+                "digest": "/".join(digest(a) for a in (rw.uhat, rw.spectral.Uinv, rw.pair.l.entries)),
+                "residual": rw.spectral_hat.residual,
+                "dual_residual": rw.spectral.residual,
+            },
         )
     siegmund = lambda pair: {"digest": digest(pair.l.entries), "residual": pair.residual}
     for label, m in (

@@ -67,13 +67,13 @@ from .siegmund import (
     reconstruct_siegmund,
     siegmund_dual,
     siegmund_matrix,
+    siegmund_spectral,
 )
 from .spectral import (
     JordanBlock,
     JordanStructure,
     SpectralData,
     Witness,
-    build_bj,
     check_r_similar,
     decompose,
     match_jordan_blocks,

@@ -2,8 +2,8 @@
 
 Subcommands: inspect, siegmund, duality (basis | sep), model (rw54 | rw6 | sep),
 scenario.  Exit codes: 0 success, 1 check failure, 2 usage or parse error
-(an argument outside a function's domain included).
-All file I/O uses the JSON schemas in markovdual.serialize; the configuration
+(an argument outside a function's domain, or a configuration space over the
+cap, included).  All file I/O uses the JSON schemas in markovdual.serialize; the configuration
 space cap honors the DUALITY_MAX_STATES environment variable.  --json prints
 one compact JSON document on one line.  `main` may be called repeatedly in one
 process: the parser is built once and reused.
@@ -34,6 +34,7 @@ from .errors import (
     NoPositiveSolutionError,
     NotIrreducibleError,
     ParseError,
+    SpaceTooLargeError,
     UnknownScenarioError,
 )
 from .models import (
@@ -365,7 +366,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, UnknownScenarioError, DomainError, ValueError) as exc:  # argument outside the domain
+    # an argument outside the domain, a configuration space over the cap included
+    except (ParseError, UnknownScenarioError, DomainError, SpaceTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarkovDualityError as exc:

@@ -419,13 +419,13 @@ def chain_duality(lhat: RateMatrix, l: RateMatrix, hat_chains, chains, coefficie
 
 
 def orthogonal_selfduality(
-    data: SpectralData,
+    l: RateMatrix,
     mu: Measure,
     tilde_us: np.ndarray,
 ) -> DualityFunction:
-    """Orthogonal self-duality D = sum_i tilde_u_i (x) u_i for a reversible generator.
+    """Orthogonal self-duality D = sum_i tilde_u_i (x) u_i for a reversible generator l.
 
-    u_i is the mu-orthonormal eigenbasis derived from `data.source`; tilde_us
+    u_i is the mu-orthonormal eigenbasis of l (reversible_eigenbasis); tilde_us
     (columns) must be mu-orthonormal eigenfunctions for the same eigenvalues,
     in the same descending order.  The result satisfies row-orthogonality
     <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').  Every check runs at
@@ -434,7 +434,6 @@ def orthogonal_selfduality(
     then the match with the eigenvalues of u; NotEigenpairError names the
     first failing column.
     """
-    l = data.source
     lams, u = reversible_eigenbasis(l, mu)
     tilde = np.atleast_2d(np.asarray(tilde_us, dtype=float))
     if tilde.shape != (l.n, l.n):

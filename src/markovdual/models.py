@@ -30,7 +30,7 @@ from .errors import (
     SpaceTooLargeError,
 )
 from .linalg import max_abs, rank_threshold
-from .siegmund import SiegmundPair, siegmund_dual
+from .siegmund import SiegmundPair, siegmund_dual, siegmund_spectral
 from .spectral import SpectralData, spectral_from_eigenbasis
 
 __all__ = [
@@ -508,28 +508,19 @@ def single_site_duality(params: SingleSiteDualityParams) -> np.ndarray:
     return _require_finite_table(table)
 
 
-def ladder_bracket_sum(
-    k: int,
-    n: int,
-    gamma: int,
-    alpha: float,
-    beta: float,
-    delta: float,
-    xi_pattern: Sequence[int] | None = None,
-) -> float:
+def ladder_bracket_sum(k: int, n: int, gamma: int, alpha: float, beta: float, delta: float) -> float:
     """Brute-force bracket: (1/C(gamma,n)) sum_{|eta|=n} prod_a (alpha + beta eta_a)^(delta xi_a).
 
-    xi_pattern defaults to k ones followed by zeros; the value depends on the
-    pattern only through its total (a property the tests assert).  Equals 1
-    for delta = 0 by the Vandermonde convolution.  Only the C(gamma, n)
-    patterns eta with n occupied rungs are generated, in lexicographic order
-    of eta (the reverse of the combinations' order of the occupied rungs).
+    xi is k ones followed by zeros; the value depends on the pattern only
+    through its total (a property the tests assert).  Equals 1 for delta = 0
+    by the Vandermonde convolution.  Only the C(gamma, n) patterns eta with n
+    occupied rungs are generated, in lexicographic order of eta (the reverse
+    of the combinations' order of the occupied rungs).  ValueError unless
+    0 <= k <= gamma.
     """
-    if xi_pattern is None:
-        xi_pattern = [1] * k + [0] * (gamma - k)
-    xi_pattern = list(xi_pattern)
-    if len(xi_pattern) != gamma or sum(xi_pattern) != k:
-        raise ValueError("xi_pattern must have length gamma and total k")
+    if not 0 <= k <= gamma:
+        raise ValueError("k must lie in 0..gamma")
+    xi_pattern = [1] * k + [0] * (gamma - k)
     total = 0.0
     for rungs in reversed(list(itertools.combinations(range(gamma), n))):
         eta = [0] * gamma
@@ -664,17 +655,17 @@ def rw_reflected_absorbed(n: int) -> ReflectedAbsorbedRW:
 
 @dataclass(frozen=True, eq=False)
 class BlockedAbsorbedRW:
-    """Blocked walk, its absorbed Siegmund dual, and the analytic eigenbases.
+    """Blocked walk, its absorbed Siegmund dual, and the eigenbases of both.
 
     uhat columns are counting-measure-orthonormal eigenfunctions of the
-    (symmetric) blocked generator; u columns are their tail sums, eigen for
-    the absorbed sub-generator at the same eigenvalues.
+    (symmetric) blocked generator, in closed form; u columns are their tail
+    sums, eigen for the absorbed sub-generator at the same eigenvalues,
+    transported by siegmund_spectral.
 
-    Every array is read-only float64, and the closed forms are stored once:
-    spectral.U is u, spectral_hat.U is uhat and spectral_hat.Uinv is the view
-    uhat.T (shared memory, no copies); spectral.Uinv is the closed-form
-    inverse, the row differences of uhat.T.  Equality and hashing go by
-    identity.
+    Every array is read-only float64, and each basis is stored once:
+    u is spectral.U, spectral_hat.U is uhat and spectral_hat.Uinv is the
+    view uhat.T (shared memory, no copies); spectral.Uinv is the row
+    differences of uhat.T.  Equality and hashing go by identity.
     """
 
     n: int
@@ -691,9 +682,11 @@ def rw_blocked_absorbed(n: int) -> BlockedAbsorbedRW:
     """Blocked-boundary walk and its Siegmund dual (absorbed walk with a leak).
 
     Spectrum lambda_1 = 0, lambda_i = 2(cos theta_i - 1), theta_i = (i-1) pi / n
-    for i = 2..n; the dual's eigenfunctions are tail sums of the blocked
-    walk's, including u_1(x) = (n + 1 - x)/sqrt(n) at eigenvalue zero.  Both
-    bases are validated by spectral_from_eigenbasis, at DEFAULTS.residual.
+    for i = 2..n.  The blocked walk's eigenbasis is in closed form and
+    validated by spectral_from_eigenbasis, with uhat^T as its inverse; the
+    dual's is its transport by siegmund_spectral (tail sums of the columns
+    of uhat, including u_1(x) = (n + 1 - x)/sqrt(n) at eigenvalue zero).
+    Both gates run at DEFAULTS.residual.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -705,34 +698,28 @@ def rw_blocked_absorbed(n: int) -> BlockedAbsorbedRW:
     pair = siegmund_dual(lhat_rm)
     thetas = (np.arange(2, n + 1) - 1) * np.pi / n
     lambdas = np.concatenate([[0.0], 2.0 * (np.cos(thetas) - 1.0)])
-    x = np.arange(1, n + 1)
     norm = 1.0 / np.sqrt(n * (1.0 - np.cos(thetas)))
     uhat = np.empty((n, n))
-    u = np.empty((n, n))
     uhat[:, 0] = 1.0 / np.sqrt(n)
-    u[:, 0] = (n + 1 - x) / np.sqrt(n)
-    # u = norm sin(arg) and uhat = norm (-sin(theta) cos(arg) + (1 - cos(theta)) sin(arg)),
-    # evaluated in place in two n x n buffers
-    arg = np.outer(x - 1, thetas)
+    # uhat = norm (-sin(theta) cos(arg) + (1 - cos(theta)) sin(arg)), evaluated in place in two n x n buffers
+    arg = np.outer(np.arange(n), thetas)
     sin = np.sin(arg)
-    np.multiply(norm, sin, out=u[:, 1:])
     sin *= 1.0 - np.cos(thetas)
     cos = np.cos(arg, out=arg)
     cos *= -np.sin(thetas)
     cos += sin
     np.multiply(norm, cos, out=uhat[:, 1:])
-    del arg, sin, cos  # freed so the closed-form inverse below adds no array at the peak
-    # uhat is orthogonal and u = S uhat with S[x, y] = [y >= x] (tail sums), so
-    # u^{-1} = uhat^T S^{-1}: u^{-1}[i, y] = uhat[y, i] - uhat[y - 1, i], uhat[-1] = 0
-    uinv = np.diff(uhat.T, axis=1, prepend=0.0)
-    _freeze(lambdas, thetas, u, uhat)
+    del arg, sin, cos  # freed so the transport below adds no array at the peak
+    _freeze(lambdas, thetas, uhat)
+    spectral_hat = spectral_from_eigenbasis(lhat_rm, lambdas, uhat, uhat.T)
+    spectral = siegmund_spectral(pair, spectral_hat)
     return BlockedAbsorbedRW(
         n=n,
         pair=pair,
         lambdas=lambdas,
         thetas=thetas,
-        u=u,
+        u=spectral.U,
         uhat=uhat,
-        spectral=spectral_from_eigenbasis(pair.l, lambdas, u, uinv),
-        spectral_hat=spectral_from_eigenbasis(lhat_rm, lambdas, uhat, uhat.T),
+        spectral=spectral,
+        spectral_hat=spectral_hat,
     )

@@ -53,7 +53,6 @@ from .models import (
 )
 from .serialize import duality_to_json, matrix_to_json, save_json
 from .siegmund import (
-    cumulative_transform,
     extend_with_cemetery,
     reconstruct_siegmund,
     siegmund_matrix,
@@ -209,8 +208,11 @@ def scenario_rw6_siegmund(n=None, gamma=None, seed=0, out=None) -> ScenarioRepor
     rep.equals("blocked walk is monotone", True, rw.pair.monotone)
     rep.equals("dual classifies as sub-generator", MatrixKind.SUB_GENERATOR.value, rw.pair.l.kind.value)
     rep.bound("indicator duality residual", rw.pair.residual, 1e-12)
-    cums = np.column_stack([cumulative_transform(rw.uhat[:, i]) for i in range(n)])
-    rep.bound("tail sums reproduce dual eigenfunctions", max_abs(cums - rw.u), 1e-10)
+    # the dual's eigenfunctions in closed form: (n + 1 - x)/sqrt(n) at zero, sin(theta (x - 1)) scaled
+    closed = np.empty((n, n))
+    closed[:, 0] = (n - np.arange(n)) / np.sqrt(n)
+    closed[:, 1:] = np.sin(np.outer(np.arange(n), rw.thetas)) / np.sqrt(n * (1.0 - np.cos(rw.thetas)))
+    rep.bound("tail sums reproduce dual eigenfunctions", max_abs(rw.u - closed), 1e-10)
     rep.bound(
         "blocked eigenbasis orthonormal (counting measure)",
         max_abs(rw.uhat.T @ rw.uhat - np.eye(n)),

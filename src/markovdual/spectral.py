@@ -1,9 +1,11 @@
 """Jordan-form machinery for small dense real matrices.
 
 decompose() produces eigenvalue clusters, Jordan chains and the inverse-row
-functions; build_bj() and check_r_similar() provide the block-anti-diagonal
-involution and the rank-r similarity test that turn shared spectral structure
-into duality functions (see markovdual.duality.build_from_spectra).
+functions; check_r_similar() provides the rank-r similarity test that turns
+shared spectral structure into duality functions (see
+markovdual.duality.build_from_spectra).  Every SpectralData, from decompose,
+spectral_from_eigenbasis or siegmund.siegmund_spectral, passes one residual
+gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
 (ones on the superdiagonal inside each block).  Which computed eigenvalues
@@ -37,7 +39,6 @@ __all__ = [
     "Witness",
     "MatchedBlock",
     "decompose",
-    "build_bj",
     "match_jordan_blocks",
     "check_r_similar",
     "reversible_eigenbasis",
@@ -116,6 +117,8 @@ class SpectralData:
     is real and complex128 otherwise (spectral_from_eigenbasis keeps the
     given basis's dtype, widened to float64 or complex128).  They may be
     views of arrays the producer was given (see spectral_from_eigenbasis).
+    Every producer (decompose, spectral_from_eigenbasis,
+    siegmund.siegmund_spectral) builds it through one gate, _gated.
     Equality and hashing go by identity.
     """
 
@@ -381,13 +384,13 @@ def decompose(
 
     Storage: U and Uinv are read-only, float64 when every block eigenvalue
     is real (the chains of a real eigenvalue are real columns) and
-    complex128 otherwise; each residual gate forms one n x n product and
-    subtracts in place.
+    complex128 otherwise.  The basis is inverted and checked by _gated, the
+    gate every SpectralData passes.
 
     Raises DecompositionFailedError if a complex cluster has an odd member
     count, if a cluster's Schur positions or chains do not match its
-    multiplicity, or if the reconstruction or inversion residual exceeds
-    tol_residual.
+    multiplicity, if the basis is singular, or if the reconstruction or
+    inversion residual exceeds tol_residual.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
@@ -424,18 +427,7 @@ def decompose(
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex
     u = np.array([v for _, chain in blocks for v in chain], dtype=dtype).T
-    try:
-        uinv = np.linalg.inv(u)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailedError("generalized eigenbasis is numerically singular") from exc
-    defect = mat @ u
-    defect -= u @ structure.jordan_matrix()
-    residual = max(max_abs(defect), inverse_defect(uinv, u))
-    if residual > tol_residual:
-        raise DecompositionFailedError(
-            f"decomposition residual {residual:.3e} exceeds tolerance {tol_residual:.3e}"
-        )
-    return SpectralData(source, structure, _read_only(u), _read_only(uinv), residual)
+    return _gated(source, structure, u, None, tol_residual, "decomposition")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -443,6 +435,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.setflags(write=False)
     return view
+
+
+def _gated(
+    source: RateMatrix, structure: JordanStructure, u: np.ndarray, uinv: np.ndarray | None, tol: float, label: str
+) -> SpectralData:
+    """SpectralData for source = U J U^{-1}, after the one residual gate every producer passes.
+
+    u is inverted when no uinv is given; a singular u raises
+    DecompositionFailedError.  The residual is the larger max-abs entry of
+    M U - U J and Uinv U - I, and DecompositionFailedError, naming `label`,
+    is raised when it exceeds tol.  U J is taken in O(n^2) without forming J:
+    lambda times each column, plus the previous column inside each chain.
+    The eigenvalues are real when the structure is, so a real U gives a
+    real defect.  Buffers: M U, lambda U and Uinv U, one n x n each.
+    U and Uinv are stored as read-only views of u and uinv, not copies.
+    """
+    if uinv is None:
+        try:
+            uinv = np.linalg.inv(u)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionFailedError(f"{label}: the eigenbasis is numerically singular") from exc
+    real = structure.is_real()
+    lams = np.repeat([ev.real if real else ev for ev, _ in structure.blocks], [size for _, size in structure.blocks])
+    defect = (np.asarray(source.entries) @ u).astype(np.result_type(u, lams), copy=False)
+    defect -= u * lams
+    links = [o + i for o, (_, size) in zip(structure.offsets, structure.blocks) for i in range(1, size)]
+    if links:
+        defect[:, links] -= u[:, np.subtract(links, 1)]
+    residual = max(max_abs(defect), inverse_defect(uinv, u))
+    if residual > tol:
+        raise DecompositionFailedError(f"{label} residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    return SpectralData(source, structure, _read_only(u), _read_only(np.asarray(uinv)), residual)
 
 
 def spectral_from_eigenbasis(
@@ -453,12 +477,10 @@ def spectral_from_eigenbasis(
 ) -> SpectralData:
     """SpectralData from a known eigenbasis (all blocks size 1), validated.
 
-    J is diagonal, so the reconstruction defect M U - U J is checked as
-    M U - U diag(lambda).  A known inverse `uinv` (rows dual to the columns
-    of u, e.g. a closed form) is taken as given; otherwise U is inverted.
-    Both defects are gated: DecompositionFailedError when the larger max-abs
-    entry of M U - U diag(lambda) and Uinv U - I exceeds DEFAULTS.residual.
-    Each gate takes one n x n product buffer.
+    A known inverse `uinv` (rows dual to the columns of u, e.g. a closed
+    form) is taken as given; otherwise U is inverted.  The gate (_gated) runs
+    at DEFAULTS.residual: DecompositionFailedError when u is singular or
+    the larger max-abs entry of M U - U diag(lambda) and Uinv U - I exceeds it.
 
     Storage: U keeps u's dtype, widened to float64 or complex128 (a real
     basis stays real), and Uinv is the given or computed inverse.  Both are
@@ -473,35 +495,11 @@ def spectral_from_eigenbasis(
     order = sorted(range(len(keys)), key=keys.__getitem__)
     u = np.asarray(u)
     u = u.astype(np.result_type(u.dtype, float), copy=False)
-    lams = np.asarray(eigenvalues)
     if order != list(range(len(order))):
         # re-sort columns (and the inverse's rows) so they line up with the canonical block order
-        u, lams = u[:, order], lams[order]
+        u = u[:, order]
         uinv = None if uinv is None else np.asarray(uinv)[order]
-    uinv = np.linalg.inv(u) if uinv is None else np.asarray(uinv)
-    defect = (np.asarray(source.entries) @ u).astype(np.result_type(u, lams), copy=False)
-    defect -= u * lams
-    residual = max(max_abs(defect), inverse_defect(uinv, u))
-    if residual > DEFAULTS.residual:
-        raise DecompositionFailedError(
-            f"analytic eigenbasis residual {residual:.3e} exceeds {DEFAULTS.residual:.3e}"
-        )
-    return SpectralData(source, structure, _read_only(u), _read_only(uinv), residual)
-
-
-def build_bj(structure: JordanStructure) -> np.ndarray:
-    """Block-diagonal of anti-identity blocks H_m, one per Jordan block.
-
-    Satisfies B^T = B^{-1} = B and J B = B J^T for the J assembled from the
-    same structure.
-    """
-    n = structure.n
-    b = np.zeros((n, n))
-    pos = 0
-    for _, m in structure.blocks:
-        b[pos : pos + m, pos : pos + m] = np.fliplr(np.eye(m))
-        pos += m
-    return b
+    return _gated(source, structure, u, uinv, DEFAULTS.residual, "analytic eigenbasis")
 
 
 class MatchedBlock(NamedTuple):

@@ -479,7 +479,11 @@ def rw_reflected_absorbed_loops(n: int):
 
 
 def rw_blocked_absorbed_loops(n: int):
-    """Reference for models.rw_blocked_absorbed: (lhat, u, uhat) built row by row and column by column."""
+    """Reference for models.rw_blocked_absorbed: (lhat, u, uhat) built row by row and column by column.
+
+    u is the tail sums of uhat, added bottom-up one row at a time, as the
+    Siegmund transport forms them.
+    """
     lhat = np.zeros((n, n))
     for x in range(1, n - 1):
         lhat[x, x - 1] = lhat[x, x + 1] = 1.0
@@ -489,16 +493,17 @@ def rw_blocked_absorbed_loops(n: int):
     thetas = (np.arange(2, n + 1) - 1) * np.pi / n
     x = np.arange(1, n + 1)
     uhat = np.empty((n, n))
-    u = np.empty((n, n))
     uhat[:, 0] = 1.0 / np.sqrt(n)
-    u[:, 0] = (n + 1 - x) / np.sqrt(n)
     for i, theta in enumerate(thetas, start=1):
         norm = 1.0 / np.sqrt(n * (1.0 - np.cos(theta)))
         uhat[:, i] = norm * (
             -np.sin(theta) * np.cos(theta * (x - 1))
             + (1.0 - np.cos(theta)) * np.sin(theta * (x - 1))
         )
-        u[:, i] = norm * np.sin(theta * (x - 1))
+    u = np.empty((n, n))
+    u[n - 1] = uhat[n - 1]
+    for row in range(n - 2, -1, -1):
+        u[row] = u[row + 1] + uhat[row]
     return lhat, u, uhat
 
 

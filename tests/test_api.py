@@ -41,11 +41,10 @@ KEPT = {
     "DualitySpace(largest_discarded)": "solve_duality_space",
     "DualitySpace(smallest_kept)": "solve_duality_space",
     "max_duality_rank(seed)": "cli duality basis --seed, scenarios",
-    "spectral_from_eigenbasis(uinv)": "rw_blocked_absorbed (closed-form inverses)",
+    "spectral_from_eigenbasis(uinv)": "rw_blocked_absorbed (the closed-form inverse uhat^T)",
     "sep_generator(p)": "cli model sep (vertex file), scenarios, perfbench",
     "ladder_sep_generator(p)": "scenarios, perfbench",
     "inverse_intertwiner(ladder_space)": "scenarios sep-intertwine, perfbench",
-    "ladder_bracket_sum(xi_pattern)": "tests/test_models.py (the value depends on the pattern's total only)",
 }
 
 
@@ -117,7 +116,7 @@ EXPORTS = {
     "classify_matrix": "src/markovdual/core.py",  # RateMatrix.from_entries
     "classify_regime": "src/markovdual/cli.py",
     "compose_dualities": "tests/test_acceptance.py",
-    "cumulative_transform": "src/markovdual/scenarios.py",
+    "cumulative_transform": "src/markovdual/siegmund.py",  # siegmund_spectral
     "decompose": "src/markovdual/cli.py",
     "extend_with_cemetery": "src/markovdual/scenarios.py",
     "factorized_duality": "src/markovdual/scenarios.py",
@@ -144,6 +143,7 @@ EXPORTS = {
     "sep_generator": "src/markovdual/cli.py",
     "siegmund_dual": "src/markovdual/cli.py",
     "siegmund_matrix": "src/markovdual/scenarios.py",
+    "siegmund_spectral": "src/markovdual/models.py",
     "single_site_duality": "src/markovdual/cli.py",
     "single_site_duality_bruteforce": "src/markovdual/scenarios.py",
     "solve_duality_space": "src/markovdual/cli.py",
@@ -152,10 +152,9 @@ EXPORTS = {
     "stationary_measure": "src/markovdual/cli.py",
     # exported with the unit tests as their only callers
     "adjoint": "tests/test_core.py",
-    "build_bj": "tests/test_spectral.py",
     "factor_check": "tests/test_duality.py",
 }
-TESTS_ONLY = {"adjoint", "build_bj", "factor_check"}
+TESTS_ONLY = {"adjoint", "factor_check"}
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -350,3 +350,13 @@ def test_domain_error_exits_2_with_one_error_line(argv, named, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_space_over_the_cap_exits_2_with_one_error_line(capsys, monkeypatch):
+    # 3^10 = 59049 configurations against the default cap of 20000: an argument outside the domain, not a failed check
+    monkeypatch.delenv("DUALITY_MAX_STATES", raising=False)
+    assert main(["model", "sep", "--V", "10", "--gamma", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "exceeds cap" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

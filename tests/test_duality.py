@@ -712,16 +712,14 @@ class TestOrthogonalSelfduality:
         l = random_birth_death(rng, 5)
         mu = stationary_measure(l)
         _, u = reversible_eigenbasis(l, mu)
-        sd = spectral_from_eigenbasis(l, decompose(l).eigenvalues.real, u.astype(complex))
-        d = orthogonal_selfduality(sd, mu, u)
+        d = orthogonal_selfduality(l, mu, u)
         npt.assert_allclose(d.matrix, cheap_duality(mu).matrix, atol=1e-9)
 
     def test_sign_flip_still_orthogonal(self, rng):
         l = random_birth_death(rng, 5)
         mu = stationary_measure(l)
-        lams, u = reversible_eigenbasis(l, mu)
-        sd = spectral_from_eigenbasis(l, lams, u.astype(complex))
-        d = orthogonal_selfduality(sd, mu, -u)
+        _, u = reversible_eigenbasis(l, mu)
+        d = orthogonal_selfduality(l, mu, -u)
         npt.assert_allclose(d.matrix, -cheap_duality(mu).matrix, atol=1e-9)
         w = np.asarray(mu.weights)
         gram = (np.asarray(d.matrix) * w) @ np.asarray(d.matrix).T
@@ -732,13 +730,12 @@ class TestOrthogonalSelfduality:
         # orthogonal 2x2 mixing inside that eigenspace stays admissible
         l = complete_graph(4)
         mu = stationary_measure(l)
-        lams, u = reversible_eigenbasis(l, mu)
+        _, u = reversible_eigenbasis(l, mu)
         theta = 0.3
         rot = np.eye(4)
         rot[1:3, 1:3] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         tilde = u @ rot
-        sd = spectral_from_eigenbasis(l, lams, u.astype(complex))
-        d = orthogonal_selfduality(sd, mu, tilde)
+        d = orthogonal_selfduality(l, mu, tilde)
         w = np.asarray(mu.weights)
         gram = (np.asarray(d.matrix) * w) @ np.asarray(d.matrix).T
         npt.assert_allclose(gram, np.diag(1.0 / w), atol=1e-10)
@@ -747,21 +744,19 @@ class TestOrthogonalSelfduality:
     def test_not_orthonormal_rejected(self, rng):
         l = random_birth_death(rng, 4)
         mu = stationary_measure(l)
-        lams, u = reversible_eigenbasis(l, mu)
-        sd = spectral_from_eigenbasis(l, lams, u.astype(complex))
+        _, u = reversible_eigenbasis(l, mu)
         with pytest.raises(NotOrthonormalError):
-            orthogonal_selfduality(sd, mu, 2.0 * u)
+            orthogonal_selfduality(l, mu, 2.0 * u)
 
     def test_cross_eigenvalue_mixing_rejected(self, rng):
         l = random_birth_death(rng, 4)
         mu = stationary_measure(l)
-        lams, u = reversible_eigenbasis(l, mu)
-        sd = spectral_from_eigenbasis(l, lams, u.astype(complex))
+        _, u = reversible_eigenbasis(l, mu)
         theta = 0.4
         rot = np.eye(4)
         rot[0:2, 0:2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         with pytest.raises(NotEigenpairError):
-            orthogonal_selfduality(sd, mu, u @ rot)
+            orthogonal_selfduality(l, mu, u @ rot)
 
 
 class TestCompose:
@@ -775,10 +770,9 @@ class TestCompose:
     def test_orthogonal_selfduality_composes_to_cheap(self, rng):
         l = random_birth_death(rng, 6)
         mu = stationary_measure(l)
-        lams, u = reversible_eigenbasis(l, mu)
-        sd = spectral_from_eigenbasis(l, lams, u.astype(complex))
+        _, u = reversible_eigenbasis(l, mu)
         signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-        d = orthogonal_selfduality(sd, mu, u * signs)
+        d = orthogonal_selfduality(l, mu, u * signs)
         out = compose_dualities(d, d, mu, l)
         npt.assert_allclose(out.matrix, cheap_duality(mu).matrix, atol=1e-9)
         assert out.residual < 1e-9

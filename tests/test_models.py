@@ -381,13 +381,13 @@ class TestSingleSiteDuality:
 
     @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
     def test_bracket_depends_only_on_total(self, gamma):
-        # evaluating over every xi pattern with the same total gives one value
+        # evaluating over every xi pattern with the same total gives one value, the library's
         for k in range(gamma + 1):
             for n in range(gamma + 1):
-                values = set()
+                values = {round(ladder_bracket_sum(k, n, gamma, 1.3, 0.7, 2.0), 12)}
                 for pattern in itertools.combinations(range(gamma), k):
                     xi = [1 if a in pattern else 0 for a in range(gamma)]
-                    values.add(round(ladder_bracket_sum(k, n, gamma, 1.3, 0.7, 2.0, xi), 12))
+                    values.add(round(ladder_bracket_sum_all_patterns(k, n, gamma, 1.3, 0.7, 2.0, xi), 12))
                 assert len(values) == 1
 
 
@@ -583,6 +583,7 @@ class TestBlockedAbsorbedRW:
 
     def test_eigen_residuals(self):
         rw = rw_blocked_absorbed(10)
+        assert rw.u is rw.spectral.U  # the transported basis is stored once
         assert rw.spectral.residual < 1e-9
         assert rw.spectral_hat.residual < 1e-9
         # the real analytic bases are stored once, as read-only float64 arrays shared with the walk
@@ -622,6 +623,14 @@ class TestBlockedAbsorbedRW:
         rw = rw_blocked_absorbed(5)
         with pytest.raises(DecompositionFailedError):
             spectral_from_eigenbasis(rw.pair.l, rw.lambdas, rw.u, uinv=rw.u.T)
+
+    def test_singular_basis_fails_the_gate(self):
+        # a zero column leaves LU an exactly zero pivot: the gate's error, not numpy's LinAlgError
+        rw = rw_blocked_absorbed(5)
+        u = np.array(rw.u)
+        u[:, 2] = 0.0
+        with pytest.raises(DecompositionFailedError, match="singular"):
+            spectral_from_eigenbasis(rw.pair.l, rw.lambdas, u)
 
 
 # every (V, gamma) the suite builds, plus the larger sizes of a benchmark round
@@ -688,7 +697,7 @@ class TestReferenceRoutes:
         assert d.rank == numerical_rank(d.matrix)
 
     @pytest.mark.parametrize("gamma", range(1, 9))
-    def test_bracket_sum_matches_all_patterns(self, gamma, rng):
+    def test_bracket_sum_matches_all_patterns(self, gamma):
         # bit for bit: the same rung patterns summed in the same order, DomainError on the same inputs
         def outcome(fn, *args):
             try:
@@ -698,10 +707,8 @@ class TestReferenceRoutes:
 
         bases = [(a, b, d) for _, a, b, _, d in FAMILIES + FAMILY_EDGES] + [(1.3, 0.7, 2.0), (0.4, -1.1, 0.5)]
         for (alpha, beta, delta), k, n in itertools.product(bases, range(gamma + 1), range(gamma + 1)):
-            xi = [int(v) for v in rng.permutation([1] * k + [0] * (gamma - k))]
-            for pattern in (None, xi):
-                args = (k, n, gamma, alpha, beta, delta, pattern)
-                assert outcome(ladder_bracket_sum, *args) == outcome(ladder_bracket_sum_all_patterns, *args), args
+            args = (k, n, gamma, alpha, beta, delta)
+            assert outcome(ladder_bracket_sum, *args) == outcome(ladder_bracket_sum_all_patterns, *args), args
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20, 50, 200, 600])
     def test_walks_match_loops(self, n):

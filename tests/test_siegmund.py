@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from markovdual import (
+    JordanBlock,
+    JordanStructure,
     MatrixKind,
     RateMatrix,
     check_monotone,
@@ -17,10 +19,18 @@ from markovdual import (
     rw_blocked_absorbed,
     siegmund_dual,
     siegmund_matrix,
+    siegmund_spectral,
 )
-from markovdual.errors import AlreadyConservativeError, NotBiorthogonalError
+from markovdual.config import DEFAULTS
+from markovdual.errors import (
+    AlreadyConservativeError,
+    DecompositionFailedError,
+    NotBiorthogonalError,
+    ShapeMismatchError,
+)
 from markovdual.linalg import EPS
-from markovdual.scenarios import cyclic_generator
+from markovdual.scenarios import cyclic_generator, jordan_block_generator
+from markovdual.siegmund import _chain_reversal
 
 from conftest import (
     cumulative_rate_sums_with_diagonal,
@@ -158,6 +168,14 @@ class TestCumulativeTransform:
         w[-1] = 1.0
         npt.assert_array_equal(cumulative_transform(w), np.ones(5))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (6, 6), (40, 7)])
+    def test_matrix_matches_column_loop(self, rng, shape):
+        # each column on its own, bit for bit: a matrix is never flattened
+        w = rng.standard_normal(shape)
+        got = cumulative_transform(w)
+        assert got.shape == shape
+        npt.assert_array_equal(got, np.column_stack([cumulative_transform(w[:, j]) for j in range(shape[1])]))
+
     def test_blocked_rw_modes(self):
         rw = rw_blocked_absorbed(9)
         for i in range(9):
@@ -174,6 +192,97 @@ class TestCumulativeTransform:
             u = cumulative_transform(vecs[:, i])
             defect = np.max(np.abs(dual @ u - lams[i] * u))
             assert defect < 1e-8 * max(1.0, np.max(np.abs(u)))
+
+
+class TestChainReversal:
+    def test_single_block_m1(self):
+        npt.assert_array_equal(_chain_reversal(JordanStructure(((-1.0, 1),))), [0])
+
+    def test_single_block_m2(self):
+        npt.assert_array_equal(_chain_reversal(JordanStructure(((-1.0, 2),))), [1, 0])
+
+    def test_block_diagonal_assembly(self):
+        npt.assert_array_equal(_chain_reversal(JordanStructure(((0.0, 1), (-1.0, 2)))), [0, 2, 1])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_involution_and_commutation(self, raw):
+        # the index applies B_J: p[p] is the identity (B_J^2 = I) and J[:, p][p] = J^T (B_J J B_J = J^T)
+        structure = JordanStructure(tuple(JordanBlock(complex(re, im), m) for re, im, m in raw))
+        p = _chain_reversal(structure)
+        j = structure.jordan_matrix()
+        npt.assert_array_equal(p[p], np.arange(structure.n))
+        npt.assert_array_equal(j[:, p][p], j.T)
+
+
+def _transport_inputs():
+    rng = np.random.default_rng(1)
+    for n in range(5, 41):
+        yield f"birth-death-{n}", random_birth_death(rng, n)
+    yield "jordan4", jordan_block_generator()
+    yield "cyclic3", cyclic_generator()
+    yield "dense-40", random_generator(np.random.default_rng(40), 40)
+
+
+class TestSiegmundSpectral:
+    @staticmethod
+    def _assert_matches_decompose(sd, l):
+        # where decompose of the dual succeeds, the transported structure is its structure
+        try:
+            direct = decompose(l)
+        except DecompositionFailedError:
+            return False
+        assert [b.size for b in sd.structure.blocks] == [b.size for b in direct.structure.blocks]
+        assert np.max(np.abs(sd.eigenvalues - direct.eigenvalues)) <= DEFAULTS.cluster
+        return True
+
+    def test_battery_passes_the_gate_and_matches_decompose(self):
+        decomposed = 0
+        for name, lhat in _transport_inputs():
+            pair = siegmund_dual(lhat)
+            hat = decompose(lhat)
+            sd = siegmund_spectral(pair, hat)
+            assert sd.residual <= DEFAULTS.residual, name
+            assert sd.source is pair.l and sd.structure is hat.structure
+            decomposed += self._assert_matches_decompose(sd, pair.l)
+        assert decomposed >= 36
+
+    @pytest.mark.parametrize("n", [8, 50, 200, 600])
+    def test_blocked_walk(self, n):
+        rw = rw_blocked_absorbed(n)
+        sd = siegmund_spectral(rw.pair, rw.spectral_hat)
+        assert sd.residual <= DEFAULTS.residual
+        npt.assert_array_equal(sd.U, rw.u)
+        npt.assert_array_equal(sd.Uinv, rw.spectral.Uinv)
+        assert self._assert_matches_decompose(sd, rw.pair.l)
+
+    def test_chain_order_is_reversed_inside_a_block(self):
+        # jordan4's size-2 block: the dual's eigenvector is the transport of the hat side's chain top
+        lhat = jordan_block_generator()
+        hat = decompose(lhat)
+        pair = siegmund_dual(lhat)
+        sd = siegmund_spectral(pair, hat)
+        (offset,) = [o for o, b in zip(hat.structure.offsets, hat.structure.blocks) if b.size == 2]
+        l = np.asarray(pair.l.entries)
+        top = cumulative_transform(hat.Uinv[offset + 1])
+        npt.assert_array_equal(sd.U[:, offset], top)
+        npt.assert_allclose(l @ top, -1.0 * top, atol=1e-12)
+
+    def test_spectral_data_of_another_generator_fails_the_gate(self):
+        pair = siegmund_dual(random_birth_death(np.random.default_rng(2), 6))
+        other = decompose(random_birth_death(np.random.default_rng(3), 6))
+        with pytest.raises(DecompositionFailedError, match="Siegmund-transported eigenbasis residual"):
+            siegmund_spectral(pair, other)
+
+    def test_size_mismatch(self):
+        pair = siegmund_dual(random_birth_death(np.random.default_rng(2), 6))
+        with pytest.raises(ShapeMismatchError):
+            siegmund_spectral(pair, decompose(random_birth_death(np.random.default_rng(3), 5)))
 
 
 class TestReconstruct:

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from markovdual import (
-    JordanBlock,
     JordanStructure,
     ConfigurationSpace,
     Measure,
     RateMatrix,
-    build_bj,
     build_from_spectra,
     check_r_similar,
     decompose,
@@ -403,37 +401,6 @@ class TestLeadingBlockRoute:
         monkeypatch.setattr(spectral.scipy.linalg, "schur", forbidden)
         decompose(random_generator(np.random.default_rng(0), 12))
         decompose(cyclic_generator())
-
-
-class TestBJ:
-    def test_single_block_m1(self):
-        npt.assert_array_equal(build_bj(JordanStructure(((-1.0, 1),))), [[1.0]])
-
-    def test_single_block_m2(self):
-        npt.assert_array_equal(
-            build_bj(JordanStructure(((-1.0, 2),))), [[0.0, 1.0], [1.0, 0.0]]
-        )
-
-    def test_block_diagonal_assembly(self):
-        b = build_bj(JordanStructure(((0.0, 1), (-1.0, 2))))
-        npt.assert_array_equal(b, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(1, 4)),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_involution_and_commutation(self, raw):
-        structure = JordanStructure(
-            tuple(JordanBlock(complex(re, im), m) for re, im, m in raw)
-        )
-        b = build_bj(structure)
-        j = structure.jordan_matrix()
-        npt.assert_allclose(b @ b, np.eye(structure.n), atol=0)
-        npt.assert_array_equal(b, b.T)
-        npt.assert_allclose(j @ b, b @ j.T, atol=0)
 
 
 def _sep_random_rates(rng):
