@@ -1,13 +1,17 @@
 """Global numerical defaults.
 
-Every threshold in the package is read from DEFAULTS where it is applied.
-A function takes a tolerance argument only where a caller needs a value
-other than the default (classify_matrix and RateMatrix.from_entries
-row_tol, check_detailed_balance tol, decompose tol_residual and
-tol_cluster, match_jordan_blocks and check_r_similar tol, push_duality and
-push_duality_left tol).  The defaults are tuned for the package's intended
-regime of small (n up to a few hundred), well-conditioned dense matrices.  The configuration-space cap is set only
-through the DUALITY_MAX_STATES environment variable.
+Every threshold in the package is read from DEFAULTS where it is applied,
+and every field of Tolerances is a relative factor: a check compares its
+defect with the factor times the scale of its own input
+(linalg.scaled_tol, the factor times ||L||_inf, the largest absolute row
+sum, times the size of the vectors L acts on), so multiplying every rate by
+c > 0 changes no verdict.  A function takes a tolerance argument only where
+a caller needs a value other than the default: decompose tol_cluster and
+match_jordan_blocks and check_r_similar tol are relative factors too;
+push_duality and push_duality_left tol is the one absolute bound.  The
+defaults are tuned for small (n up to a few hundred), well-conditioned
+dense matrices.  The configuration-space cap is set only through the
+DUALITY_MAX_STATES environment variable.
 """
 
 from __future__ import annotations
@@ -21,13 +25,16 @@ DEFAULT_MAX_STATES = 20_000
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerance bundle.
+    """Default tolerance bundle; each field is relative to the scale of the checked input.
 
-    row: row-sum / off-diagonal slack used when classifying rate matrices.
-    residual: acceptance bound for spectral and duality residuals.
-    cluster: eigenvalues closer than this are merged into one Jordan cluster
-        (looser than `residual` because repeated eigenvalues of non-normal
-        matrices split under rounding).
+    row: row-sum / off-diagonal slack, and the smallest rate that counts as
+        an edge, per unit of ||L||_inf.
+    residual: acceptance bound for spectral, stationary, balance and duality
+        defects, per unit of the input's scale (dimensionless for a
+        bi-orthogonality defect Uinv U - I).
+    cluster: eigenvalues closer than this times ||M||_inf are merged into one
+        Jordan cluster (looser than `residual` because repeated eigenvalues
+        of non-normal matrices split under rounding).
     """
 
     row: float = 1e-10

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgesv
 
 from .config import DEFAULTS
 from .errors import NoPositiveSolutionError, NotIrreducibleError, ShapeMismatchError
-from .linalg import max_abs, off_diagonal
+from .linalg import max_abs, off_diagonal, scaled_tol
 
 
 class MatrixKind(enum.Enum):
@@ -56,16 +56,19 @@ def _frozen_array(entries, dtype=float) -> np.ndarray:
     return arr
 
 
-def classify_matrix(entries, row_tol: float = DEFAULTS.row) -> MatrixKind:
+def classify_matrix(entries) -> MatrixKind:
     """Classify a square matrix as GENERATOR, SUB_GENERATOR or INVALID.
 
-    Off-diagonal entries must be >= -row_tol for either class; row sums must
-    vanish within row_tol for a generator and be <= row_tol for a sub-generator.
+    With tol = DEFAULTS.row ||L||_inf: off-diagonal entries must be >= -tol
+    for either class; row sums must vanish within tol for a generator and be
+    <= tol for a sub-generator.  A matrix whose ||L||_inf overflows has no
+    such scale and is INVALID.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if off_diagonal(m).min(initial=0.0) < -row_tol:
+    row_tol = scaled_tol(DEFAULTS.row, m)
+    if not np.isfinite(row_tol) or off_diagonal(m).min(initial=0.0) < -row_tol:
         return MatrixKind.INVALID
     row_sums = m.sum(axis=1)
     if np.all(np.abs(row_sums) <= row_tol):
@@ -75,12 +78,12 @@ def classify_matrix(entries, row_tol: float = DEFAULTS.row) -> MatrixKind:
     return MatrixKind.INVALID
 
 
-def _require_finite(entries: np.ndarray) -> None:
+def _require_finite(entries: np.ndarray, what: str = "rate matrix entry") -> None:
     """Raise ValueError naming the first NaN or infinite entry (row-major order)."""
     finite = np.isfinite(entries)
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValueError(f"rate matrix entry {index} is {entries[index]}, not finite")
+        raise ValueError(f"{what} {index} is {entries[index]}, not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +117,6 @@ class RateMatrix:
         entries,
         kind: MatrixKind | None = None,
         labels: Sequence[str] | None = None,
-        row_tol: float = DEFAULTS.row,
     ) -> "RateMatrix":
         """Build a RateMatrix, auto-classifying when `kind` is not given.
 
@@ -124,7 +126,7 @@ class RateMatrix:
         arr = np.array(entries, dtype=float)
         arr.setflags(write=False)  # the constructor keeps this private copy instead of copying it again
         _require_finite(arr)  # before classifying, so the error names the entry rather than a kind
-        found = classify_matrix(arr, row_tol)
+        found = classify_matrix(arr)
         if kind is None:
             kind = found if found is not MatrixKind.INVALID else MatrixKind.RAW
         elif kind is MatrixKind.GENERATOR and found is not MatrixKind.GENERATOR:
@@ -143,7 +145,7 @@ class RateMatrix:
 
 
 def generator(entries) -> RateMatrix:
-    """Strict constructor: raises if `entries` is not a generator at row_tol = DEFAULTS.row."""
+    """Strict constructor: raises if `entries` is not a generator (classify_matrix, at DEFAULTS.row ||L||_inf)."""
     return RateMatrix.from_entries(entries, kind=MatrixKind.GENERATOR)
 
 
@@ -162,6 +164,7 @@ class Measure:
         w = _frozen_array(self.weights)
         if w.ndim != 1 or w.shape[0] != self.space.n:
             raise ShapeMismatchError("weights length does not match state space size")
+        _require_finite(w, "measure weight")
         if np.any(w <= 0):
             raise ValueError("measure weights must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -174,8 +177,8 @@ class Measure:
 
 
 def is_irreducible(l: RateMatrix) -> bool:
-    """Strong connectivity of the digraph with edges where the rate exceeds DEFAULTS.row."""
-    adj = (np.asarray(l.entries) > DEFAULTS.row).astype(np.int8)
+    """Strong connectivity of the digraph with edges where the rate exceeds DEFAULTS.row ||L||_inf."""
+    adj = (l.entries > scaled_tol(DEFAULTS.row, l.entries)).astype(np.int8)
     np.fill_diagonal(adj, 0)
     ncomp, _ = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(adj), directed=True, connection="strong"
@@ -191,7 +194,7 @@ def stationary_measure(l: RateMatrix) -> Measure:
     L^T in place.  Irreducibility makes the kernel of L^T one-dimensional and
     spanned by a positive vector, so that system is nonsingular; a singular
     factor, a non-positive entry, or a residual max|mu^T L| above
-    DEFAULTS.residual raises NoPositiveSolutionError.
+    DEFAULTS.residual ||L||_inf max mu raises NoPositiveSolutionError.
     """
     if l.kind is not MatrixKind.GENERATOR:
         raise ValueError("stationary_measure requires a generator")
@@ -209,14 +212,14 @@ def stationary_measure(l: RateMatrix) -> Measure:
     if np.any(mu <= 0):
         raise NoPositiveSolutionError("kernel vector has a non-positive entry")
     mu = mu / mu.sum()
-    residual = max_abs(mu @ m)
-    if residual > DEFAULTS.residual:
-        raise NoPositiveSolutionError(f"stationary residual {residual:.3e} exceeds {DEFAULTS.residual:.3e}")
+    residual, tol = max_abs(mu @ m), scaled_tol(DEFAULTS.residual, m, mu.max())
+    if residual > tol:
+        raise NoPositiveSolutionError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     return Measure(l.space, mu)
 
 
-def check_detailed_balance(l: RateMatrix, mu: Measure, tol: float = DEFAULTS.residual) -> bool:
-    """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within tol.
+def check_detailed_balance(l: RateMatrix, mu: Measure) -> bool:
+    """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within DEFAULTS.residual ||L||_inf max mu.
 
     The flux mu(x) L(x,y) is the one n x n buffer; its difference from its
     transpose is taken by blocks of rows of at most 2^17 entries.
@@ -227,7 +230,7 @@ def check_detailed_balance(l: RateMatrix, mu: Measure, tol: float = DEFAULTS.res
     flux = w[:, None] * np.asarray(l.entries)
     step = max(1, 2**17 // l.n)
     worst = [max_abs(flux[a : a + step] - flux[:, a : a + step].T) for a in range(0, l.n, step)]
-    return bool(np.max(worst) <= tol)
+    return bool(np.max(worst) <= scaled_tol(DEFAULTS.residual, l.entries, w.max()))
 
 
 def adjoint(l: RateMatrix, mu: Measure) -> RateMatrix:

@@ -37,7 +37,7 @@ from .errors import (
     NotOrthonormalError,
     ShapeMismatchError,
 )
-from .linalg import EPS, max_abs, numerical_rank, rank_threshold
+from .linalg import EPS, max_abs, numerical_rank, rank_threshold, scaled_tol
 from .spectral import SpectralData, Witness, _cluster_eigenvalues, _reorder_schur, reversible_eigenbasis
 
 __all__ = [
@@ -307,14 +307,15 @@ def cheap_duality(mu: Measure) -> DualityFunction:
     return DualityFunction(mu.space, mu.space, d, residual=0.0, rank=mu.space.n)
 
 
-def _validate_chains(l: RateMatrix, cols: np.ndarray, lengths, tol: float) -> np.ndarray:
+def _validate_chains(l: RateMatrix, cols: np.ndarray, lengths) -> np.ndarray:
     """Eigenvalues of the Jordan chains laid out side by side in cols, each chain validated.
 
     Chain i is lengths[i] consecutive columns, eigenvector first, and one
     product L @ cols serves every chain.  Its eigenvalue is the Rayleigh
     quotient lam = <u, Lu> / <u, u> of its first column u, which must be
-    nonzero with max|Lu - lam u| <= tol max(1, max|u|); every later column
-    must satisfy max|L u^(k) - lam u^(k) - u^(k-1)| <= tol max(1, max|chain|).
+    nonzero with max|Lu - lam u| <= tol max|u|; every later column must
+    satisfy max|L u^(k) - lam u^(k) - u^(k-1)| <= tol max|chain|, where
+    tol = DEFAULTS.residual ||L||_inf.
     The first failing column is reported: NotEigenpairError ("column i: ...")
     for a chain of length 1, NotChainError ("chain i: ... at order k") for a
     longer one.
@@ -331,22 +332,26 @@ def _validate_chains(l: RateMatrix, cols: np.ndarray, lengths, tol: float) -> np
     col_max = np.max(np.abs(cols), axis=0, initial=0.0)
     scale = np.maximum.reduceat(col_max, starts)[owner]  # max|chain| for the later columns
     scale[starts] = col_max[starts]  # and max|u| for each eigenvector
-    bad = defects > tol * np.maximum(1.0, scale)
+    bound = scaled_tol(DEFAULTS.residual, l.entries, scale)
+    bad = defects > bound
     bad[starts] |= norm2 == 0
     if bad.any():
         j = int(np.argmax(bad))
         i = owner[j]
         if lengths[i] == 1:
-            what = f"eigenpair defect {defects[j]:.3e} exceeds {tol:.3e}"
+            what = f"eigenpair defect {defects[j]:.3e} exceeds {bound[j]:.3e}"
             raise NotEigenpairError(f"column {i}: {'zero vector is not an eigenfunction' if norm2[i] == 0 else what}")
         what = "zero vector" if norm2[i] == 0 else f"chain defect {defects[j]:.3e}"
         raise NotChainError(f"chain {i}: {what} at order {j - starts[i] + 1}")
     return lams.astype(complex)
 
 
-def _check_matched(lam_hat: np.ndarray, lam: np.ndarray, lengths, tol: float) -> None:
-    """Raise unless |lam_hat - lam| <= tol max(1, |lam|) for every chain, naming the first as _validate_chains does."""
-    mismatch = np.flatnonzero(np.abs(lam_hat - lam) > tol * np.maximum(1.0, np.abs(lam)))
+def _check_matched(lhat: RateMatrix, l: RateMatrix, lam_hat: np.ndarray, lam: np.ndarray, lengths) -> None:
+    """Raise unless |lam_hat - lam| <= DEFAULTS.residual max(||L_hat||_inf, ||L||_inf) for every chain.
+
+    The first mismatch is named as _validate_chains names a failing chain.
+    """
+    mismatch = np.flatnonzero(np.abs(lam_hat - lam) > max(scaled_tol(DEFAULTS.residual, m.entries) for m in (lhat, l)))
     if mismatch.size:
         i = mismatch[0]
         error, what = (NotEigenpairError, "column") if lengths[i] == 1 else (NotChainError, "chain")
@@ -373,12 +378,12 @@ def _paired_sum(
 
     A complex D is returned as its real part.  Its conjugate terms must carry
     tied (equal) coefficients: ComplexResidueError is raised when max|Im D|
-    exceeds DEFAULTS.residual max(1, max|Re D|).
+    exceeds DEFAULTS.residual max|D|.
     """
     d = (hat_cols * c) @ primal_cols.T
     if np.iscomplexobj(d):  # two real sides give a real D and need no check
         imag = max_abs(d.imag)
-        if imag > DEFAULTS.residual * max(1.0, max_abs(d.real)):
+        if imag > DEFAULTS.residual * max_abs(d):
             raise ComplexResidueError(f"imaginary residue {imag:.3e}: conjugate chains are not tied")
         d = d.real
     return make_duality(lhat, l, d)
@@ -401,19 +406,17 @@ def chain_duality(lhat: RateMatrix, l: RateMatrix, hat_chains, chains, coefficie
     coefficients raise ComplexResidueError, as in build_from_spectra.
 
     Both sides are validated by _validate_chains, the hat side first, then
-    the eigenvalues are matched, all at tol = DEFAULTS.residual: a failing
-    chain of length 1 raises NotEigenpairError ("column i: ..."), a longer one
-    NotChainError.
+    the eigenvalues are matched (_check_matched): a failing chain of length 1
+    raises NotEigenpairError ("column i: ..."), a longer one NotChainError.
     """
-    tol = DEFAULTS.residual
     a = np.asarray(coefficients, dtype=float).ravel()
     hat, primal = _chain_blocks(hat_chains, lhat.n), _chain_blocks(chains, l.n)
     lengths = [b.shape[1] for b in hat]
     if a.size != len(hat) or lengths != [b.shape[1] for b in primal]:
         raise ShapeMismatchError("need one coefficient per chain and paired chains of equal length")
     hat_cols = _side_by_side(hat, lhat.n)
-    lam_hat = _validate_chains(lhat, hat_cols, lengths, tol)
-    _check_matched(lam_hat, _validate_chains(l, _side_by_side(primal, l.n), lengths, tol), lengths, tol)
+    lam_hat = _validate_chains(lhat, hat_cols, lengths)
+    _check_matched(lhat, l, lam_hat, _validate_chains(l, _side_by_side(primal, l.n), lengths), lengths)
     reversed_cols = _side_by_side([b[:, ::-1] for b in primal], l.n)
     return _paired_sum(lhat, l, hat_cols, reversed_cols, np.repeat(a, lengths))
 
@@ -428,23 +431,22 @@ def orthogonal_selfduality(
     u_i is the mu-orthonormal eigenbasis of l (reversible_eigenbasis); tilde_us
     (columns) must be mu-orthonormal eigenfunctions for the same eigenvalues,
     in the same descending order.  The result satisfies row-orthogonality
-    <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').  Every check runs at
-    max(DEFAULTS.residual, 1e-8): the mu-Gram matrix, then one product
-    L @ tilde_us that gives every column's Rayleigh quotient and defect,
-    then the match with the eigenvalues of u; NotEigenpairError names the
-    first failing column.
+    <D(x,.), D(x',.)>_mu = delta_xx' / mu(x').  The checks: the mu-Gram
+    matrix within DEFAULTS.residual of I, then one product L @ tilde_us that
+    gives every column's Rayleigh quotient and defect (_validate_chains),
+    then the match with the eigenvalues of u (_check_matched);
+    NotEigenpairError names the first failing column.
     """
     lams, u = reversible_eigenbasis(l, mu)
     tilde = np.atleast_2d(np.asarray(tilde_us, dtype=float))
     if tilde.shape != (l.n, l.n):
         raise ShapeMismatchError("tilde_us must be a full square eigenbasis")
-    tol = max(DEFAULTS.residual, 1e-8)
     w = np.asarray(mu.weights)
     gram = (tilde.T * w) @ tilde
-    if max_abs(gram - np.eye(l.n)) > tol:
+    if max_abs(gram - np.eye(l.n)) > DEFAULTS.residual:
         raise NotOrthonormalError("tilde_us is not orthonormal in L^2(mu)")
     ones = np.ones(l.n, dtype=int)
-    _check_matched(_validate_chains(l, tilde, ones, tol), lams, ones, tol)
+    _check_matched(l, l, _validate_chains(l, tilde, ones), lams, ones)
     d = tilde @ u.T
     return make_duality(l, l, d)
 
@@ -469,12 +471,12 @@ def compose_dualities(
 def factor_check(d: DualityFunction, lhat: RateMatrix, l: RateMatrix):
     """Extract (f, g, lam) from a rank-1 duality D = f (x) g, or None.
 
-    Uses the leading singular triple; validates at tol = DEFAULTS.residual
-    that f and g are eigenfunctions of lhat and l for a common eigenvalue.
+    Uses the leading singular triple; validates (_validate_chains,
+    _check_matched) that f and g are eigenfunctions of lhat and l for a
+    common eigenvalue.
     Total function: returns None when D is not numerically rank 1 or
     validation fails.
     """
-    tol = DEFAULTS.residual
     m = np.asarray(d.matrix)
     u, s, vh = np.linalg.svd(m)
     if int(np.sum(s > rank_threshold(s, m.shape))) != 1:
@@ -482,8 +484,8 @@ def factor_check(d: DualityFunction, lhat: RateMatrix, l: RateMatrix):
     f = u[:, 0] * s[0]
     g = vh[0]
     try:
-        lam_hat = _validate_chains(lhat, f[:, None], [1], tol)
-        _check_matched(lam_hat, _validate_chains(l, g[:, None], [1], tol), [1], tol)
+        lam_hat = _validate_chains(lhat, f[:, None], [1])
+        _check_matched(lhat, l, lam_hat, _validate_chains(l, g[:, None], [1]), [1])
     except NotEigenpairError:
         return None
     return f, g, lam_hat[0]
@@ -506,7 +508,7 @@ def build_from_spectra(
     matched blocks, which decompose has validated already.  Coefficients of
     conjugate block pairs must be tied (equal) so the combined matrix is real;
     otherwise ComplexResidueError is raised when max|Im D| exceeds
-    DEFAULTS.residual max(1, max|Re D|).
+    DEFAULTS.residual max|D|.
     """
     a = np.asarray(coefficients, dtype=float)
     if a.size != len(witness.matched):

@@ -3,8 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dlange
 
 EPS = float(np.finfo(float).eps)
+
+
+def scaled_tol(factor: float, m, weight=1.0):
+    """The one threshold rule: factor (a relative factor from config.DEFAULTS) times ||m||_inf times weight.
+
+    ||m||_inf is the largest absolute row sum of the real matrix m (0.0 for
+    an empty one); weight is the size of the vectors m acts on in the checked
+    quantity (max mu, max|U|, ...), and may be an array.  Multiplying m by
+    c > 0 multiplies the threshold by c, so no decision depends on the units
+    of the rates.  The norm is one LAPACK dlange pass with no n x n
+    temporary: the 1-norm of m^T, a Fortran-ordered view of a C-ordered m.
+    """
+    m = np.asarray(m, dtype=float)
+    return factor * float(dlange("1", m.T) if m.flags.c_contiguous else dlange("I", m)) * weight
 
 
 def max_abs(a) -> float:

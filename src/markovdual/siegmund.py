@@ -27,7 +27,7 @@ import numpy as np
 from .config import DEFAULTS
 from .core import MatrixKind, RateMatrix
 from .errors import AlreadyConservativeError, NotBiorthogonalError, ShapeMismatchError
-from .linalg import inverse_defect, max_abs, off_diagonal
+from .linalg import inverse_defect, max_abs, off_diagonal, scaled_tol
 from .spectral import JordanStructure, SpectralData, _gated
 
 __all__ = [
@@ -76,7 +76,7 @@ def _cumulative_rate_sums(lhat: np.ndarray) -> np.ndarray:
     exactly zero, not rounding: the dual of a birth-death chain is exactly
     tridiagonal.  Where a row sum of lhat is not zero, S differs from the
     formula with the diagonal by those row sums, so for a generator by at
-    most 2 DEFAULTS.row per entry.  Two n x n buffers: the prefix sums, which
+    most 2 DEFAULTS.row ||L_hat||_inf per entry.  Two n x n buffers: the prefix sums, which
     become the result, and the tail sums t.
     """
     n = lhat.shape[0]
@@ -95,12 +95,12 @@ def siegmund_dual(lhat: RateMatrix) -> SiegmundPair:
     """Build the Siegmund dual of a generator on the ordered space {0..n-1}.
 
     The construction is total: validity of the dual as a (sub-)generator is
-    reported through its `kind`, never enforced: both the classification and
-    `monotone` (off-diagonal entries >= -DEFAULTS.row) run at DEFAULTS.row.
-    Every entry of the dual is summed from off-diagonal rates of L_hat only
+    reported through its `kind` (classify_matrix), never enforced, and
+    `monotone` is check_monotone's condition, read off the dual.  Every
+    entry of the dual is summed from off-diagonal rates of L_hat only
     (_cumulative_rate_sums), so entries that are zero by structure are
     exactly zero; the dual then differs from the formula with the diagonal
-    by the row sums of L_hat, at most 2 DEFAULTS.row per entry.  The residual
+    by the row sums of L_hat, at most 2 DEFAULTS.row ||L_hat||_inf per entry.  The residual
     max|L_hat D_s - D_s L^T| is taken in O(n^2) with no D_s: row x of
     L_hat D_s is the tail sums sum_{x' >= y} L_hat[x, x'] of row x of L_hat,
     and column y of D_s L^T is the prefix sums sum_{x' <= x} L[y, x'] of
@@ -110,24 +110,24 @@ def siegmund_dual(lhat: RateMatrix) -> SiegmundPair:
         raise ValueError("siegmund_dual requires a generator")
     entries = np.asarray(lhat.entries)
     dual = _cumulative_rate_sums(entries)
-    monotone = _off_diagonal_nonnegative(dual)
+    monotone = _off_diagonal_nonnegative(dual, entries)
     l = RateMatrix.from_entries(dual)  # an INVALID dual is kept as RAW; l holds a copy
     defect = np.cumsum(entries[:, ::-1], axis=1)[:, ::-1]  # L_hat D_s
     defect -= np.cumsum(dual, axis=1, out=dual).T  # D_s L^T, in the spent buffer of dual
     return SiegmundPair(lhat=lhat, l=l, n=lhat.n, monotone=monotone, residual=max_abs(defect))
 
 
-def _off_diagonal_nonnegative(sums: np.ndarray) -> bool:
-    return bool(off_diagonal(sums).min(initial=0.0) >= -DEFAULTS.row)
+def _off_diagonal_nonnegative(sums: np.ndarray, lhat: np.ndarray) -> bool:
+    return bool(off_diagonal(sums).min(initial=0.0) >= -scaled_tol(DEFAULTS.row, lhat))
 
 
 def check_monotone(lhat: RateMatrix) -> bool:
-    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= -DEFAULTS.row for x != y.
+    """Cumulative-rate monotonicity: sum_{x'>=y} [L(x,x') - L(x-1,x')] >= -DEFAULTS.row ||L||_inf for x != y.
 
     These sums are the off-diagonal entries of the Siegmund dual, so
     siegmund_dual reads `monotone` off the dual it builds.
     """
-    return _off_diagonal_nonnegative(_cumulative_rate_sums(np.asarray(lhat.entries)))
+    return _off_diagonal_nonnegative(_cumulative_rate_sums(np.asarray(lhat.entries)), lhat.entries)
 
 
 def cumulative_transform(w: np.ndarray) -> np.ndarray:
@@ -157,8 +157,8 @@ def siegmund_spectral(pair: SiegmundPair, hat_data: SpectralData) -> SpectralDat
     and U^{-1} = B_J Uhat^T D_s^{-T} (the differences of the columns of
     Uhat, its row -1 taken as zero).  B_J is applied as the column index
     _chain_reversal, and only where a block has size 2 or more; it is never
-    formed.  The result passes the same gate as decompose, at
-    DEFAULTS.residual (DecompositionFailedError); a hat_data of another
+    formed.  The result passes the same gate as decompose, _gated
+    (DecompositionFailedError); a hat_data of another
     generator fails it.  Buffers: U and U^{-1} are fresh n x n arrays, plus
     the gate's; no other n x n temporary.
     """
@@ -175,7 +175,7 @@ def siegmund_spectral(pair: SiegmundPair, hat_data: SpectralData) -> SpectralDat
     if not structure.is_diagonalizable():
         p = _chain_reversal(structure)
         u, uinv = u[:, p], uinv[p]
-    return _gated(pair.l, structure, u, uinv, DEFAULTS.residual, "Siegmund-transported eigenbasis")
+    return _gated(pair.l, structure, u, uinv, "Siegmund-transported eigenbasis")
 
 
 def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -184,7 +184,8 @@ def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray) -> np.ndarray:
     The u_i must come from cumulative_transform of a family w_i that is
     bi-orthogonal to the uhat_i under counting measure; the w_i are recovered
     by differencing and the pairing checked: NotBiorthogonalError when
-    max|W^T Uhat - I| exceeds max(DEFAULTS.residual, 1e-8).  Under the preconditions the result equals siegmund_matrix(n).
+    max|W^T Uhat - I| (dimensionless) exceeds DEFAULTS.residual.  Under the
+    preconditions the result equals siegmund_matrix(n).
     The check holds two n x n buffers, w and its Gram matrix (I subtracted
     in place), both freed before the result is formed.
     """
@@ -198,7 +199,7 @@ def reconstruct_siegmund(uhats: np.ndarray, us: np.ndarray) -> np.ndarray:
     w[-1] = us[-1]
     defect = inverse_defect(w.T, uhats)
     del w
-    if defect > max(DEFAULTS.residual, 1e-8):
+    if defect > DEFAULTS.residual:
         raise NotBiorthogonalError(f"bi-orthogonality defect {defect:.3e}")
     return uhats @ us.T
 
@@ -207,19 +208,19 @@ def extend_with_cemetery(l: RateMatrix) -> RateMatrix:
     """Close a sub-generator into a generator by routing leak rates to a new absorbing state.
 
     The new state (index n) is absorbing; row x gains the entry -rowsum(x),
-    where a leak within DEFAULTS.row of zero counts as zero.  Raises
+    where a leak within DEFAULTS.row ||L||_inf of zero counts as zero.  Raises
     AlreadyConservativeError when every row already sums to zero (the
     extension would only add an isolated absorbing state).  The result is
-    classified as a generator at row_tol = max(DEFAULTS.row, 1e-9).
+    classified as a generator by classify_matrix.
     """
     if l.kind not in (MatrixKind.SUB_GENERATOR, MatrixKind.GENERATOR):
         raise ValueError("extend_with_cemetery requires a (sub-)generator")
     entries = np.asarray(l.entries)
     leaks = -entries.sum(axis=1)
-    leaks[np.abs(leaks) <= DEFAULTS.row] = 0.0
+    leaks[np.abs(leaks) <= scaled_tol(DEFAULTS.row, entries)] = 0.0
     if not np.any(leaks > 0):
         raise AlreadyConservativeError("row sums already vanish; extension is a no-op")
     out = np.zeros((l.n + 1, l.n + 1))
     out[: l.n, : l.n] = entries
     out[: l.n, l.n] = leaks
-    return RateMatrix.from_entries(out, kind=MatrixKind.GENERATOR, row_tol=max(DEFAULTS.row, 1e-9))
+    return RateMatrix.from_entries(out, kind=MatrixKind.GENERATOR)

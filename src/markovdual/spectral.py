@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dtrsen
 from .config import DEFAULTS
 from .core import Measure, RateMatrix
 from .errors import DecompositionFailedError, NotOrthonormalError, ShapeMismatchError
-from .linalg import EPS, inverse_defect, max_abs
+from .linalg import EPS, max_abs, scaled_tol
 
 __all__ = [
     "JordanBlock",
@@ -146,8 +146,11 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     joins the first group, in creation order, whose current mean is within
     tol, or else starts a new group.  Running sums and counts keep every mean
     at hand, so each visit is one vectorized comparison against all groups.
-    Returns the groups (indices into eigs) and their means: the merged groups
-    in creation order, then the lone eigenvalues in index order.  This is the
+    A value exactly equal to the one visited before it (the second half of a
+    folded conjugate pair) skips the comparison: it would join the same
+    group, since adding a member moves the mean towards it.  Returns the
+    groups (indices into eigs) and their means: the merged groups in
+    creation order, then the lone eigenvalues in index order.  This is the
     one grouping rule: decompose applies it to the folded spectrum
     (re + i|im|), the duality kernel to the diagonal of a real Schur form.
     """
@@ -158,15 +161,16 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     sums = np.zeros(near.size, dtype=complex)
     means = np.zeros(near.size, dtype=complex)
     counts = np.zeros(near.size, dtype=int)
+    value = None
     for idx in near[np.lexsort((eigs.imag[near], eigs.real[near]))]:
-        close = np.flatnonzero(np.abs(eigs[idx] - means[: len(groups)]) <= tol)
-        if close.size:
-            g = close[0]
-            groups[g].append(idx)
-        else:
-            g = len(groups)
-            groups.append([idx])
-        sums[g] += eigs[idx]
+        if eigs[idx] != value:  # an exact repeat, such as a conjugate twin, joins its predecessor's group
+            value = eigs[idx]
+            close = np.flatnonzero(np.abs(value - means[: len(groups)]) <= tol)
+            g = close[0] if close.size else len(groups)
+            if g == len(groups):
+                groups.append([])
+        groups[g].append(idx)
+        sums[g] += value
         counts[g] += 1
         means[g] = sums[g] / counts[g]
     return groups + [[i] for i in lone], np.concatenate([means[: len(groups)], eigs[lone]])
@@ -180,7 +184,7 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float,
     with the full n x n matrix M - lam I, not with a, which for a semisimple
     cluster holds only rounding: with s = `scale`, the largest column norm of
     M - lam I, the k-th cutoff is max(n eps s^k, sqrt(eps) s^k, 20 k spread
-    max(1, s)^(k-1)).  `spread` (cluster radius) widens it because the shifted
+    s^(k-1)).  `spread` (cluster radius) widens it because the shifted
     matrix inherits that much error from the cluster representative.  The
     terminal null dimension is pinned to the known algebraic multiplicity.
     A null space that is the whole block gets the identity as its basis.
@@ -195,7 +199,7 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float,
         cutoff = max(
             n * EPS * scale**k,
             np.sqrt(EPS) * scale**k,
-            20.0 * k * spread * max(1.0, scale) ** (k - 1),
+            20.0 * k * spread * scale ** (k - 1),
         )
         d = int(np.sum(sv <= cutoff))
         d = min(max(d, dims[-1]), m_alg)
@@ -348,22 +352,19 @@ def _cluster_chains(
     return [[next(cols) for _ in c] for c in chains]
 
 
-def decompose(
-    m: RateMatrix | np.ndarray,
-    tol_cluster: float = DEFAULTS.cluster,
-    tol_residual: float = DEFAULTS.residual,
-) -> SpectralData:
+def decompose(m: RateMatrix | np.ndarray, tol_cluster: float = DEFAULTS.cluster) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
     One `eig` call gives the eigenvalues and eigenvectors.  One grouping pass
     (_cluster_eigenvalues) over the spectrum folded into the upper half-plane,
     re + i|im|, decides which eigenvalues count as one: eigenvalues within
-    tol_cluster are merged before chain construction, so floating-point splits
-    of designed Jordan blocks are re-absorbed (size-2 blocks split by
-    ~sqrt(eps), within the default; deeper blocks need a looser tol_cluster).
-    A cluster whose folded mean lies within tol_cluster of the real axis is
-    real, with multiplicity m_alg its member count; any other cluster holds
-    m_alg conjugate pairs, half its member count (an odd count raises
+    the radius tol_cluster ||M||_inf (tol_cluster is a relative factor) are
+    merged before chain construction, so floating-point splits of designed
+    Jordan blocks are re-absorbed (size-2 blocks split by ~sqrt(eps) ||M||,
+    within the default; deeper blocks need a looser tol_cluster).  A cluster
+    whose folded mean lies within that radius of the real axis is real, with
+    multiplicity m_alg its member count; any other cluster holds m_alg
+    conjugate pairs, half its member count (an odd count raises
     DecompositionFailedError).  Each cluster takes one of two routes:
 
     - m_alg = 1: a simple eigenvalue, its `eig` column (a real column for a
@@ -389,18 +390,19 @@ def decompose(
 
     Raises DecompositionFailedError if a complex cluster has an odd member
     count, if a cluster's Schur positions or chains do not match its
-    multiplicity, if the basis is singular, or if the reconstruction or
-    inversion residual exceeds tol_residual.
+    multiplicity, if the basis is singular, or if the gate rejects the
+    reconstruction or inversion defect.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
+    radius = scaled_tol(tol_cluster, mat)
     eigs, vecs = np.linalg.eig(mat)
     folded = eigs.real + 1j * np.abs(eigs.imag)
-    groups, reps = _cluster_eigenvalues(folded, tol_cluster)
+    groups, reps = _cluster_eigenvalues(folded, radius)
     clusters = []
     for group, rep in zip(groups, reps):
         lam, m_alg = complex(rep), len(group)
-        if lam.imag <= tol_cluster:
+        if lam.imag <= radius:
             lam = complex(lam.real, 0.0)
         elif m_alg % 2:
             raise DecompositionFailedError(
@@ -418,7 +420,7 @@ def decompose(
             v = vecs[:, max(group, key=eigs.imag.__getitem__)]
             chains = [[v.real if lam.imag == 0.0 else v]]
         else:
-            chains = _cluster_chains(mat, schur_form, folded[group], lam, tol_cluster)
+            chains = _cluster_chains(mat, schur_form, folded[group], lam, radius)
         for chain in chains:
             blocks.append((lam, chain))
             if lam.imag != 0.0:
@@ -427,7 +429,7 @@ def decompose(
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex
     u = np.array([v for _, chain in blocks for v in chain], dtype=dtype).T
-    return _gated(source, structure, u, None, tol_residual, "decomposition")
+    return _gated(source, structure, u, None, "decomposition")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -438,17 +440,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _gated(
-    source: RateMatrix, structure: JordanStructure, u: np.ndarray, uinv: np.ndarray | None, tol: float, label: str
+    source: RateMatrix, structure: JordanStructure, u: np.ndarray, uinv: np.ndarray | None, label: str
 ) -> SpectralData:
     """SpectralData for source = U J U^{-1}, after the one residual gate every producer passes.
 
     u is inverted when no uinv is given; a singular u raises
-    DecompositionFailedError.  The residual is the larger max-abs entry of
-    M U - U J and Uinv U - I, and DecompositionFailedError, naming `label`,
-    is raised when it exceeds tol.  U J is taken in O(n^2) without forming J:
-    lambda times each column, plus the previous column inside each chain.
-    The eigenvalues are real when the structure is, so a real U gives a
-    real defect.  Buffers: M U, lambda U and Uinv U, one n x n each.
+    DecompositionFailedError.  DecompositionFailedError, naming `label`, is
+    also raised when max|M U - U J| exceeds DEFAULTS.residual ||M||_inf
+    max|U|, or when max|Uinv U - I| exceeds DEFAULTS.residual.  Where a
+    Jordan block has size 2 or more, that second defect is taken for the
+    basis with every column scaled to max-abs 1 (entry (i, j) times
+    max|U_i| / max|U_j|, with U_k column k): the chains of c M are those of
+    M with the k-th member of a chain scaled by c^(k-1), which scales entry
+    (i, j) of Uinv U - I by c^(j-i), and the scaled basis undoes that.  The
+    recorded residual is the larger absolute max-abs entry of M U - U J and
+    Uinv U - I.  U J is taken in O(n^2) without forming J: lambda times each
+    column, plus the previous column inside each chain.  The eigenvalues are
+    real when the structure is, so a real U gives a real defect.  Buffers:
+    M U, lambda U and Uinv U, one n x n each, and two more for the scaled
+    defect where a block has size 2 or more.
     U and Uinv are stored as read-only views of u and uinv, not copies.
     """
     if uinv is None:
@@ -463,10 +473,20 @@ def _gated(
     links = [o + i for o, (_, size) in zip(structure.offsets, structure.blocks) for i in range(1, size)]
     if links:
         defect[:, links] -= u[:, np.subtract(links, 1)]
-    residual = max(max_abs(defect), inverse_defect(uinv, u))
-    if residual > tol:
-        raise DecompositionFailedError(f"{label} residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    return SpectralData(source, structure, _read_only(u), _read_only(np.asarray(uinv)), residual)
+    gram = np.asarray(uinv) @ u
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    fit, inverse, bound = max_abs(defect), max_abs(gram), scaled_tol(DEFAULTS.residual, source.entries, max_abs(u))
+    scaled = inverse
+    if not structure.is_diagonalizable():
+        scale = np.abs(u).max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives inf or NaN, which fails below
+            scaled = max_abs(gram * (scale[:, None] / scale))
+    if not (fit <= bound and scaled <= DEFAULTS.residual):
+        raise DecompositionFailedError(
+            f"{label} residual {max(fit, inverse):.3e} exceeds tolerance: reconstruction {fit:.3e} against "
+            f"{bound:.3e}, inversion {scaled:.3e} against {DEFAULTS.residual:.3e}"
+        )
+    return SpectralData(source, structure, _read_only(u), _read_only(np.asarray(uinv)), max(fit, inverse))
 
 
 def spectral_from_eigenbasis(
@@ -478,9 +498,9 @@ def spectral_from_eigenbasis(
     """SpectralData from a known eigenbasis (all blocks size 1), validated.
 
     A known inverse `uinv` (rows dual to the columns of u, e.g. a closed
-    form) is taken as given; otherwise U is inverted.  The gate (_gated) runs
-    at DEFAULTS.residual: DecompositionFailedError when u is singular or
-    the larger max-abs entry of M U - U diag(lambda) and Uinv U - I exceeds it.
+    form) is taken as given; otherwise U is inverted.  The gate (_gated)
+    raises DecompositionFailedError when u is singular or M U - U diag(lambda)
+    or Uinv U - I is too large.
 
     Storage: U keeps u's dtype, widened to float64 or complex128 (a real
     basis stays real), and Uinv is the given or computed inverse.  Both are
@@ -499,7 +519,7 @@ def spectral_from_eigenbasis(
         # re-sort columns (and the inverse's rows) so they line up with the canonical block order
         u = u[:, order]
         uinv = None if uinv is None else np.asarray(uinv)[order]
-    return _gated(source, structure, u, uinv, DEFAULTS.residual, "analytic eigenbasis")
+    return _gated(source, structure, u, uinv, "analytic eigenbasis")
 
 
 class MatchedBlock(NamedTuple):
@@ -523,11 +543,13 @@ def match_jordan_blocks(
 ) -> list[MatchedBlock]:
     """Greedy maximal block matching between two structures.
 
-    Per shared eigenvalue (within tol), block size lists are sorted descending
+    Per shared eigenvalue (within tol times the largest |eigenvalue| of the
+    two structures; tol is a relative factor), block size lists are sorted descending
     and paired elementwise; each pair supports a chain overlap of min(sizes).
     For equal size lists this reduces to counting shared eigenvalues with
     multiplicity.
     """
+    radius = tol * max((abs(b.eigenvalue) for b in hat.blocks + primal.blocks), default=0.0)
     hat_offsets = hat.offsets
     primal_offsets = primal.offsets
     hat_used = [False] * len(hat.blocks)
@@ -537,8 +559,8 @@ def match_jordan_blocks(
         if hat_used[hi]:
             continue
         # collect all hat/primal blocks at this eigenvalue
-        hat_group = [k for k, b in enumerate(hat.blocks) if not hat_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= tol]
-        primal_group = [k for k, b in enumerate(primal.blocks) if not primal_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= tol]
+        hat_group = [k for k, b in enumerate(hat.blocks) if not hat_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= radius]
+        primal_group = [k for k, b in enumerate(primal.blocks) if not primal_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= radius]
         for k in hat_group:
             hat_used[k] = True
         if not primal_group:
@@ -583,7 +605,7 @@ def check_r_similar(
 
     The matched blocks, truncated to total size r, define a T with
     Jhat T = T J exactly for the assembled Jordan matrices (up to the
-    eigenvalue matching tolerance); see Witness.
+    eigenvalue matching tolerance of match_jordan_blocks, relative); see Witness.
     """
     if r < 1 or r > min(hat.n, primal.n):
         raise ValueError(f"rank r={r} out of range 1..{min(hat.n, primal.n)}")
@@ -606,13 +628,14 @@ def reversible_eigenbasis(l: RateMatrix, mu: Measure) -> tuple[np.ndarray, np.nd
     """Real eigenvalues and a mu-orthonormal eigenbasis of a reversible generator.
 
     Uses the symmetrization diag(sqrt(mu)) L diag(1/sqrt(mu)); raises
-    NotOrthonormalError if L is not self-adjoint in L^2(mu).
+    NotOrthonormalError if L is not self-adjoint in L^2(mu), i.e. when the
+    symmetrization's asymmetry exceeds DEFAULTS.residual times its max-abs entry.
     """
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.sqrt(np.asarray(mu.weights))
     sym = (np.asarray(l.entries) * w[:, None]) / w[None, :]
-    if max_abs(sym - sym.T) > 1e-8 * max(1.0, max_abs(sym)):
+    if max_abs(sym - sym.T) > DEFAULTS.residual * max_abs(sym):
         raise NotOrthonormalError("matrix is not reversible w.r.t. the supplied measure")
     lams, v = np.linalg.eigh((sym + sym.T) / 2.0)
     order = np.argsort(-lams)

@@ -118,6 +118,46 @@ def kronecker_duality_space(lhat: RateMatrix, l: RateMatrix) -> np.ndarray:
     return vh[len(s) - dim :].T
 
 
+# two primes below 2^31; a prime can only lower the rank over Q, so the larger rank is taken
+EXACT_PRIMES = (2_147_483_647, 2_147_483_629)
+
+
+def _mulmod(f: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+    """f r mod p for int64 residues below p < 2^31, with f split into 16-bit halves so no product tops 2^48."""
+    hi, lo = f >> 16, f & 0xFFFF
+    return (((hi * r) % p << 16) + lo * r) % p
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix modulo the prime p, by Gaussian elimination in numpy int64."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    rank = 0
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        a[rank, col:] = _mulmod(np.int64(pow(int(a[rank, col]), p - 2, p)), a[rank, col:], p)
+        rows = rank + 1 + np.flatnonzero(a[rank + 1 :, col])  # only rows with a nonzero entry change
+        a[rows, col:] = (a[rows, col:] - _mulmod(a[rows, col][:, None], a[rank, col:], p)) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def exact_duality_dimension(lhat, l) -> int:
+    """dim {D : L_hat D = D L^T} for integer-rate generators, exactly: n_hat n - rank(I (x) L_hat - L (x) I) over Q.
+
+    The rank over Q is the larger rank modulo EXACT_PRIMES (multi-modular rank;
+    Dumas-Giorgi-Pernet, ACM TOMS 2008).  Integer entries only.
+    """
+    mh, m = (np.asarray(x.entries if isinstance(x, RateMatrix) else x) for x in (lhat, l))
+    assert np.array_equal(mh, np.round(mh)) and np.array_equal(m, np.round(m)), "integer rates only"
+    k = np.kron(np.eye(len(m)), mh) - np.kron(m, np.eye(len(mh)))
+    return k.shape[1] - max(rank_mod_p(k.astype(np.int64), p) for p in EXACT_PRIMES)
+
+
 def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: float = 1e-8) -> int:
     """Reference for duality.max_duality_rank: one draw, one combination and one SVD per sample."""
     if space.dimension == 0:
@@ -131,11 +171,16 @@ def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: flo
     return best
 
 
+def row_sum_norm(m) -> float:
+    """||m||_inf, the largest absolute row sum, the plain numpy way."""
+    return float(np.abs(np.asarray(m)).sum(axis=1).max())
+
+
 def validate_eigenpairs_loop(l: RateMatrix, us: np.ndarray, tol: float):
     """Reference for duality._validate_chains on chains of length 1: the one-column check, column by column.
 
     Each column u gets lam = <u, Lu> / <u, u> from two mat-vecs and fails if it
-    is zero or if max|Lu - lam u| > tol max(1, max|u|).  Returns the
+    is zero or if max|Lu - lam u| > tol ||L||_inf max|u|.  Returns the
     eigenvalues of the columns before the first failing one and that column's
     index (None if every column passes).
     """
@@ -147,7 +192,7 @@ def validate_eigenpairs_loop(l: RateMatrix, us: np.ndarray, tol: float):
         if norm2 == 0:
             return np.array(lams), i
         lam = complex(np.vdot(u, m @ u) / norm2)
-        if max_abs(m @ u - lam * u) > tol * max(1.0, max_abs(u)):
+        if max_abs(m @ u - lam * u) > tol * row_sum_norm(m) * max_abs(u):
             return np.array(lams), i
         lams.append(lam)
     return np.array(lams), None
@@ -169,13 +214,13 @@ def _chain_eigenvalue_checked(l: RateMatrix, chain: np.ndarray, tol: float) -> c
         raise NotChainError(f"first chain element is not an eigenfunction: {exc}") from exc
     m = np.asarray(l.entries)
     for k in range(1, chain.shape[1]):
-        if max_abs(m @ chain[:, k] - lam * chain[:, k] - chain[:, k - 1]) > tol * max(1.0, max_abs(chain)):
+        if max_abs(m @ chain[:, k] - lam * chain[:, k] - chain[:, k - 1]) > tol * row_sum_norm(m) * max_abs(chain):
             raise NotChainError(f"chain defect at order {k + 1}")
     return lam
 
 
-def _matched(lam_hat, lam, tol: float, error) -> None:
-    if np.any(np.abs(lam_hat - lam) > tol * np.maximum(1.0, np.abs(lam))):
+def _matched(lhat, l, lam_hat, lam, tol: float, error) -> None:
+    if np.any(np.abs(lam_hat - lam) > tol * max(row_sum_norm(lhat.entries), row_sum_norm(l.entries))):
         raise error("eigenvalues do not match")
 
 
@@ -191,7 +236,7 @@ def tensor_duality_reference(lhat, l, uhats, us, coefficients):
     a = np.asarray(coefficients, dtype=float)
     if uhats.shape != (lhat.n, a.size) or us.shape != (l.n, a.size):
         raise ShapeMismatchError("eigenfunction columns must match spaces and coefficient count")
-    _matched(_eigenvalues_checked(lhat, uhats, tol), _eigenvalues_checked(l, us, tol), tol, NotEigenpairError)
+    _matched(lhat, l, _eigenvalues_checked(lhat, uhats, tol), _eigenvalues_checked(l, us, tol), tol, NotEigenpairError)
     return make_duality(lhat, l, (uhats * a) @ us.T)
 
 
@@ -205,7 +250,7 @@ def complex_pair_duality_reference(lhat, l, uhat, u, a):
     tol = DEFAULTS.residual
     uhat, u = np.asarray(uhat, dtype=complex), np.asarray(u, dtype=complex)
     lam_hat = _eigenvalues_checked(lhat, uhat[:, None], tol)[0]
-    _matched(lam_hat, _eigenvalues_checked(l, u[:, None], tol)[0], tol, NotEigenpairError)
+    _matched(lhat, l, lam_hat, _eigenvalues_checked(l, u[:, None], tol)[0], tol, NotEigenpairError)
     return make_duality(lhat, l, 2.0 * a * np.real(np.outer(uhat, u)))
 
 
@@ -220,7 +265,7 @@ def chain_duality_reference(lhat, l, uhat_chain, u_chain):
     if uhat_chain.shape[1] != u_chain.shape[1]:
         raise ShapeMismatchError("chains must have the same length")
     lam_hat = _chain_eigenvalue_checked(lhat, uhat_chain, tol)
-    _matched(lam_hat, _chain_eigenvalue_checked(l, u_chain, tol), tol, NotChainError)
+    _matched(lhat, l, lam_hat, _chain_eigenvalue_checked(l, u_chain, tol), tol, NotChainError)
     m = uhat_chain.shape[1]
     return make_duality(lhat, l, sum(np.outer(uhat_chain[:, k], u_chain[:, m - 1 - k]) for k in range(m)))
 

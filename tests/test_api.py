@@ -19,10 +19,6 @@ from markovdual.config import DEFAULTS
 
 KEPT = {
     # thresholds: set to a value other than the default by the named caller
-    "classify_matrix(row_tol)": "RateMatrix.from_entries passes its own row_tol",
-    "RateMatrix.from_entries(row_tol)": "siegmund.extend_with_cemetery classifies at max(DEFAULTS.row, 1e-9)",
-    "check_detailed_balance(tol)": "cli inspect --tol",
-    "decompose(tol_residual)": "cli inspect --tol",
     "decompose(tol_cluster)": "deep Jordan blocks (tests/test_cross_module.py, tests/test_spectral.py)",
     "match_jordan_blocks(tol)": "check_r_similar; tests/test_cross_module.py with a loose tol_cluster",
     "check_r_similar(tol)": "tests/test_cross_module.py with a loose tol_cluster",

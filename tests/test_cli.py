@@ -12,7 +12,8 @@ from markovdual.models import (
     single_site_duality,
     single_site_duality_bruteforce,
 )
-from markovdual.scenarios import FAMILY_PARAMS, cyclic_generator
+from markovdual import ConfigurationSpace, sep_generator
+from markovdual.scenarios import FAMILY_PARAMS, cyclic_generator, jordan_block_generator
 from markovdual.serialize import matrix_to_json, save_json
 
 
@@ -48,6 +49,34 @@ class TestInspect:
         assert doc["kind"] == "generator"
         assert doc["irreducible"] is True
         assert doc["reversible"] is False
+
+    def test_slow_cycle_keeps_its_complex_pair(self, tmp_path, capsys):
+        m = 1e-13 * np.asarray(cyclic_generator().entries)
+        path = save_json({"n": 3, "entries": m.tolist()}, tmp_path / "slow.json")
+        assert main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "irreducible" in lines
+        eigenvalues = next(line for line in lines if line.startswith("eigenvalues: ")).split(", ")
+        assert len(eigenvalues) == 3
+        assert eigenvalues[1:] == ["-1.5e-13 + 8.66025e-14i", "-1.5e-13 - 8.66025e-14i"]
+
+    @pytest.mark.parametrize("name", ["cyclic", "blocked", "jordan4", "sep"])
+    def test_json_report_is_the_same_at_every_scale(self, name, blocked_file, tmp_path, capsys):
+        m = {
+            "cyclic": cyclic_generator().entries,
+            "blocked": json.loads(blocked_file.read_text())["entries"],
+            "jordan4": jordan_block_generator().entries,
+            "sep": sep_generator(ConfigurationSpace.sep(2, 2)).entries,
+        }[name]
+        m = np.asarray(m)
+        found = {}
+        for k in range(-12, 13):
+            path = save_json({"n": len(m), "entries": (10.0**k * m).tolist()}, tmp_path / f"{name}{k}.json")
+            assert main(["inspect", str(path), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            multiplicities = [e["m"] for e in doc["eigenvalues"]]
+            found[k] = (doc["kind"], doc["irreducible"], doc.get("reversible"), multiplicities)
+        assert all(report == found[0] for report in found.values()), found
 
     def test_zero_matrix_reducible(self, tmp_path, capsys):
         path = save_json({"n": 3, "entries": np.zeros((3, 3)).tolist()}, tmp_path / "zero.json")
@@ -204,7 +233,7 @@ def _subparsers(parser):
 
 class TestFlags:
     READS = {
-        "inspect": {"--tol", "--json"},
+        "inspect": {"--json"},
         "siegmund": {"--json", "--out"},
         "duality basis": {"--seed", "--json", "--out"},
         "duality sep": {"--json", "--out"},
@@ -215,15 +244,15 @@ class TestFlags:
     }
 
     def test_each_command_has_exactly_the_shared_flags_it_reads(self):
-        shared = {"--tol", "--seed", "--json", "--out"}
+        shared = {"--seed", "--json", "--out"}
         found = {
             name: {o for a in p._actions for o in a.option_strings} & shared
             for name, p in _subparsers(build_parser())
         }
         assert found == self.READS
-        assert sum(map(len, found.values())) == 18
+        assert sum(map(len, found.values())) == 17
 
-    @pytest.mark.parametrize("argv", [["siegmund", "FILE", "--tol", "1"], ["model", "sep", "--V", "2", "--seed", "3"]])
+    @pytest.mark.parametrize("argv", [["inspect", "FILE", "--tol", "1"], ["model", "sep", "--V", "2", "--seed", "3"]])
     def test_unread_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

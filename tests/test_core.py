@@ -67,6 +67,10 @@ class TestClassify:
         with pytest.raises(ShapeMismatchError):
             classify_matrix(np.zeros((2, 3)))
 
+    def test_overflowing_scale_is_invalid(self):
+        # finite rates whose absolute row sum overflows give the thresholds no scale
+        assert classify_matrix([[1e308, 1e308], [0.0, 0.0]]) is MatrixKind.INVALID
+
     def test_strict_generator_constructor(self):
         with pytest.raises(ValueError):
             generator(absorbed_rw(4))
@@ -88,6 +92,11 @@ class TestTypes:
     def test_measure_normalized_flag(self):
         assert Measure.from_weights([0.25, 0.75]).normalized
         assert not Measure.from_weights([1.0, 2.0]).normalized
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^measure weight \(0,\) is .*, not finite"):
+            Measure.from_weights([bad, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):

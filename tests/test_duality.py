@@ -34,6 +34,7 @@ from markovdual import (
     spectral_from_eigenbasis,
     stationary_measure,
 )
+from markovdual.config import DEFAULTS
 from markovdual.core import StateSpace
 from markovdual.duality import _validate_chains
 from markovdual.errors import (
@@ -387,11 +388,11 @@ class TestTensor:
 class TestEigenpairValidation:
     """_validate_chains on chains of length 1 (one product for all columns) against the column-by-column reference."""
 
-    TOL = 1e-9
+    TOL = DEFAULTS.residual
 
     @classmethod
     def validate(cls, l, cols):
-        return _validate_chains(l, cols, np.ones(cols.shape[1], dtype=int), cls.TOL)
+        return _validate_chains(l, cols, np.ones(cols.shape[1], dtype=int))
 
     @staticmethod
     def families(rng):
@@ -472,31 +473,31 @@ class TestEigenpairValidation:
             l = RateMatrix.from_entries([[-1.0, s, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
             return l, np.array([[s * b, 0.0], [0.0, b], [0.0, 0.0]])
 
-        l, chain = chain_on(100.0, 0.1)  # max|u2| = 0.1, max|chain| = 10
-        for defect, ok in ((5e-9, True), (5e-8, False)):  # against TOL max(1, max|chain|) = 1e-8
+        l, chain = chain_on(100.0, 0.1)  # ||L||_inf = 101, max|u2| = 0.1, max|chain| = 10
+        for defect, ok in ((5e-7, True), (5e-6, False)):  # against TOL ||L|| max|chain| = 1.01e-6
             bent = chain.copy()
             bent[2, 1] = defect
             if ok:
-                npt.assert_allclose(_validate_chains(l, bent, [2], self.TOL), [-1.0])
+                npt.assert_allclose(_validate_chains(l, bent, [2]), [-1.0])
             else:
                 with pytest.raises(NotChainError, match="at order 2"):
-                    _validate_chains(l, bent, [2], self.TOL)
-        l, chain = chain_on(0.01, 10.0)  # max|u1| = 0.1, max|chain| = 10
+                    _validate_chains(l, bent, [2])
+        l, chain = chain_on(0.01, 10.0)  # ||L||_inf = 1.01, max|u1| = 0.1, max|chain| = 10
         bent = chain.copy()
-        bent[2, 0] = 5e-9  # above TOL max(1, max|u1|) = 1e-9
+        bent[2, 0] = 5e-9  # above TOL ||L|| max|u1| = 1.01e-10, below TOL ||L|| max|chain|
         with pytest.raises(NotChainError, match="at order 1"):
-            _validate_chains(l, bent, [2], self.TOL)
+            _validate_chains(l, bent, [2])
 
     def test_mixed_lengths_validated_by_one_product_per_side(self):
         l = jordan_block_generator()
         chain = TestChain().jordan_chain()
         ones = np.ones(4)
         cols = np.column_stack([ones, chain, ones])
-        lams = _validate_chains(l, cols, [1, 2, 1], 1e-12)
+        lams = _validate_chains(l, cols, [1, 2, 1])
         npt.assert_allclose(lams, [0.0, -1.0, 0.0], atol=1e-12)
         bent = np.column_stack([ones, chain[:, 0], chain[:, 1] + 0.1 * ones, ones])  # defect 0.1 at order 2
         with pytest.raises(NotChainError, match="^chain 1: chain defect 1.000e-01 at order 2"):
-            _validate_chains(l, bent, [1, 2, 1], 1e-12)
+            _validate_chains(l, bent, [1, 2, 1])
 
 
 class TestComplexPair:

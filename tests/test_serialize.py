@@ -63,6 +63,11 @@ class TestMeasure:
         back = measure_from_json(json.loads(json.dumps(measure_to_json(mu))))
         npt.assert_array_equal(back.weights, mu.weights)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParseError, match=r"measure weight \(0,\)"):
+            measure_from_json(json.loads(json.dumps({"n": 2, "weights": [bad, 1.0]})))
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ParseError):
             measure_from_json({"n": 2, "weights": [1.0, 0.0]})

@@ -22,6 +22,7 @@ from markovdual import (
     solve_duality_space,
     stationary_measure,
 )
+from markovdual.config import Tolerances
 from markovdual import spectral
 from markovdual.errors import DecompositionFailedError, NotOrthonormalError
 from markovdual.models import ladder_sep_generator
@@ -93,9 +94,10 @@ class TestDecompose:
         assert sizes == [-5, -5, -5, -5, 0]
         assert sd.structure.is_diagonalizable()
 
-    def test_impossible_tolerance_raises(self):
-        with pytest.raises(DecompositionFailedError):
-            decompose(cyclic_generator(), tol_residual=1e-30)
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULTS", Tolerances(residual=1e-30))
+        with pytest.raises(DecompositionFailedError, match="decomposition residual"):
+            decompose(cyclic_generator())
 
     @pytest.mark.parametrize("seed", range(60))
     def test_deep_blocks_decompose_on_every_seed(self, seed):
@@ -122,13 +124,14 @@ class TestDecompose:
     def test_complex_cluster_with_an_odd_member_count_raises(self):
         # folded eigenvalues 0, 0.9t i, 1.5t i, 1.9t i (each nonzero one twice, from its pair)
         # chain into one cluster whose mean drifts above the real axis by more than t: its
-        # seven members cannot be whole conjugate pairs
+        # seven members cannot be whole conjugate pairs; tol_cluster is relative, so the
+        # radius t is tol_cluster = t / ||m||_inf
         t = 1e-3
         m = np.zeros((7, 7))
         for k, y in enumerate((0.9 * t, 1.5 * t, 1.9 * t)):
             m[1 + 2 * k, 2 + 2 * k], m[2 + 2 * k, 1 + 2 * k] = y, -y
         with pytest.raises(DecompositionFailedError, match=r"odd number \(7\) of eigenvalues"):
-            decompose(m, tol_cluster=t)
+            decompose(m, tol_cluster=t / np.abs(m).sum(axis=1).max())
 
     def test_schur_selection_must_match_the_cluster(self):
         mat = np.diag([0.0, 0.0, 0.0, 1.0])

@@ -27,7 +27,10 @@ from markovdual import (
     spectral_from_eigenbasis,
     stationary_measure,
 )
+from markovdual import core
+from markovdual.config import Tolerances
 from markovdual.errors import NotBiorthogonalError
+from markovdual.linalg import scaled_tol
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
 from markovdual.siegmund import _cumulative_rate_sums
 from markovdual.spectral import SpectralData
@@ -204,7 +207,7 @@ class TestSiegmundWorkingSet:
     def test_reconstruction_gram_gate_is_exact(self):
         rw = rw_blocked_absorbed(12)
         scaled = np.array(rw.uhat)
-        scaled[:, 2] *= 1.0 + 2e-8  # a defect of 2e-8 against the floor 1e-8
+        scaled[:, 2] *= 1.0 + 2e-8  # a defect of 2e-8 against DEFAULTS.residual = 1e-9
         with pytest.raises(NotBiorthogonalError):
             reconstruct_siegmund(scaled, rw.u)
         reconstruct_siegmund(rw.uhat, rw.u)
@@ -212,13 +215,22 @@ class TestSiegmundWorkingSet:
 
 class TestDetailedBalanceGate:
     @pytest.mark.parametrize("n", [1, 3, 40, 400])
-    def test_decision_matches_the_out_of_place_defect_exactly(self, rng, n):
+    def test_decision_matches_the_out_of_place_defect_exactly(self, rng, n, monkeypatch):
         l = random_generator(rng, n) if n > 1 else RateMatrix.from_entries([[0.0]])
         mu = stationary_measure(l) if n > 1 else Measure.from_weights([1.0])
         defect = balance_defect_out_of_place(l, mu)
-        assert check_detailed_balance(l, mu, tol=defect)
+        weight = mu.weights.max()
+        # the smallest relative factor whose bound, factor ||L||_inf max mu, reaches the defect
+        factor = defect / scaled_tol(1.0, l.entries, weight) if defect else 0.0
+        while scaled_tol(factor, l.entries, weight) < defect:
+            factor = np.nextafter(factor, np.inf)
+        while factor > 0 and scaled_tol(np.nextafter(factor, 0.0), l.entries, weight) >= defect:
+            factor = np.nextafter(factor, 0.0)
+        monkeypatch.setattr(core, "DEFAULTS", Tolerances(residual=factor))
+        assert check_detailed_balance(l, mu)
         if defect > 0:
-            assert not check_detailed_balance(l, mu, tol=np.nextafter(defect, 0.0))
+            monkeypatch.setattr(core, "DEFAULTS", Tolerances(residual=np.nextafter(factor, 0.0)))
+            assert not check_detailed_balance(l, mu)
 
 
 class TestIdentityEquality:
