@@ -2,8 +2,8 @@
 """Time decompose on the input classes of a spectral-build round and on a dense size ladder.
 
 Usage:
-  PYTHONPATH=src:. python scripts/bench_spectral.py [--seed 0] [--sizes 60 120 240] [--repeats 3]
-  python scripts/bench_spectral.py --before <checkout> [--seed 0] [--sizes 60 120 240] [--repeats 3] [--out BENCH_spectral.json]
+  PYTHONPATH=src:. python scripts/bench_spectral.py [--seed 0 ...] [--sizes 60 120 240] [--repeats 3]
+  python scripts/bench_spectral.py --before <checkout> [--seed 0 ...] [--sizes 60 120 240] [--repeats 3] [--out BENCH_spectral.json]
 
 The round inputs are the ones perfbench's spectral-build workload draws
 (dense, birth-death, complete-graph SEP and Jordan-sum generators, each
@@ -19,7 +19,8 @@ eigenvalue as float.hex, both offsets and the size of every block that
 input, drawn from a generator of their own so the round inputs stay the
 ones perfbench draws), and the residual; the dense ladder rows (class
 "dense-ladder") report the same, plus the fitted exponent
-log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes.
+log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes.  With several
+seeds, each seed gives one round and one ladder, and every row names its seed.
 
 Without --before it prints one JSON object for the markovdual on the path.
 With --before it runs itself twice in fresh interpreters, first on the
@@ -27,7 +28,8 @@ checkout given (importing its `src/`), then on this one, each with the
 repository root of this script on the path for `perfbench`, and writes
 {machine, command, summary, before, after} to --out: per class the sum of
 the medians on both sides and their ratio, and whether every input's
-structure, exact and witness digests matched.  BLAS threads follow the environment.
+structure, exact and witness digests matched.  It exits 1 when any input's
+digests differ, naming the inputs.  BLAS threads follow the environment.
 """
 
 import argparse
@@ -35,6 +37,7 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -43,6 +46,7 @@ import numpy as np
 from bench_models import compare, machine, run_checkout
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ("digest", "exact_digest", "witness_digest")
 
 
 def round_inputs(rng: np.random.Generator) -> list[tuple[str, str, np.ndarray]]:
@@ -134,27 +138,36 @@ def time_calls(seed: int, sizes: list[int], repeats: int) -> list[dict]:
     rows += [
         time_input("dense-ladder", f"n={n}", inputs.dense_generator(rng, n), repeats, witness_rng) for n in sizes
     ]
-    return rows
+    return [{"seed": seed, **row} for row in rows]
+
+
+def ladder_exponents(rows: list[dict]) -> list[dict]:
+    """fitted_exponents of each seed's dense ladder."""
+    seeds = dict.fromkeys(r["seed"] for r in rows)
+    return [
+        {"seed": s, **e}
+        for s in seeds
+        for e in fitted_exponents([r for r in rows if r["seed"] == s and r["group"] == "dense-ladder"])
+    ]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[60, 120, 240])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--before", type=Path, help="checkout to compare against (runs both sides)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_spectral.json")
     args = parser.parse_args()
     if args.before is None:
-        rows = time_calls(args.seed, args.sizes, args.repeats)
-        ladder = [r for r in rows if r["group"] == "dense-ladder"]
-        record = {"machine": machine(), "seed": args.seed, "calls": rows, "dense_ladder_exponents": fitted_exponents(ladder)}
+        rows = [row for seed in args.seed for row in time_calls(seed, args.sizes, args.repeats)]
+        record = {"machine": machine(), "seeds": args.seed, "calls": rows, "dense_ladder_exponents": ladder_exponents(rows)}
         print(json.dumps(record))
         return
-    argv = ["--seed", str(args.seed), "--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
+    argv = ["--seed", *map(str, args.seed), "--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
     before = run_checkout(__file__, args.before.resolve(), argv)
     after = run_checkout(__file__, ROOT, argv)
-    summary = compare(before["calls"], after["calls"], exact=("digest", "exact_digest", "witness_digest"))
+    summary = compare(before["calls"], after["calls"], exact=DIGESTS)
     rounds = [sum(r["median_s"] for r in side["calls"] if r["group"] != "dense-ladder") for side in (before, after)]
     record = {
         "what": "wall time of decompose(l) on the inputs of one spectral-build round "
@@ -164,7 +177,7 @@ def main() -> None:
         "digests of every input must match between the sides",
         "command": " ".join(["python3", "scripts/bench_spectral.py", "--before", "<parent checkout>", *argv]),
         "machine": machine(),
-        "seed": args.seed,
+        "seeds": args.seed,
         "summary": {
             "round_median_sum_s": {"before": rounds[0], "after": rounds[1], "speedup": rounds[0] / rounds[1]},
             "classes": summary,
@@ -175,6 +188,13 @@ def main() -> None:
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record["summary"], indent=2))
+    differ = [
+        f"seed {b['seed']} {b['group']} {b['input']}: {', '.join(k for k in DIGESTS if a[k] != b[k])}"
+        for b, a in zip(before["calls"], after["calls"])
+        if any(a[k] != b[k] for k in DIGESTS)
+    ]
+    if differ:
+        sys.exit("digests differ:\n" + "\n".join(differ))
 
 
 if __name__ == "__main__":

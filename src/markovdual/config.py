@@ -6,9 +6,11 @@ defect with the factor times the scale of its own input
 (linalg.scaled_tol, the factor times ||L||_inf, the largest absolute row
 sum, times the size of the vectors L acts on), so multiplying every rate by
 c > 0 changes no verdict.  A function takes a tolerance argument only where
-a caller needs a value other than the default: decompose tol_cluster and
-match_jordan_blocks and check_r_similar tol are relative factors too;
-push_duality and push_duality_left tol is the one absolute bound.  The
+a caller needs a value other than the default, and two such options remain:
+decompose(tol_cluster), a relative factor that deep Jordan blocks need
+looser, and push_duality(tol) (passed on by push_duality_left), the one
+absolute bound.  Block matching (match_jordan_blocks, check_r_similar)
+groups at `cluster` times the largest |eigenvalue| of both sides.  The
 defaults are tuned for small (n up to a few hundred), well-conditioned
 dense matrices.  The configuration-space cap is set only through the
 DUALITY_MAX_STATES environment variable.

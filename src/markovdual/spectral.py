@@ -9,13 +9,16 @@ gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
 (ones on the superdiagonal inside each block).  Which computed eigenvalues
-count as one is decided in one grouping pass, _cluster_eigenvalues, over the
-spectrum folded into the upper half-plane (re + i|im|): a conjugate pair is
-one cluster.  A simple eigenvalue's chain is its `eig` column; every repeated
-eigenvalue, real or complex, gets its chains from the leading block of one
-dtrsen-reordered real Schur form, mapped back through the Schur vectors
-(Kagstrom-Ruhe, ACM TOMS 1980).  _reorder_schur is the one dtrsen call, shared
-with the duality kernel's column blocks.
+count as one is decided by one grouping rule, _cluster_eigenvalues: over the
+spectrum folded into the upper half-plane (re + i|im|) in decompose, so a
+conjugate pair is one cluster, and over the block eigenvalues of both sides
+in match_jordan_blocks.  A simple eigenvalue's chain is its `eig` column;
+every repeated eigenvalue, real or complex, gets its chains from the leading
+block of one dtrsen-reordered real Schur form, mapped back through the Schur
+vectors (Kagstrom-Ruhe, ACM TOMS 1980), with chain lengths read off one SVD
+per power and accepted only when the null dimensions form a Jordan
+partition.  _reorder_schur is the one dtrsen call, shared with the duality
+kernel's column blocks.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     groups (indices into eigs) and their means: the merged groups in
     creation order, then the lone eigenvalues in index order.  This is the
     one grouping rule: decompose applies it to the folded spectrum
-    (re + i|im|), the duality kernel to the diagonal of a real Schur form.
+    (re + i|im|), the duality kernel to the diagonal of a real Schur form,
+    and match_jordan_blocks to the block eigenvalues of two structures.
     """
     crowded = np.count_nonzero(np.abs(eigs[:, None] - eigs) <= tol, axis=1) > 1
     lone = np.flatnonzero(~crowded)
@@ -162,7 +166,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     means = np.zeros(near.size, dtype=complex)
     counts = np.zeros(near.size, dtype=int)
     value = None
-    for idx in near[np.lexsort((eigs.imag[near], eigs.real[near]))]:
+    for idx in near[np.lexsort((eigs.imag[near], eigs.real[near]))].tolist():
         if eigs[idx] != value:  # an exact repeat, such as a conjugate twin, joins its predecessor's group
             value = eigs[idx]
             close = np.flatnonzero(np.abs(value - means[: len(groups)]) <= tol)
@@ -173,10 +177,10 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
         sums[g] += value
         counts[g] += 1
         means[g] = sums[g] / counts[g]
-    return groups + [[i] for i in lone], np.concatenate([means[: len(groups)], eigs[lone]])
+    return groups + [[i] for i in lone.tolist()], np.concatenate([means[: len(groups)], eigs[lone]])
 
 
-def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float, n: int):
+def _null_basis_sequence(a: np.ndarray, lam: complex, m_alg: int, spread: float, scale: float, n: int):
     """Null dims and orthonormal bases of a^k, k = 1.., for one cluster.
 
     a = T11 - lam I is the cluster's leading block of the reordered Schur form
@@ -185,34 +189,37 @@ def _null_basis_sequence(a: np.ndarray, m_alg: int, spread: float, scale: float,
     cluster holds only rounding: with s = `scale`, the largest column norm of
     M - lam I, the k-th cutoff is max(n eps s^k, sqrt(eps) s^k, 20 k spread
     s^(k-1)).  `spread` (cluster radius) widens it because the shifted
-    matrix inherits that much error from the cluster representative.  The
-    terminal null dimension is pinned to the known algebraic multiplicity.
-    A null space that is the whole block gets the identity as its basis.
-    Cost: per power, the block's singular values, and its singular vectors
-    unless the whole block is null: O(s_max m_alg^3) for largest block size
-    s_max.
+    matrix inherits that much error from the cluster representative.  One
+    gesvd SVD per power gives both the null dimension and the null basis; a
+    null space that is the whole block gets the identity as its basis.  The
+    powers stop when the null dimension reaches m_alg or stops growing.
+    Raises DecompositionFailedError, naming the sequence, unless the null
+    dimensions form a Jordan partition of m_alg (the first is at least 1,
+    the increments never grow, and the last is m_alg); an SVD that does not
+    converge raises LinAlgError, which decompose turns into
+    DecompositionFailedError.  Cost: one SVD of block size per power,
+    O(s_max m_alg^3) for largest block size s_max.
     """
     dims, bases = [0], []
     for k in range(1, m_alg + 1):
         ak = a if k == 1 else ak @ a
-        sv = np.linalg.svd(ak, compute_uv=False)
+        _, sv, vh = scipy.linalg.svd(ak, check_finite=False, lapack_driver="gesvd")
         cutoff = max(
             n * EPS * scale**k,
             np.sqrt(EPS) * scale**k,
             20.0 * k * spread * scale ** (k - 1),
         )
         d = int(np.sum(sv <= cutoff))
-        d = min(max(d, dims[-1]), m_alg)
-        if k == m_alg and d < m_alg:
-            # generalized eigenspace dimension equals the algebraic multiplicity
-            d = m_alg
-        if d == len(sv):  # the whole space is null
-            bases.append(np.eye(d, dtype=a.dtype))
-        else:
-            bases.append(np.linalg.svd(ak)[2][len(sv) - d :].conj().T)
+        bases.append(np.eye(d, dtype=a.dtype) if d == len(sv) else vh[len(sv) - d :].conj().T)
         dims.append(d)
-        if d == m_alg:
+        if d >= m_alg or d == dims[-2]:
             break
+    steps = np.diff(dims)
+    if dims[-1] != m_alg or steps[0] < 1 or np.any(np.diff(steps) > 0):
+        raise DecompositionFailedError(
+            f"null dimensions of the powers {dims} at {lam:.6g} are not a Jordan partition "
+            f"of algebraic multiplicity {m_alg}"
+        )
     return dims, bases
 
 
@@ -275,19 +282,20 @@ def _jordan_chains(
     vectors are picked per level (descending) from Null(a^k) by
     _pivoted_picks, avoiding Null(a^{k-1}) and the level-k members of
     already-chosen chains, which makes the output deterministic.  Cutoffs as
-    in _null_basis_sequence, with `scale` and `n` from the full matrix.  Cost:
-    the SVDs of _null_basis_sequence plus one pivoted QR per level, all of
-    block size.  Raises DecompositionFailedError when the chains do not hold
-    exactly m_alg vectors, as when the null dimensions grow more at a later
-    power than at an earlier one, which no Jordan structure allows.
+    in _null_basis_sequence, with `scale` and `n` from the full matrix; its
+    partition check makes the level counts the block sizes, so the chains
+    hold exactly m_alg vectors.  Cost: the SVDs of _null_basis_sequence plus
+    one pivoted QR per level, all of block size.  Raises
+    DecompositionFailedError when the null dimensions are not a Jordan
+    partition or a chain basis cannot be completed.
     """
-    dims, bases = _null_basis_sequence(a, m_alg, spread, scale, n)
+    dims, bases = _null_basis_sequence(a, lam, m_alg, spread, scale, n)
     if dims[1] == a.shape[0]:
         return [[e] for e in bases[0].T]
     chains: list[list[np.ndarray]] = []
     for level in range(len(bases), 0, -1):
         want = (dims[level] - dims[level - 1]) - sum(1 for c in chains if len(c) >= level)
-        if want <= 0:
+        if not want:
             continue
         avoid = []
         if level >= 2:
@@ -302,12 +310,6 @@ def _jordan_chains(
                 chain.append(a @ chain[-1])
             chain.reverse()
             chains.append(chain)
-    count = sum(len(c) for c in chains)
-    if count != m_alg:
-        raise DecompositionFailedError(
-            f"Jordan chains at {lam:.6g} hold {count} vectors for algebraic multiplicity "
-            f"{m_alg} (null dimensions of the powers {dims})"
-        )
     return chains
 
 
@@ -389,42 +391,47 @@ def decompose(m: RateMatrix | np.ndarray, tol_cluster: float = DEFAULTS.cluster)
     gate every SpectralData passes.
 
     Raises DecompositionFailedError if a complex cluster has an odd member
-    count, if a cluster's Schur positions or chains do not match its
-    multiplicity, if the basis is singular, or if the gate rejects the
+    count, if a cluster's Schur positions do not match its multiplicity, if
+    the null dimensions of a cluster's powers are not a Jordan partition
+    (see _null_basis_sequence), if a LAPACK call (eig, schur, qr, svd)
+    fails, if the basis is singular, or if the gate rejects the
     reconstruction or inversion defect.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
     radius = scaled_tol(tol_cluster, mat)
-    eigs, vecs = np.linalg.eig(mat)
-    folded = eigs.real + 1j * np.abs(eigs.imag)
-    groups, reps = _cluster_eigenvalues(folded, radius)
-    clusters = []
-    for group, rep in zip(groups, reps):
-        lam, m_alg = complex(rep), len(group)
-        if lam.imag <= radius:
-            lam = complex(lam.real, 0.0)
-        elif m_alg % 2:
-            raise DecompositionFailedError(
-                f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({m_alg}) of eigenvalues"
-            )
-        else:
-            m_alg //= 2
-        clusters.append((group, lam, m_alg))
-    schur_form = None
-    if any(m_alg > 1 for *_, m_alg in clusters):
-        schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
-    blocks: list[tuple[complex, list[np.ndarray]]] = []
-    for group, lam, m_alg in clusters:
-        if m_alg == 1:
-            v = vecs[:, max(group, key=eigs.imag.__getitem__)]
-            chains = [[v.real if lam.imag == 0.0 else v]]
-        else:
-            chains = _cluster_chains(mat, schur_form, folded[group], lam, radius)
-        for chain in chains:
-            blocks.append((lam, chain))
-            if lam.imag != 0.0:
-                blocks.append((lam.conjugate(), [v.conj() for v in chain]))
+    try:  # eig, schur, qr and svd signal a LAPACK failure by LinAlgError
+        eigs, vecs = np.linalg.eig(mat)
+        folded = eigs.real + 1j * np.abs(eigs.imag)
+        groups, reps = _cluster_eigenvalues(folded, radius)
+        clusters = []
+        for group, rep in zip(groups, reps):
+            lam, m_alg = complex(rep), len(group)
+            if lam.imag <= radius:
+                lam = complex(lam.real, 0.0)
+            elif m_alg % 2:
+                raise DecompositionFailedError(
+                    f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({m_alg}) of eigenvalues"
+                )
+            else:
+                m_alg //= 2
+            clusters.append((group, lam, m_alg))
+        schur_form = None
+        if any(m_alg > 1 for *_, m_alg in clusters):
+            schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
+        blocks: list[tuple[complex, list[np.ndarray]]] = []
+        for group, lam, m_alg in clusters:
+            if m_alg == 1:
+                v = vecs[:, max(group, key=eigs.imag.__getitem__)]
+                chains = [[v.real if lam.imag == 0.0 else v]]
+            else:
+                chains = _cluster_chains(mat, schur_form, folded[group], lam, radius)
+            for chain in chains:
+                blocks.append((lam, chain))
+                if lam.imag != 0.0:
+                    blocks.append((lam.conjugate(), [v.conj() for v in chain]))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailedError(f"decomposition: {exc}") from exc
     blocks.sort(key=lambda b: _canonical_key(JordanBlock(b[0], len(b[1]))))
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex
@@ -538,49 +545,28 @@ class MatchedBlock(NamedTuple):
     size: int
 
 
-def match_jordan_blocks(
-    hat: JordanStructure, primal: JordanStructure, tol: float = DEFAULTS.cluster
-) -> list[MatchedBlock]:
+def match_jordan_blocks(hat: JordanStructure, primal: JordanStructure) -> list[MatchedBlock]:
     """Greedy maximal block matching between two structures.
 
-    Per shared eigenvalue (within tol times the largest |eigenvalue| of the
-    two structures; tol is a relative factor), block size lists are sorted descending
-    and paired elementwise; each pair supports a chain overlap of min(sizes).
-    For equal size lists this reduces to counting shared eigenvalues with
-    multiplicity.
+    The hat and primal block eigenvalues are grouped together by the one
+    grouping rule, _cluster_eigenvalues, at the radius DEFAULTS.cluster
+    times the largest |eigenvalue| of the two structures.  In each group the
+    hat and the primal block sizes are sorted descending (ties in block
+    order) and paired elementwise; each pair supports a chain overlap of
+    min(sizes) and carries its hat block's eigenvalue.  For equal size
+    lists this reduces to counting shared eigenvalues with multiplicity.
     """
-    radius = tol * max((abs(b.eigenvalue) for b in hat.blocks + primal.blocks), default=0.0)
-    hat_offsets = hat.offsets
-    primal_offsets = primal.offsets
-    hat_used = [False] * len(hat.blocks)
-    primal_used = [False] * len(primal.blocks)
+    blocks = hat.blocks + primal.blocks
+    offsets = hat.offsets + primal.offsets
+    eigs = np.array([b.eigenvalue for b in blocks], dtype=complex)
+    groups, _ = _cluster_eigenvalues(eigs, DEFAULTS.cluster * np.max(np.abs(eigs), initial=0.0))
     matches: list[MatchedBlock] = []
-    for hi, hb in enumerate(hat.blocks):
-        if hat_used[hi]:
-            continue
-        # collect all hat/primal blocks at this eigenvalue
-        hat_group = [k for k, b in enumerate(hat.blocks) if not hat_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= radius]
-        primal_group = [k for k, b in enumerate(primal.blocks) if not primal_used[k] and abs(b.eigenvalue - hb.eigenvalue) <= radius]
-        for k in hat_group:
-            hat_used[k] = True
-        if not primal_group:
-            continue
-        for k in primal_group:
-            primal_used[k] = True
-        hat_group.sort(key=lambda k: -hat.blocks[k].size)
-        primal_group.sort(key=lambda k: -primal.blocks[k].size)
-        for hk, pk in zip(hat_group, primal_group):
-            hblock, pblock = hat.blocks[hk], primal.blocks[pk]
-            matches.append(
-                MatchedBlock(
-                    eigenvalue=hblock.eigenvalue,
-                    hat_offset=hat_offsets[hk],
-                    hat_size=hblock.size,
-                    offset=primal_offsets[pk],
-                    primal_size=pblock.size,
-                    size=min(hblock.size, pblock.size),
-                )
-            )
+    for group in groups:
+        ranked = sorted(group, key=lambda k: (-blocks[k].size, k))
+        hat_side = [k for k in ranked if k < len(hat.blocks)]
+        for hk, pk in zip(hat_side, [k for k in ranked if k >= len(hat.blocks)]):
+            h, p = blocks[hk], blocks[pk]
+            matches.append(MatchedBlock(h.eigenvalue, offsets[hk], h.size, offsets[pk], p.size, min(h.size, p.size)))
     matches.sort(key=lambda u: (-u.eigenvalue.real, -u.eigenvalue.imag, -u.size, u.hat_offset))
     return matches
 
@@ -598,18 +584,16 @@ class Witness:
     rank: int
 
 
-def check_r_similar(
-    hat: SpectralData, primal: SpectralData, r: int, tol: float = DEFAULTS.cluster
-) -> Witness | None:
+def check_r_similar(hat: SpectralData, primal: SpectralData, r: int) -> Witness | None:
     """Witness that the two matrices are r-similar, or None.
 
-    The matched blocks, truncated to total size r, define a T with
-    Jhat T = T J exactly for the assembled Jordan matrices (up to the
-    eigenvalue matching tolerance of match_jordan_blocks, relative); see Witness.
+    The blocks of match_jordan_blocks, truncated to total size r, define a T
+    with Jhat T = T J exactly for the assembled Jordan matrices (up to the
+    eigenvalue grouping radius of match_jordan_blocks); see Witness.
     """
     if r < 1 or r > min(hat.n, primal.n):
         raise ValueError(f"rank r={r} out of range 1..{min(hat.n, primal.n)}")
-    matches = match_jordan_blocks(hat.structure, primal.structure, tol)
+    matches = match_jordan_blocks(hat.structure, primal.structure)
     total = sum(u.size for u in matches)
     if total < r:
         return None

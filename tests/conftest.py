@@ -10,7 +10,7 @@ from markovdual.config import DEFAULTS
 from markovdual.errors import DecompositionFailedError, NotChainError, NotEigenpairError, ShapeMismatchError
 from markovdual.linalg import EPS, max_abs, numerical_rank, rank_threshold
 from markovdual.models import _power, _rate_table
-from markovdual.spectral import _pivoted_picks
+from markovdual.spectral import MatchedBlock, _pivoted_picks
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -156,6 +156,46 @@ def exact_duality_dimension(lhat, l) -> int:
     assert np.array_equal(mh, np.round(mh)) and np.array_equal(m, np.round(m)), "integer rates only"
     k = np.kron(np.eye(len(m)), mh) - np.kron(m, np.eye(len(mh)))
     return k.shape[1] - max(rank_mod_p(k.astype(np.int64), p) for p in EXACT_PRIMES)
+
+
+def exact_jordan_sizes(m: np.ndarray, lam: int) -> list[int]:
+    """Jordan block sizes at the integer eigenvalue lam of the integer matrix m, descending, exactly over Q.
+
+    The null dimensions d_k of (m - lam I)^k are n minus the larger rank
+    modulo EXACT_PRIMES (each power reduced modulo its prime, in Python
+    integers); d_k - d_{k-1} blocks have size at least k.
+    """
+    n = len(m)
+    ranks = []
+    for p in EXACT_PRIMES:
+        a = np.mod(np.asarray(m, dtype=np.int64) - lam * np.eye(n, dtype=np.int64), p).astype(object)
+        power, rank = np.eye(n, dtype=np.int64).astype(object), [n]
+        for _ in range(n):
+            power = (power @ a) % p
+            rank.append(rank_mod_p(power.astype(np.int64), p))
+        ranks.append(rank)
+    at_least = np.diff([n - max(r) for r in zip(*ranks)]).tolist() + [0]
+    return [k for k in range(n, 0, -1) for _ in range(at_least[k - 1] - at_least[k])]
+
+
+def integer_jordan_sum(rng: np.random.Generator, blocks) -> np.ndarray:
+    """P J P^-1 in int64 for the Jordan matrix J of [(integer eigenvalue, size), ...] and a random unimodular P.
+
+    P = L U with unit triangular L and U whose other entries are drawn from
+    {-1, 0, 1}, so P^-1 is an integer matrix too (checked exactly).
+    """
+    n = sum(m for _, m in blocks)
+    j = np.zeros((n, n), dtype=np.int64)
+    pos = 0
+    for lam, m in blocks:
+        j[range(pos, pos + m), range(pos, pos + m)] = lam
+        j[range(pos, pos + m - 1), range(pos + 1, pos + m)] = 1
+        pos += m
+    unit = np.eye(n, dtype=np.int64)
+    p = (np.tril(rng.integers(-1, 2, (n, n)), -1) + unit) @ (np.triu(rng.integers(-1, 2, (n, n)), 1) + unit)
+    p_inv = np.round(np.linalg.inv(p)).astype(np.int64)
+    assert np.array_equal(p @ p_inv, unit), "P is not unimodular"
+    return p @ j @ p_inv
 
 
 def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: float = 1e-8) -> int:
@@ -387,6 +427,38 @@ def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
         else:
             merged.append([idx])
     return merged + groups
+
+
+def match_jordan_blocks_anchor(hat, primal, tol: float = DEFAULTS.cluster) -> list[MatchedBlock]:
+    """Reference for spectral.match_jordan_blocks: the anchor loop it replaced.
+
+    Each unused hat block, in block order, anchors a group: every unused hat
+    and primal block within tol times the largest |eigenvalue| of the two
+    structures of the anchor's eigenvalue.  Each group's blocks are paired
+    by descending size (ties in block order).
+    """
+    radius = tol * max((abs(b.eigenvalue) for b in hat.blocks + primal.blocks), default=0.0)
+    hat_used = [False] * len(hat.blocks)
+    primal_used = [False] * len(primal.blocks)
+    matches = []
+    for hi, hb in enumerate(hat.blocks):
+        if hat_used[hi]:
+            continue
+        near = [abs(b.eigenvalue - hb.eigenvalue) <= radius for b in hat.blocks + primal.blocks]
+        hat_group = [k for k in range(len(hat.blocks)) if not hat_used[k] and near[k]]
+        primal_group = [k for k in range(len(primal.blocks)) if not primal_used[k] and near[len(hat.blocks) + k]]
+        for k in hat_group:
+            hat_used[k] = True
+        for k in primal_group:
+            primal_used[k] = True
+        hat_group.sort(key=lambda k: -hat.blocks[k].size)
+        primal_group.sort(key=lambda k: -primal.blocks[k].size)
+        for hk, pk in zip(hat_group, primal_group):
+            h, p = hat.blocks[hk], primal.blocks[pk]
+            size = min(h.size, p.size)
+            matches.append(MatchedBlock(h.eigenvalue, hat.offsets[hk], h.size, primal.offsets[pk], p.size, size))
+    matches.sort(key=lambda u: (-u.eigenvalue.real, -u.eigenvalue.imag, -u.size, u.hat_offset))
+    return matches
 
 
 def enumerate_configs(space):

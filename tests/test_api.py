@@ -20,8 +20,6 @@ from markovdual.config import DEFAULTS
 KEPT = {
     # thresholds: set to a value other than the default by the named caller
     "decompose(tol_cluster)": "deep Jordan blocks (tests/test_cross_module.py, tests/test_spectral.py)",
-    "match_jordan_blocks(tol)": "check_r_similar; tests/test_cross_module.py with a loose tol_cluster",
-    "check_r_similar(tol)": "tests/test_cross_module.py with a loose tol_cluster",
     "push_duality(tol)": "push_duality_left; perfbench's size-scaled residual bound",
     "push_duality_left(tol)": "perfbench's size-scaled residual bound",
     # the default bundle itself: config.DEFAULTS = Tolerances()

@@ -99,9 +99,9 @@ class TestDefectivePairs:
         assert max_duality_rank(space) == 4
         a = decompose(hat, tol_cluster=1e-5)
         b = decompose(pri, tol_cluster=1e-5)
-        matches = match_jordan_blocks(a.structure, b.structure, tol=1e-5)
+        matches = match_jordan_blocks(a.structure, b.structure)
         assert sum(u.size for u in matches) == 4
-        w = check_r_similar(a, b, r=4, tol=1e-5)
+        w = check_r_similar(a, b, r=4)
         d = build_from_spectra(a, b, w, np.ones(len(w.matched)))
         assert d.residual < 1e-9
         assert d.rank == 4
@@ -115,7 +115,7 @@ class TestDefectivePairs:
         assert max_duality_rank(space) == 3
         a = decompose(hat, tol_cluster=1e-4)
         b = decompose(pri, tol_cluster=1e-4)
-        w = check_r_similar(a, b, r=3, tol=1e-4)
+        w = check_r_similar(a, b, r=3)
         d = build_from_spectra(a, b, w, np.ones(len(w.matched)))
         assert d.residual < 1e-9
         assert d.rank == 3

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +24,7 @@ from markovdual import (
     solve_duality_space,
     stationary_measure,
 )
-from markovdual.config import Tolerances
+from markovdual.config import DEFAULTS, Tolerances
 from markovdual import spectral
 from markovdual.errors import DecompositionFailedError, NotOrthonormalError
 from markovdual.models import ladder_sep_generator
@@ -33,8 +35,11 @@ from conftest import (
     THREE_VERSUS_FIVE,
     cluster_running_mean,
     direct_sum,
+    exact_jordan_sizes,
     greedy_pick,
+    integer_jordan_sum,
     jordan_assembled,
+    match_jordan_blocks_anchor,
     permuted,
     random_birth_death,
     random_generator,
@@ -107,19 +112,34 @@ class TestDecompose:
         sd = decompose(m, tol_cluster=1e-3)
         assert _block_list(sd.structure) == [(0.0, 0.0, 4), (-1.0, 0.0, 3), (-2.0, 0.0, 2)]
 
-    def test_impossible_null_dimensions_name_the_chain_count(self):
+    def test_impossible_null_dimensions_name_the_sequence(self):
         # a nilpotent block of size 3 beside delta = 1e-3: delta and delta^2 stay above the
         # k = 1, 2 cutoffs (sqrt(eps)), delta^3 falls below the k = 3 one, so the null
-        # dimensions read [0, 1, 2, 4], which no Jordan structure has; 2 chains of 3 = 6 vectors
+        # dimensions read [0, 1, 2, 4], whose increments grow: no Jordan structure has them
         block = np.diag([1.0, 1.0], 1)
         a = np.zeros((4, 4))
         a[:3, :3] = block
         a[3, 3] = 1e-3
         with pytest.raises(
             DecompositionFailedError,
-            match=r"hold 6 vectors for algebraic multiplicity 4 \(null dimensions of the powers \[0, 1, 2, 4\]\)",
+            match=r"null dimensions of the powers \[0, 1, 2, 4\] at 0\+0j are not a Jordan partition "
+            r"of algebraic multiplicity 4",
         ):
             spectral._jordan_chains(a, 0j, 4, 0.0, 1.0, 4)
+
+    def test_short_null_dimensions_are_not_forced(self):
+        # a nilpotent block of size 2 beside 0.1, which stays above every cutoff: the null
+        # dimensions stop at [0, 1, 2, 2], short of m_alg = 3; forcing the last one to m_alg
+        # (as decompose once did) gave one chain of 3 for a block of size 2
+        a = np.zeros((3, 3))
+        a[0, 1] = 1.0
+        a[2, 2] = 0.1
+        with pytest.raises(
+            DecompositionFailedError,
+            match=r"null dimensions of the powers \[0, 1, 2, 2\] at 0\+0j are not a Jordan partition "
+            r"of algebraic multiplicity 3",
+        ):
+            spectral._jordan_chains(a, 0j, 3, 0.0, 1.0, 3)
 
     def test_complex_cluster_with_an_odd_member_count_raises(self):
         # folded eigenvalues 0, 0.9t i, 1.5t i, 1.9t i (each nonzero one twice, from its pair)
@@ -286,6 +306,86 @@ def _symmetric_rates(rng, vertices):
 def _sep(rng, vertices, gamma, random_rates):
     p = _symmetric_rates(rng, vertices) if random_rates else 1.0
     return permuted(rng, sep_generator(ConfigurationSpace.sep(vertices, gamma), p))
+
+
+# relabellings q of kron(I_20, jordan4) (the matrix K[q][:, q]) drawn by perfbench's
+# spectral-build workload, on which a second, gesdd SVD per power in decompose raised
+# numpy's LinAlgError "SVD did not converge"
+PINNED_JORDAN_SUMS = {
+    "seed 30, job 1034, L side": [
+        45, 23, 52, 20, 36, 74, 2, 50, 78, 38, 17, 47, 1, 35, 67, 37, 41, 12, 77, 73, 49, 65, 58, 69, 76, 43,
+        5, 24, 59, 64, 56, 75, 57, 15, 70, 71, 14, 42, 31, 7, 10, 72, 19, 29, 46, 62, 79, 48, 11, 66, 33, 22,
+        25, 4, 3, 53, 9, 28, 34, 8, 26, 21, 40, 13, 30, 39, 63, 51, 6, 16, 68, 0, 18, 44, 27, 60, 32, 54, 61,
+        55,
+    ],
+    "seed 205, job 2121, L side": [
+        20, 14, 2, 11, 28, 26, 41, 36, 24, 34, 32, 27, 4, 60, 37, 51, 31, 18, 30, 48, 15, 52, 70, 8, 78, 5, 13,
+        59, 69, 73, 75, 58, 46, 12, 25, 1, 17, 62, 43, 77, 38, 6, 33, 57, 50, 66, 47, 16, 49, 67, 79, 76, 29,
+        35, 39, 40, 65, 42, 23, 0, 19, 10, 9, 71, 56, 72, 7, 63, 54, 68, 45, 53, 64, 21, 55, 3, 61, 22, 74, 44,
+    ],
+    "seed 1000, job 869, L-hat side": [
+        0, 60, 50, 69, 24, 51, 57, 18, 21, 19, 13, 11, 78, 14, 29, 72, 42, 25, 22, 26, 37, 15, 65, 35, 9, 38,
+        28, 39, 34, 77, 76, 73, 53, 59, 33, 30, 20, 49, 3, 56, 74, 23, 63, 66, 32, 36, 58, 70, 27, 47, 16, 17,
+        44, 75, 55, 54, 67, 79, 7, 6, 71, 10, 64, 12, 52, 40, 43, 2, 45, 4, 48, 5, 1, 8, 46, 61, 62, 68, 31,
+        41,
+    ],
+}
+
+
+def _integer_blocks(rng: np.random.Generator) -> list[tuple[int, int]]:
+    """[(eigenvalue, size), ...] with eigenvalues in {-2, -1, 0}, sizes 1..5, at least 8 states."""
+    blocks, n = [], 0
+    while n < 8:
+        size = int(rng.integers(1, 6))
+        blocks.append((int(rng.choice([-2, -1, 0])), size))
+        n += size
+    return blocks
+
+
+class TestDecomposeFailures:
+    """decompose returns the exact structure or raises DecompositionFailedError, never a wrong one."""
+
+    @pytest.mark.parametrize("label", list(PINNED_JORDAN_SUMS))
+    def test_pinned_jordan_sums_decompose(self, label):
+        q = PINNED_JORDAN_SUMS[label]
+        k = np.kron(np.eye(20), np.asarray(jordan_block_generator().entries))
+        sd = decompose(k[np.ix_(q, q)])
+        assert Counter(_block_list(sd.structure)) == {(0.0, 0.0, 1): 20, (-1.0, 0.0, 2): 20, (-1.5, 0.0, 1): 20}
+        assert sd.residual <= 1e-13
+
+    @pytest.mark.parametrize(
+        "target", ["numpy.linalg.eig", "scipy.linalg.schur", "scipy.linalg.qr", "scipy.linalg.svd"]
+    )
+    def test_lapack_failures_are_typed(self, target, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(target, fails)
+        with pytest.raises(DecompositionFailedError, match="did not converge"):
+            decompose(direct_sum(np.random.default_rng(0), jordan_block_generator(), 2))
+
+    @pytest.mark.parametrize("tol_cluster,least", [(DEFAULTS.cluster, 0), (1e-3, 5)])
+    def test_integer_jordan_sums_exact_or_raise(self, tol_cluster, least):
+        # exact block sizes at -2, -1 and 0 from the null dimensions of (M - lam I)^k modulo two primes
+        exact_count = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            blocks = _integer_blocks(rng)
+            m = integer_jordan_sum(rng, blocks)
+            exact = {lam: exact_jordan_sizes(m, lam) for lam in (-2, -1, 0)}
+            assert exact == {lam: sorted((s for e, s in blocks if e == lam), reverse=True) for lam in exact}
+            try:
+                sd = decompose(m.astype(float), tol_cluster=tol_cluster)
+            except DecompositionFailedError:
+                continue
+            got = {lam: [] for lam in exact}
+            for b in sd.structure.blocks:
+                lam = round(b.eigenvalue.real)
+                assert abs(b.eigenvalue - lam) <= tol_cluster * np.abs(m).sum(axis=1).max(), seed
+                got.setdefault(lam, []).append(b.size)
+            assert got == exact, seed
+            exact_count += 1
+        assert exact_count >= least
 
 
 def _complex_jordan(rng, size):
@@ -495,6 +595,57 @@ class TestRSimilar:
         d = build_from_spectra(hat, primal, w, coefficients)
         assert d.rank == l.n
         assert d.residual <= 1e-9 * max(1.0, np.max(np.abs(d.matrix)))
+
+
+class TestBlockMatchingReference:
+    """match_jordan_blocks (the one grouping rule) against the anchor loop it replaced, kept in conftest."""
+
+    @staticmethod
+    def assert_same(hat, primal, tol=DEFAULTS.cluster):
+        new = match_jordan_blocks(hat.structure, primal.structure)
+        assert new == match_jordan_blocks_anchor(hat.structure, primal.structure, tol)
+
+    @pytest.mark.parametrize("case", list(ROUTE_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_self_pairs(self, case, seed):
+        build, tol = ROUTE_CASES[case]
+        rng = np.random.default_rng(seed)
+        l = build(rng)
+        self.assert_same(decompose(permuted(rng, l), tol_cluster=tol), decompose(permuted(rng, l), tol_cluster=tol))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_versus_five(self, seed):
+        rng = np.random.default_rng(seed)
+        hat, primal = (decompose(jordan_assembled(b, rng), tol_cluster=1e-3) for b in THREE_VERSUS_FIVE)
+        self.assert_same(hat, primal)
+        self.assert_same(primal, hat)
+
+    def test_criterion_6_pairs(self):
+        # the 50 pairs of tests/test_acceptance.py::test_criterion_6_rank_matching_cross_validation
+        rng = np.random.default_rng(66)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            l = random_generator(rng, n)
+            if rng.random() < 0.5:
+                perm = np.eye(n)[rng.permutation(n)]
+                lhat = RateMatrix.from_entries(perm @ np.asarray(l.entries) @ perm.T)
+            else:
+                lhat = random_generator(rng, int(rng.integers(2, 6)))
+            self.assert_same(decompose(lhat), decompose(l))
+
+    @pytest.mark.parametrize("seed", [1234, *range(20)])
+    @pytest.mark.parametrize(
+        "hat_blocks,tol",
+        [([(-1.0, 2), (-1.0, 1), (0.0, 1)], 1e-5), ([(-1.0, 3), (0.0, 1)], 1e-4)],
+        ids=["equal", "unequal"],
+    )
+    def test_partition_pairs_match_at_the_default_radius(self, seed, hat_blocks, tol):
+        # the pairs of tests/test_cross_module.py::TestDefectivePairs, once matched at the looser tol
+        rng = np.random.default_rng(seed)
+        hat = decompose(jordan_assembled(hat_blocks, rng), tol_cluster=tol)
+        primal = decompose(jordan_assembled([(-1.0, 2), (-1.0, 1), (0.0, 1)], rng), tol_cluster=tol)
+        self.assert_same(hat, primal)
+        self.assert_same(hat, primal, tol)
 
 
 class TestBiorthogonal:
