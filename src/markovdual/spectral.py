@@ -8,17 +8,23 @@ spectral_from_eigenbasis or siegmund.siegmund_spectral, passes one residual
 gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
-(ones on the superdiagonal inside each block).  Which computed eigenvalues
+(ones on the superdiagonal inside each block).  decompose reads every
+decision from one real Schur form M = Z T Z^T.  Which computed eigenvalues
 count as one is decided by one grouping rule, _cluster_eigenvalues: over the
-spectrum folded into the upper half-plane (re + i|im|) in decompose, so a
-conjugate pair is one cluster, and over the block eigenvalues of both sides
-in match_jordan_blocks.  A simple eigenvalue's chain is its `eig` column;
-every repeated eigenvalue, real or complex, gets its chains from the leading
-block of one dtrsen-reordered real Schur form, mapped back through the Schur
-vectors (Kagstrom-Ruhe, ACM TOMS 1980), with chain lengths read off one SVD
-per power and accepted only when the null dimensions form a Jordan
-partition.  _reorder_schur is the one dtrsen call, shared with the duality
-kernel's column blocks.
+diagonal of T folded into the upper half-plane (re + i|im|) in decompose, so
+a conjugate pair is one cluster and each cluster is a set of Schur
+positions, and over the block eigenvalues of both sides in
+match_jordan_blocks.  Every set of positions, one per repeated eigenvalue
+and one for all simple eigenvalues together, is moved to the front of the
+same Schur form by one dtrsen reordering, and the chains of its leading
+block map back through the leading Schur vectors (Kagstrom-Ruhe, ACM TOMS
+1980).  A simple eigenvalue's chain is its column from one `eig` of its
+leading block, taken by eigenvalue, not by position; a repeated one's come
+from the null spaces of its block's powers, with chain lengths read off one SVD per power at the single cutoff
+sqrt(eps) s^k and accepted only when the null dimensions form a Jordan
+partition.  A cluster whose block has no null vector is not one eigenvalue,
+and its members are split into simple ones.  _reorder_schur is the one
+dtrsen call, shared with the duality kernel's column blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dtrsen
+from scipy.linalg.lapack import dgees, dtrsen
 
 from .config import DEFAULTS
 from .core import Measure, RateMatrix
@@ -154,9 +160,10 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     group, since adding a member moves the mean towards it.  Returns the
     groups (indices into eigs) and their means: the merged groups in
     creation order, then the lone eigenvalues in index order.  This is the
-    one grouping rule: decompose applies it to the folded spectrum
-    (re + i|im|), the duality kernel to the diagonal of a real Schur form,
-    and match_jordan_blocks to the block eigenvalues of two structures.
+    one grouping rule: decompose applies it to the folded diagonal of its
+    real Schur form (re + i|im|), the duality kernel to the diagonal of
+    another real Schur form, and match_jordan_blocks to the block
+    eigenvalues of two structures.
     """
     crowded = np.count_nonzero(np.abs(eigs[:, None] - eigs) <= tol, axis=1) > 1
     lone = np.flatnonzero(~crowded)
@@ -180,61 +187,47 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]],
     return groups + [[i] for i in lone.tolist()], np.concatenate([means[: len(groups)], eigs[lone]])
 
 
-def _null_basis_sequence(a: np.ndarray, lam: complex, m_alg: int, spread: float, scale: float, n: int):
+def _null_basis_sequence(a: np.ndarray, lam: complex, m_alg: int, scale: float):
     """Null dims and orthonormal bases of a^k, k = 1.., for one cluster.
 
     a = T11 - lam I is the cluster's leading block of the reordered Schur form
     (m_alg x m_alg, or 2 m_alg x 2 m_alg for a complex lam).  The cutoffs scale
     with the full n x n matrix M - lam I, not with a, which for a semisimple
     cluster holds only rounding: with s = `scale`, the largest column norm of
-    M - lam I, the k-th cutoff is max(n eps s^k, sqrt(eps) s^k, 20 k spread
-    s^(k-1)).  `spread` (cluster radius) widens it because the shifted
-    matrix inherits that much error from the cluster representative.  One
-    gesvd SVD per power gives both the null dimension and the null basis; a
-    null space that is the whole block gets the identity as its basis.  The
-    powers stop when the null dimension reaches m_alg or stops growing.
-    Raises DecompositionFailedError, naming the sequence, unless the null
-    dimensions form a Jordan partition of m_alg (the first is at least 1,
-    the increments never grow, and the last is m_alg); an SVD that does not
-    converge raises LinAlgError, which decompose turns into
-    DecompositionFailedError.  Cost: one SVD of block size per power,
-    O(s_max m_alg^3) for largest block size s_max.
+    M - lam I, the k-th cutoff is sqrt(eps) s^k.  One gesvd SVD per power
+    gives both the null dimension and the null basis; a power whose Frobenius
+    norm is within the cutoff has every singular value within it, so it is
+    the whole null space, with the identity as its basis and no SVD.  The
+    powers stop when the null dimension reaches m_alg or stops growing.  A
+    first power with no null vector gives [0, 0]: the cluster is not one
+    eigenvalue, and the caller splits it.  Otherwise raises
+    DecompositionFailedError, naming the sequence, unless the null
+    dimensions form a Jordan partition of m_alg (the increments never grow,
+    and the last is m_alg); an SVD that does not converge raises
+    LinAlgError, which decompose turns into DecompositionFailedError.  Cost:
+    at most one SVD of block size per power, O(s_max m_alg^3) for largest
+    block size s_max.
     """
     dims, bases = [0], []
     for k in range(1, m_alg + 1):
         ak = a if k == 1 else ak @ a
-        _, sv, vh = scipy.linalg.svd(ak, check_finite=False, lapack_driver="gesvd")
-        cutoff = max(
-            n * EPS * scale**k,
-            np.sqrt(EPS) * scale**k,
-            20.0 * k * spread * scale ** (k - 1),
-        )
+        cutoff = np.sqrt(EPS) * scale**k
+        if np.linalg.norm(ak) <= cutoff:  # the Frobenius norm bounds every singular value: all null
+            sv = np.zeros(len(ak))
+        else:
+            _, sv, vh = scipy.linalg.svd(ak, check_finite=False, lapack_driver="gesvd")
         d = int(np.sum(sv <= cutoff))
         bases.append(np.eye(d, dtype=a.dtype) if d == len(sv) else vh[len(sv) - d :].conj().T)
         dims.append(d)
         if d >= m_alg or d == dims[-2]:
             break
     steps = np.diff(dims)
-    if dims[-1] != m_alg or steps[0] < 1 or np.any(np.diff(steps) > 0):
+    if dims[1] and (dims[-1] != m_alg or np.any(np.diff(steps) > 0)):
         raise DecompositionFailedError(
             f"null dimensions of the powers {dims} at {lam:.6g} are not a Jordan partition "
             f"of algebraic multiplicity {m_alg}"
         )
     return dims, bases
-
-
-def _schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Folded eigenvalues (re + i|im|) on the diagonal of a standardized real Schur form, in position order.
-
-    A 2 x 2 block [[a, b], [c, a]] (b c < 0) holds a +- i sqrt(-b c), so both
-    of its positions get a + i sqrt(|b c|), and a selection by distance from
-    a folded lam takes the pair whole.
-    """
-    w = np.diag(t).astype(complex)
-    pairs = np.flatnonzero(np.diag(t, -1))
-    w[pairs] += 1j * np.sqrt(np.abs(t[pairs, pairs + 1] * t[pairs + 1, pairs]))
-    w[pairs + 1] = w[pairs]
-    return w
 
 
 def _reorder_schur(t: np.ndarray, z: np.ndarray, select: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,26 +264,25 @@ def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) 
     return qc[:, :want] * (pivots / np.abs(pivots))
 
 
-def _jordan_chains(
-    a: np.ndarray, lam: complex, m_alg: int, spread: float, scale: float, n: int
-) -> list[list[np.ndarray]]:
+def _jordan_chains(a: np.ndarray, lam: complex, m_alg: int, scale: float) -> list[list[np.ndarray]]:
     """Jordan chains of a = T11 - lam I for one eigenvalue cluster, each chain eigenvector-first.
 
-    The k = 1 exit: when the null dimension of a is already the size of a
-    (a real semisimple cluster, a numerically zero block), the chains are the
-    unit vectors, which Z1 maps to the cluster's Schur vectors.  Otherwise top
-    vectors are picked per level (descending) from Null(a^k) by
-    _pivoted_picks, avoiding Null(a^{k-1}) and the level-k members of
-    already-chosen chains, which makes the output deterministic.  Cutoffs as
-    in _null_basis_sequence, with `scale` and `n` from the full matrix; its
-    partition check makes the level counts the block sizes, so the chains
-    hold exactly m_alg vectors.  Cost: the SVDs of _null_basis_sequence plus
-    one pivoted QR per level, all of block size.  Raises
-    DecompositionFailedError when the null dimensions are not a Jordan
-    partition or a chain basis cannot be completed.
+    The k = 1 exits: when a has no null vector, there are no chains (the
+    cluster is not one eigenvalue); when its null dimension is already the
+    size of a (a real semisimple cluster, a numerically zero block), the
+    chains are the unit vectors, which Z1 maps to the cluster's Schur
+    vectors.  Otherwise top vectors are picked per level (descending) from
+    Null(a^k) by _pivoted_picks, avoiding Null(a^{k-1}) and the level-k
+    members of already-chosen chains, which makes the output deterministic.
+    Cutoffs as in _null_basis_sequence, with `scale` from the full matrix;
+    its partition check makes the level counts the block sizes, so the
+    chains hold exactly m_alg vectors.  Cost: the SVDs of
+    _null_basis_sequence plus one pivoted QR per level, all of block size.
+    Raises DecompositionFailedError when the null dimensions are not a
+    Jordan partition or a chain basis cannot be completed.
     """
-    dims, bases = _null_basis_sequence(a, lam, m_alg, spread, scale, n)
-    if dims[1] == a.shape[0]:
+    dims, bases = _null_basis_sequence(a, lam, m_alg, scale)
+    if dims[1] in (0, a.shape[0]):
         return [[e] for e in bases[0].T]
     chains: list[list[np.ndarray]] = []
     for level in range(len(bases), 0, -1):
@@ -313,43 +305,33 @@ def _jordan_chains(
     return chains
 
 
-def _cluster_chains(
-    mat: np.ndarray, schur_form, members: np.ndarray, lam: complex, tol: float
-) -> list[list[np.ndarray]]:
-    """Chains of one cluster of two or more eigenvalues at lam, as columns of the n x n matrix.
+def _cluster_chains(mat: np.ndarray, schur_form, positions: list[int], lam: complex) -> list[list[np.ndarray]]:
+    """Chains of one cluster of two or more Schur positions at lam, as columns of the n x n matrix.
 
-    members are the cluster's folded eigenvalues and lam their folded mean
-    (its real part for a real cluster).  A real cluster has algebraic
-    multiplicity m_alg = len(members); a complex one holds both halves of
-    m_alg conjugate pairs, so m_alg = len(members) / 2.
-    The chains come from the leading block of the real Schur form
-    schur_form = (T, Z, c), mat = Z T Z^T, c the squared column norms of mat:
-    _reorder_schur moves the Schur positions whose folded eigenvalue is within
-    tol of lam (len(members) positions in all) to the front, so M Z1 = Z1 T11
-    and Z1 maps each chain of T11 - lam I (_jordan_chains) to a chain of
-    M - lam I.  The cutoffs scale with s, the largest column norm of
-    M - lam I, read off c and the diagonal of mat.  Cost: one dtrsen,
-    O(m_alg n^2), plus work of block size.  Raises DecompositionFailedError
-    when the selection does not hold exactly len(members) positions or
-    dtrsen fails.
+    positions index the diagonal of T in the real Schur form
+    schur_form = (T, Z, c), mat = Z T Z^T, c the squared column norms of mat,
+    and lam is their folded mean (its real part for a real cluster).  A real
+    cluster has algebraic multiplicity m_alg = len(positions); a complex one
+    holds both positions of m_alg 2 x 2 blocks, so m_alg = len(positions) / 2.
+    _reorder_schur moves exactly these positions to the front, so
+    M Z1 = Z1 T11 and Z1 maps each chain of T11 - lam I (_jordan_chains) to a
+    chain of M - lam I.  The cutoffs scale with s, the largest column norm of
+    M - lam I, read off c and the diagonal of mat.  No chains (an empty list)
+    means T11 - lam I has no null vector: the positions are not one
+    eigenvalue.  Cost: one dtrsen, O(m_alg n^2), plus work of block size.
+    Raises DecompositionFailedError when dtrsen fails or _jordan_chains does.
     """
     t, z, colsq = schur_form
-    size = len(members)
-    m_alg = size if lam.imag == 0.0 else size // 2
-    select = np.abs(_schur_eigenvalues(t) - lam) <= tol
-    count = int(np.count_nonzero(select))
-    if count != size:
-        raise DecompositionFailedError(
-            f"eigenvalue cluster at {lam:.6g} needs {size} Schur positions within {tol:.3g}, "
-            f"the Schur form holds {count}"
-        )
+    size = len(positions)
+    select = np.zeros(len(t), dtype=bool)
+    select[positions] = True
     t, z = _reorder_schur(t, z, select)
     diag = np.diag(mat)
     scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
-    spread = float(np.max(np.abs(members - lam)))
-    shift = lam.real if lam.imag == 0.0 else lam
-    block = t[:size, :size] - shift * np.eye(size)
-    chains = _jordan_chains(block, lam, m_alg, spread, scale, mat.shape[0])
+    shift, m_alg = (lam.real, size) if lam.imag == 0.0 else (lam, size // 2)
+    chains = _jordan_chains(t[:size, :size] - shift * np.eye(size), lam, m_alg, scale)
+    if not chains:
+        return []
     cols = iter((z[:, :size] @ np.array([v for c in chains for v in c]).T).T)
     return [[next(cols) for _ in c] for c in chains]
 
@@ -357,81 +339,107 @@ def _cluster_chains(
 def decompose(m: RateMatrix | np.ndarray, tol_cluster: float = DEFAULTS.cluster) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
-    One `eig` call gives the eigenvalues and eigenvectors.  One grouping pass
-    (_cluster_eigenvalues) over the spectrum folded into the upper half-plane,
-    re + i|im|, decides which eigenvalues count as one: eigenvalues within
-    the radius tol_cluster ||M||_inf (tol_cluster is a relative factor) are
-    merged before chain construction, so floating-point splits of designed
-    Jordan blocks are re-absorbed (size-2 blocks split by ~sqrt(eps) ||M||,
-    within the default; deeper blocks need a looser tol_cluster).  A cluster
-    whose folded mean lies within that radius of the real axis is real, with
-    multiplicity m_alg its member count; any other cluster holds m_alg
-    conjugate pairs, half its member count (an odd count raises
-    DecompositionFailedError).  Each cluster takes one of two routes:
+    Every decision is read from one real Schur form M = Z T Z^T (one dgees
+    call).  One grouping pass (_cluster_eigenvalues) over the diagonal of T,
+    folded into the upper half-plane as re + i|im| (read off dgees' wr and
+    wi, so both positions of a 2 x 2 block get the same value), decides
+    which eigenvalues count as one: eigenvalues within the radius
+    tol_cluster ||M||_inf (tol_cluster is a relative factor) are merged
+    before chain construction, so floating-point splits of designed Jordan
+    blocks are re-absorbed (size-2 blocks split by ~sqrt(eps) ||M||, within
+    the default; deeper blocks need a looser tol_cluster).  Each group is a
+    set of Schur positions.  A group whose folded mean lies within that
+    radius of the real axis is real, with multiplicity m_alg its member
+    count; any other group holds m_alg conjugate pairs, half its member count
+    (an odd count raises DecompositionFailedError).  Each group takes one of
+    two routes:
 
-    - m_alg = 1: a simple eigenvalue, its `eig` column (a real column for a
-      real eigenvalue, the upper eigenvalue's column for a pair);
-    - m_alg >= 2, real or complex: chains from the leading block T11 of the
-      real Schur form M = Z T Z^T after one dtrsen reordering, mapped back
-      through the leading Schur vectors Z1 (see _cluster_chains).  The Schur
-      form is taken once, and only when such a cluster exists.  A real
-      cluster whose block T11 - lam I has null dimension m_alg at the first
-      power is semisimple, and its chains are the m_alg columns of Z1.
+    - m_alg >= 2, real or complex: chains from the leading block T11 after
+      one dtrsen reordering that moves exactly the group's positions to the
+      front, mapped back through the leading Schur vectors Z1 (see
+      _cluster_chains).  A real group whose block T11 - lam I has null
+      dimension m_alg at the first power is semisimple, and its chains are
+      the m_alg columns of Z1.  A group whose block has no null vector at
+      all is not one eigenvalue: its members are split into simple ones.
+    - m_alg = 1, or a split member: a simple eigenvalue at its folded value.
+      One dtrsen reordering (none when every eigenvalue is simple) moves
+      all simple positions to the front, and each column is Z1 times an
+      eigenvector from one `eig` of that leading block (a real column for a
+      real eigenvalue, the upper eigenvalue's column for a pair).  The
+      block holds no cluster: `eig` balances its input, and on a T with
+      large semisimple clusters, whose blocks are diagonal up to rounding,
+      the balancing scales reach 1e16 and the eigenvectors are wrong.
+      `eig` also reorders the eigenvalues, so each simple eigenvalue takes
+      the column whose eigenvalue is nearest its folded value, never the
+      column at its position; two taking one column raise
+      DecompositionFailedError.
 
     The null-space cutoffs scale with the full M - lam I, not with the block
-    (see _null_basis_sequence).  A complex cluster is processed at its upper
+    (see _null_basis_sequence).  A complex group is processed at its upper
     eigenvalue and mirrored, so conjugate blocks carry exactly conjugate
-    columns.  Cost: O(n^3) for `eig`, the Schur form, the inverse and the
-    residual check, O(n^2) for the grouping's distance test, plus O(m_alg n^2)
-    per cluster for its dtrsen and work of block size.
+    columns.  Cost: O(n^3) for the Schur form, the `eig` of the simple
+    block, the inverse and the residual check, O(n^2) for the grouping's
+    distance test, plus O(m_alg n^2) per cluster and O(n^2) per simple
+    eigenvalue moved for the dtrsen calls, and work of block size.
 
     Storage: U and Uinv are read-only, float64 when every block eigenvalue
     is real (the chains of a real eigenvalue are real columns) and
     complex128 otherwise.  The basis is inverted and checked by _gated, the
     gate every SpectralData passes.
 
-    Raises DecompositionFailedError if a complex cluster has an odd member
-    count, if a cluster's Schur positions do not match its multiplicity, if
-    the null dimensions of a cluster's powers are not a Jordan partition
-    (see _null_basis_sequence), if a LAPACK call (eig, schur, qr, svd)
-    fails, if the basis is singular, or if the gate rejects the
-    reconstruction or inversion defect.
+    Raises DecompositionFailedError if a complex group has an odd member
+    count, if the null dimensions of a cluster's powers are not a Jordan
+    partition (see _null_basis_sequence), if two simple eigenvalues take
+    one `eig` column, if a LAPACK call (gees, eig, qr, svd) fails, if the
+    basis is singular, or if the gate rejects the reconstruction or
+    inversion defect.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
     radius = scaled_tol(tol_cluster, mat)
-    try:  # eig, schur, qr and svd signal a LAPACK failure by LinAlgError
-        eigs, vecs = np.linalg.eig(mat)
-        folded = eigs.real + 1j * np.abs(eigs.imag)
+    try:  # eig, qr and svd signal a LAPACK failure by LinAlgError
+        t, _, wr, wi, z, _, info = dgees(lambda wr, wi: None, mat)
+        if info:
+            raise DecompositionFailedError(f"decomposition: the real Schur form did not converge (dgees info = {info})")
+        folded = wr + 1j * np.abs(wi)
         groups, reps = _cluster_eigenvalues(folded, radius)
-        clusters = []
+        blocks: list[tuple[complex, list[np.ndarray]]] = []
+        simple: list[int] = []  # the Schur positions of simple eigenvalues
+        schur_form = None
         for group, rep in zip(groups, reps):
-            lam, m_alg = complex(rep), len(group)
+            lam = complex(rep)
             if lam.imag <= radius:
                 lam = complex(lam.real, 0.0)
-            elif m_alg % 2:
+            elif len(group) % 2:
                 raise DecompositionFailedError(
-                    f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({m_alg}) of eigenvalues"
+                    f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({len(group)}) of eigenvalues"
                 )
-            else:
-                m_alg //= 2
-            clusters.append((group, lam, m_alg))
-        schur_form = None
-        if any(m_alg > 1 for *_, m_alg in clusters):
-            schur_form = (*scipy.linalg.schur(mat, output="real"), np.einsum("ij,ij->j", mat, mat))
-        blocks: list[tuple[complex, list[np.ndarray]]] = []
-        for group, lam, m_alg in clusters:
-            if m_alg == 1:
-                v = vecs[:, max(group, key=eigs.imag.__getitem__)]
-                chains = [[v.real if lam.imag == 0.0 else v]]
-            else:
-                chains = _cluster_chains(mat, schur_form, folded[group], lam, radius)
-            for chain in chains:
-                blocks.append((lam, chain))
-                if lam.imag != 0.0:
-                    blocks.append((lam.conjugate(), [v.conj() for v in chain]))
+            if len(group) == (1 if lam.imag == 0.0 else 2):
+                simple += group
+                continue
+            if schur_form is None:
+                schur_form = (t, z, np.einsum("ij,ij->j", mat, mat))
+            chains = _cluster_chains(mat, schur_form, group, lam)
+            if not chains:  # no null vector: the members are simple eigenvalues
+                simple += group
+            blocks.extend((lam, chain) for chain in chains)
+        if simple:
+            k, upper = len(simple), wi >= 0.0  # upper: one position per Schur block
+            if k < len(t):  # the simple positions become the leading block
+                select = np.zeros(len(t), dtype=bool)
+                select[simple] = True
+                t, z = _reorder_schur(t, z, select)
+                upper &= select
+            w, v = np.linalg.eig(t[:k, :k])
+            lams = folded[upper]
+            picks = np.abs(w - lams[:, None]).argmin(axis=1)
+            if len(set(picks.tolist())) < len(picks):
+                raise DecompositionFailedError("decomposition: two simple eigenvalues take the same eig column")
+            cols = (z[:, :k] @ v[:, picks]).T
+            blocks.extend((lam, [col.real if lam.imag == 0.0 else col]) for lam, col in zip(lams.tolist(), cols))
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailedError(f"decomposition: {exc}") from exc
+    blocks += [(lam.conjugate(), [v.conj() for v in chain]) for lam, chain in blocks if lam.imag != 0.0]
     blocks.sort(key=lambda b: _canonical_key(JordanBlock(b[0], len(b[1]))))
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex

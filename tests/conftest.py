@@ -395,15 +395,20 @@ def svd_power_chains(mat: np.ndarray, lam: complex, m_alg: int, spread: float) -
     return chains
 
 
-def svd_power_cluster_chains(mat, schur_form, members, lam, tol):
-    """Reference for spectral._cluster_chains (same signature; schur_form and tol unused).
+def svd_power_cluster_chains(mat, schur_form, positions, lam):
+    """Reference for spectral._cluster_chains (same signature).
 
-    Every cluster of two or more folded eigenvalues `members`, semisimple or
-    not, real or complex, takes svd_power_chains on the n x n matrix: the
-    route decompose took for defective and complex clusters before its chains
-    came from the reordered leading Schur block.
+    Every cluster of two or more Schur positions, semisimple or not, real or
+    complex, takes svd_power_chains on the n x n matrix: the route decompose
+    took for defective and complex clusters before its chains came from the
+    reordered leading Schur block.  The spread of the positions' folded
+    eigenvalues about lam widens its cutoff, as it did then; the positions
+    hold whole diagonal blocks of T, so their eigenvalues are those of the
+    principal submatrix they index.
     """
-    m_alg = len(members) if lam.imag == 0.0 else len(members) // 2
+    members = np.linalg.eigvals(schur_form[0][np.ix_(positions, positions)])
+    members = members.real + 1j * np.abs(members.imag)
+    m_alg = len(positions) if lam.imag == 0.0 else len(positions) // 2
     spread = float(np.max(np.abs(members - lam)))
     return svd_power_chains(mat, lam, m_alg, spread)
 
@@ -676,10 +681,17 @@ def eigenbasis_residual_out_of_place(m, u, lams, uinv) -> float:
 
 
 def decompose_residual_out_of_place(m, u, j, uinv) -> float:
-    """Reference for decompose's residual: max of |M U - U J| and |Uinv U - I|."""
+    """Reference for decompose's residual: max of |M U - U J| and |Uinv U - I|.
+
+    U J is taken as the gate documents it, in the same order of operations:
+    M U minus each column times its eigenvalue, then minus the previous
+    column wherever J has a one on the superdiagonal.
+    """
     m = np.asarray(m)
+    defect = m @ u - u * np.diag(j)
+    defect[:, 1:] -= u[:, :-1] * np.diag(j, 1)
     return max(
-        float(np.max(np.abs(m @ u - u @ j))),
+        float(np.max(np.abs(defect))),
         float(np.max(np.abs(uinv @ u - np.eye(m.shape[0])))),
     )
 
