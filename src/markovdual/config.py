@@ -6,14 +6,15 @@ defect with the factor times the scale of its own input
 (linalg.scaled_tol, the factor times ||L||_inf, the largest absolute row
 sum, times the size of the vectors L acts on), so multiplying every rate by
 c > 0 changes no verdict.  A function takes a tolerance argument only where
-a caller needs a value other than the default, and two such options remain:
-decompose(tol_cluster), a relative factor that deep Jordan blocks need
-looser, and push_duality(tol) (passed on by push_duality_left), the one
-absolute bound.  Block matching (match_jordan_blocks, check_r_similar)
-groups at `cluster` times the largest |eigenvalue| of both sides.  The
-defaults are tuned for small (n up to a few hundred), well-conditioned
-dense matrices.  The configuration-space cap is set only through the
-DUALITY_MAX_STATES environment variable.
+a caller needs a value other than the default, and one such option
+remains: push_duality(tol) (passed on by push_duality_left), the one
+absolute bound.  No eigenvalue radius is set here: decompose decides its
+Jordan structure on a single-linkage tree with one fixed separation ratio
+(spectral.RATIO), and block matching (match_jordan_blocks,
+check_r_similar) pairs eigenvalues within `residual` times the largest
+|eigenvalue| of both sides.  The defaults are tuned for small (n up to a
+few hundred), well-conditioned dense matrices.  The configuration-space cap
+is set only through the DUALITY_MAX_STATES environment variable.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ class Tolerances:
         an edge, per unit of ||L||_inf.
     residual: acceptance bound for spectral, stationary, balance and duality
         defects, per unit of the input's scale (dimensionless for a
-        bi-orthogonality defect Uinv U - I).
-    cluster: eigenvalues closer than this times ||M||_inf are merged into one
-        Jordan cluster (looser than `residual` because repeated eigenvalues
-        of non-normal matrices split under rounding).
+        bi-orthogonality defect Uinv U - I), and the radius, per unit of the
+        largest |eigenvalue|, within which block matching pairs eigenvalues.
     """
 
     row: float = 1e-10
     residual: float = 1e-9
-    cluster: float = 1e-7
 
 
 DEFAULTS = Tolerances()

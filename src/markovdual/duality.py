@@ -38,7 +38,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import EPS, max_abs, numerical_rank, rank_threshold, scaled_tol
-from .spectral import SpectralData, Witness, _cluster_eigenvalues, _reorder_schur, reversible_eigenbasis
+from .spectral import SpectralData, Witness, _reorder_schur, reversible_eigenbasis
 
 __all__ = [
     "DualityFunction",
@@ -147,21 +147,25 @@ def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunct
 def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     """Reorder the real Schur form S = Z^T L^T Z into the recursion's column blocks.
 
-    Diagonal entries of S are grouped by `decompose`'s rule,
-    `_cluster_eigenvalues` (each within tau of its group's mean).  Both
-    diagonal entries of a standardized 2 x 2 block equal the pair's real part,
-    so a pair always falls in one group.  Each group with more than one member
-    is made contiguous by `_reorder_schur` (dtrsen keeps the relative order of
-    everything it does not select and keeps S quasi-triangular) and becomes
-    one block unless its Schur block is numerically scalar, i.e. within tau
-    of c I; a scalar (semisimple) group and every singleton is solved column
-    by column.  The two columns of a 2 x 2 block are never split, however small its
-    off-diagonal entries: the column recursion needs S block upper triangular.
+    The real diagonal of S is sorted and split where a gap between
+    neighbours exceeds tau, so each group is a chain of entries each within
+    tau of the next; a group merged too far is at worst solved as one larger
+    block.  Both diagonal entries of a standardized 2 x 2 block equal the
+    pair's real part, so a pair always falls in one group.  Each group with
+    more than one member is made contiguous by `_reorder_schur` (dtrsen keeps
+    the relative order of everything it does not select and keeps S
+    quasi-triangular) and becomes one block unless its Schur block is
+    numerically scalar, i.e. within tau of c I; a scalar (semisimple) group
+    and every singleton is solved column by column.  The two columns of a
+    2 x 2 block are never split, however small its off-diagonal entries: the
+    column recursion needs S block upper triangular.
     Returns the reordered (S, Z) and the blocks as (start, stop) column ranges.
     """
     n = s.shape[0]
     order = np.arange(n)  # original position of the eigenvalue now at each position
-    clusters = [g for g in _cluster_eigenvalues(np.diag(s), tau)[0] if len(g) > 1]
+    diag = np.diag(s)
+    ranked = np.argsort(diag, kind="stable")
+    clusters = [g for g in np.split(ranked, np.flatnonzero(np.diff(diag[ranked]) > tau) + 1) if len(g) > 1]
     for g in clusters:
         select = np.isin(order, g)
         s, z = _reorder_schur(s, z, select)

@@ -9,22 +9,22 @@ gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
 (ones on the superdiagonal inside each block).  decompose reads every
-decision from one real Schur form M = Z T Z^T.  Which computed eigenvalues
-count as one is decided by one grouping rule, _cluster_eigenvalues: over the
-diagonal of T folded into the upper half-plane (re + i|im|) in decompose, so
-a conjugate pair is one cluster and each cluster is a set of Schur
-positions, and over the block eigenvalues of both sides in
-match_jordan_blocks.  Every set of positions, one per repeated eigenvalue
-and one for all simple eigenvalues together, is moved to the front of the
-same Schur form by one dtrsen reordering, and the chains of its leading
-block map back through the leading Schur vectors (Kagstrom-Ruhe, ACM TOMS
-1980).  A simple eigenvalue's chain is its column from one `eig` of its
-leading block, taken by eigenvalue, not by position; a repeated one's come
-from the null spaces of its block's powers, with chain lengths read off one SVD per power at the single cutoff
-sqrt(eps) s^k and accepted only when the null dimensions form a Jordan
-partition.  A cluster whose block has no null vector is not one eigenvalue,
-and its members are split into simple ones.  _reorder_schur is the one
-dtrsen call, shared with the duality kernel's column blocks.
+decision from one real Schur form M = Z T Z^T, with no eigenvalue radius.
+Which computed eigenvalues count as one is decided on the single-linkage
+tree of the diagonal of T folded into the upper half-plane (re + i|im|), so
+a conjugate pair is one point and each node is a set of Schur positions: a
+node well separated from the rest (by the fixed ratio RATIO) is moved to
+the front of the Schur form by one dtrsen reordering, and it is one
+eigenvalue when the staircase of its leading block (one SVD per level,
+deflating the null vectors found, at the single cutoff sqrt(eps) s) reaches
+its multiplicity as a Jordan partition; its chains map back through the
+leading Schur vectors (Kagstrom-Ruhe, ACM TOMS 1980).  Otherwise the node's
+children are tried, and a leaf left over is a simple eigenvalue, whose
+chain is its column from one `eig` of the leading block of all simple
+positions, taken by eigenvalue, not by position.  match_jordan_blocks pairs
+the block eigenvalues of two structures by nearest neighbour at a
+residual-level radius.  _reorder_schur is the one dtrsen call, shared with
+the duality kernel's column blocks.
 """
 
 from __future__ import annotations
@@ -147,87 +147,76 @@ class SpectralData:
         return np.concatenate([[b.eigenvalue] * b.size for b in self.structure.blocks])
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, tol: float) -> tuple[list[list[int]], np.ndarray]:
-    """Group eigenvalues: greedy merge within tol of a group's running mean.
+RATIO = 100.0  # a tree node is tried when its separation is at least RATIO times its spread
 
-    An eigenvalue with no other within tol (one n x n distance comparison) is
-    a group of its own.  The rest are visited in (real, imag) order; each
-    joins the first group, in creation order, whose current mean is within
-    tol, or else starts a new group.  Running sums and counts keep every mean
-    at hand, so each visit is one vectorized comparison against all groups.
-    A value exactly equal to the one visited before it (the second half of a
-    folded conjugate pair) skips the comparison: it would join the same
-    group, since adding a member moves the mean towards it.  Returns the
-    groups (indices into eigs) and their means: the merged groups in
-    creation order, then the lone eigenvalues in index order.  This is the
-    one grouping rule: decompose applies it to the folded diagonal of its
-    real Schur form (re + i|im|), the duality kernel to the diagonal of
-    another real Schur form, and match_jordan_blocks to the block
-    eigenvalues of two structures.
+
+def _single_linkage(points: np.ndarray):
+    """The single-linkage tree of complex points, as ranges of their Prim order.
+
+    Returns (order, start, stop, height, separation): `order` is the order
+    in which Prim's minimum-spanning-tree pass (from point 0, one p x p
+    distance array, O(p^2); on the real line, from the leftmost point, which
+    is a sort) adds the points, and each node of the tree is
+    the range order[start:stop], p - 1 merges and then the p leaves.  Every
+    single-linkage cluster is a contiguous range of that order, and the tree
+    is the Cartesian tree of the reach r (each point's edge to those added
+    before it; r = inf before the first point and after the last): the merge
+    at position j, of height r_j, spans from the last earlier position with
+    r >= r_j to the first later one with r > r_j.  A node's separation is
+    its parent's height, the smaller reach at its two ends, and inf for the
+    root; a leaf's height is 0.
     """
-    crowded = np.count_nonzero(np.abs(eigs[:, None] - eigs) <= tol, axis=1) > 1
-    lone = np.flatnonzero(~crowded)
-    near = np.flatnonzero(crowded)
-    groups: list[list[int]] = []
-    sums = np.zeros(near.size, dtype=complex)
-    means = np.zeros(near.size, dtype=complex)
-    counts = np.zeros(near.size, dtype=int)
-    value = None
-    for idx in near[np.lexsort((eigs.imag[near], eigs.real[near]))].tolist():
-        if eigs[idx] != value:  # an exact repeat, such as a conjugate twin, joins its predecessor's group
-            value = eigs[idx]
-            close = np.flatnonzero(np.abs(value - means[: len(groups)]) <= tol)
-            g = close[0] if close.size else len(groups)
-            if g == len(groups):
-                groups.append([])
-        groups[g].append(idx)
-        sums[g] += value
-        counts[g] += 1
-        means[g] = sums[g] / counts[g]
-    return groups + [[i] for i in lone.tolist()], np.concatenate([means[: len(groups)], eigs[lone]])
+    p = len(points)
+    if np.any(points.imag):
+        dist = np.abs(points[:, None] - points)
+        best, done, order, reach = dist[0].copy(), np.zeros(p, dtype=bool), [0], [np.inf]
+        for _ in range(p - 1):
+            done[order[-1]] = True
+            np.putmask(best, done, np.inf)
+            order.append(int(best.argmin()))
+            reach.append(best[order[-1]])
+            np.minimum(best, dist[order[-1]], out=best)
+    else:  # on the real line, Prim's pass from the leftmost point is a sort
+        order = np.argsort(points.real, kind="stable").tolist()
+        reach = [np.inf, *np.diff(points.real[order]).tolist()]
+    r, pos = np.array(reach + [np.inf]), np.arange(p + 1)
+    start = np.where((pos < pos[:, None]) & (r >= r[:, None]), pos, 0).max(axis=1)[1:p]
+    stop = np.where((pos > pos[:, None]) & (r > r[:, None]), pos, p).min(axis=1)[1:p]
+    start, stop = np.concatenate([start, pos[:p]]), np.concatenate([stop, pos[1:]])
+    height = np.concatenate([r[1:p], np.zeros(p)])
+    return np.array(order), start, stop, height, np.minimum(r[start], r[stop])
 
 
-def _null_basis_sequence(a: np.ndarray, lam: complex, m_alg: int, scale: float):
-    """Null dims and orthonormal bases of a^k, k = 1.., for one cluster.
+def _staircase(a: np.ndarray, cutoff: float, m_alg: int):
+    """Null dimensions and nested orthonormal null bases of a^k, k = 1.., or None.
 
-    a = T11 - lam I is the cluster's leading block of the reordered Schur form
-    (m_alg x m_alg, or 2 m_alg x 2 m_alg for a complex lam).  The cutoffs scale
-    with the full n x n matrix M - lam I, not with a, which for a semisimple
-    cluster holds only rounding: with s = `scale`, the largest column norm of
-    M - lam I, the k-th cutoff is sqrt(eps) s^k.  One gesvd SVD per power
-    gives both the null dimension and the null basis; a power whose Frobenius
-    norm is within the cutoff has every singular value within it, so it is
-    the whole null space, with the identity as its basis and no SVD.  The
-    powers stop when the null dimension reaches m_alg or stops growing.  A
-    first power with no null vector gives [0, 0]: the cluster is not one
-    eigenvalue, and the caller splits it.  Otherwise raises
-    DecompositionFailedError, naming the sequence, unless the null
-    dimensions form a Jordan partition of m_alg (the increments never grow,
-    and the last is m_alg); an SVD that does not converge raises
-    LinAlgError, which decompose turns into DecompositionFailedError.  Cost:
-    at most one SVD of block size per power, O(s_max m_alg^3) for largest
-    block size s_max.
+    The staircase (Kublanovskaya 1966; Kagstrom-Ruhe, ACM TOMS 1980): one
+    gesvd SVD per level, whose d right singular vectors at or below the
+    cutoff extend the null basis, then deflation to the rest, B <- V2^H B V2
+    for the other right singular vectors V2, so Null(a^k) is the level-k
+    basis without any power being formed.  One cutoff serves every level.  A
+    block whose Frobenius norm is within the cutoff has every singular value
+    within it, so it is wholly null, with no SVD (the identity basis when that
+    happens at the first level).  The levels stop at m_alg null vectors or at
+    a level with none.  Returns (dims, bases), dims[0] = 0 and bases[k - 1] a
+    basis of Null(a^k), when the dims form a Jordan partition of m_alg (the
+    increments never grow, and the last dim is m_alg); otherwise None.  Cost:
+    at most one SVD of block size per level.
     """
-    dims, bases = [0], []
-    for k in range(1, m_alg + 1):
-        ak = a if k == 1 else ak @ a
-        cutoff = np.sqrt(EPS) * scale**k
-        if np.linalg.norm(ak) <= cutoff:  # the Frobenius norm bounds every singular value: all null
-            sv = np.zeros(len(ak))
+    bases, basis, rest, b = [], a[:, :0], np.eye(len(a), dtype=a.dtype), a
+    while basis.shape[1] < m_alg and len(b):
+        if np.linalg.norm(b) <= cutoff:
+            keep, v = 0, np.eye(len(b), dtype=b.dtype)
         else:
-            _, sv, vh = scipy.linalg.svd(ak, check_finite=False, lapack_driver="gesvd")
-        d = int(np.sum(sv <= cutoff))
-        bases.append(np.eye(d, dtype=a.dtype) if d == len(sv) else vh[len(sv) - d :].conj().T)
-        dims.append(d)
-        if d >= m_alg or d == dims[-2]:
+            _, sv, vh = scipy.linalg.svd(b, check_finite=False, lapack_driver="gesvd")
+            keep, v = int(np.sum(sv > cutoff)), vh.conj().T
+        if keep == len(b):
             break
-    steps = np.diff(dims)
-    if dims[1] and (dims[-1] != m_alg or np.any(np.diff(steps) > 0)):
-        raise DecompositionFailedError(
-            f"null dimensions of the powers {dims} at {lam:.6g} are not a Jordan partition "
-            f"of algebraic multiplicity {m_alg}"
-        )
-    return dims, bases
+        basis, rest = np.hstack([basis, rest @ v[:, keep:]]), rest @ v[:, :keep]
+        b = v[:, :keep].conj().T @ b @ v[:, :keep]
+        bases.append(basis)
+    dims = [0, *(x.shape[1] for x in bases)]
+    return None if dims[-1] != m_alg or np.any(np.diff(dims, 2) > 0) else (dims, bases)
 
 
 def _reorder_schur(t: np.ndarray, z: np.ndarray, select: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,25 +253,20 @@ def _pivoted_picks(candidates: np.ndarray, avoid: np.ndarray | None, want: int) 
     return qc[:, :want] * (pivots / np.abs(pivots))
 
 
-def _jordan_chains(a: np.ndarray, lam: complex, m_alg: int, scale: float) -> list[list[np.ndarray]]:
-    """Jordan chains of a = T11 - lam I for one eigenvalue cluster, each chain eigenvector-first.
+def _jordan_chains(a: np.ndarray, dims: list[int], bases: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Jordan chains of a = T11 - lam I from its staircase (dims, bases), each chain eigenvector-first.
 
-    The k = 1 exits: when a has no null vector, there are no chains (the
-    cluster is not one eigenvalue); when its null dimension is already the
-    size of a (a real semisimple cluster, a numerically zero block), the
-    chains are the unit vectors, which Z1 maps to the cluster's Schur
-    vectors.  Otherwise top vectors are picked per level (descending) from
-    Null(a^k) by _pivoted_picks, avoiding Null(a^{k-1}) and the level-k
-    members of already-chosen chains, which makes the output deterministic.
-    Cutoffs as in _null_basis_sequence, with `scale` from the full matrix;
-    its partition check makes the level counts the block sizes, so the
-    chains hold exactly m_alg vectors.  Cost: the SVDs of
-    _null_basis_sequence plus one pivoted QR per level, all of block size.
-    Raises DecompositionFailedError when the null dimensions are not a
-    Jordan partition or a chain basis cannot be completed.
+    When a is wholly null at the first level (a real semisimple node), the
+    chains are the unit vectors, which Z1 maps to the node's Schur vectors.
+    Otherwise top vectors are picked per level (descending) from Null(a^k)
+    by _pivoted_picks, avoiding Null(a^{k-1}) and the level-k members of
+    already-chosen chains, which makes the output deterministic.  The dims
+    form a Jordan partition (_staircase), so the level counts are the block
+    sizes and the chains hold dims[-1] vectors.  Cost: one pivoted QR per
+    level, of block size.  Raises DecompositionFailedError when a chain
+    basis cannot be completed.
     """
-    dims, bases = _null_basis_sequence(a, lam, m_alg, scale)
-    if dims[1] in (0, a.shape[0]):
+    if dims[1] == len(a):
         return [[e] for e in bases[0].T]
     chains: list[list[np.ndarray]] = []
     for level in range(len(bases), 0, -1):
@@ -305,129 +289,132 @@ def _jordan_chains(a: np.ndarray, lam: complex, m_alg: int, scale: float) -> lis
     return chains
 
 
-def _cluster_chains(mat: np.ndarray, schur_form, positions: list[int], lam: complex) -> list[list[np.ndarray]]:
-    """Chains of one cluster of two or more Schur positions at lam, as columns of the n x n matrix.
+def _block_mask(first: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    """Mask of the Schur positions of the points at positions `first`: both positions of a pair."""
+    select = np.zeros(len(wi), dtype=bool)
+    select[first] = True
+    select[first[wi[first] > 0.0] + 1] = True
+    return select
 
-    positions index the diagonal of T in the real Schur form
-    schur_form = (T, Z, c), mat = Z T Z^T, c the squared column norms of mat,
-    and lam is their folded mean (its real part for a real cluster).  A real
-    cluster has algebraic multiplicity m_alg = len(positions); a complex one
-    holds both positions of m_alg 2 x 2 blocks, so m_alg = len(positions) / 2.
-    _reorder_schur moves exactly these positions to the front, so
-    M Z1 = Z1 T11 and Z1 maps each chain of T11 - lam I (_jordan_chains) to a
-    chain of M - lam I.  The cutoffs scale with s, the largest column norm of
-    M - lam I, read off c and the diagonal of mat.  No chains (an empty list)
-    means T11 - lam I has no null vector: the positions are not one
-    eigenvalue.  Cost: one dtrsen, O(m_alg n^2), plus work of block size.
-    Raises DecompositionFailedError when dtrsen fails or _jordan_chains does.
+
+def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
+    """(eigenvalue, chains) of one tree node's Schur positions (the mask select), or None when no shift fits.
+
+    schur_form = (T, Z, folded, c): mat = Z T Z^T, folded the diagonal of T
+    as re + i|im|, c the squared column norms of mat.  _reorder_schur moves
+    exactly the node's k positions to the front, so M Z1 = Z1 T11, and Z1
+    maps each chain of T11 - lam I (_jordan_chains) to a chain of M - lam I.
+    Two shifts are tried in turn: the real mean of the positions' values,
+    with multiplicity k; then, when k is even and holds conjugate pairs and
+    k / 2 > 1, the complex mean of their folded values, with multiplicity
+    k / 2 (a pair alone is a simple eigenvalue).  A shift fits when the
+    staircase of T11 - lam I at the cutoff sqrt(eps) s, s the largest column
+    norm of M - lam I (read off c and the diagonal of mat), reaches the
+    multiplicity as a Jordan partition.  The cutoff scales with the full
+    M - lam I, not with the block, which for a semisimple node holds only
+    rounding.  Cost: one dtrsen, O(k n^2), plus work of block size.  Raises
+    DecompositionFailedError when dtrsen fails or _jordan_chains does.
     """
-    t, z, colsq = schur_form
-    size = len(positions)
-    select = np.zeros(len(t), dtype=bool)
-    select[positions] = True
+    t, z, folded, colsq = schur_form
+    k = int(np.count_nonzero(select))
     t, z = _reorder_schur(t, z, select)
+    values = folded[select]
+    shifts = [(float(np.mean(values.real)), k)]
+    if k % 2 == 0 and k > 2 and np.any(values.imag):
+        shifts.append((complex(np.mean(values)), k // 2))
     diag = np.diag(mat)
-    scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
-    shift, m_alg = (lam.real, size) if lam.imag == 0.0 else (lam, size // 2)
-    chains = _jordan_chains(t[:size, :size] - shift * np.eye(size), lam, m_alg, scale)
-    if not chains:
-        return []
-    cols = iter((z[:, :size] @ np.array([v for c in chains for v in c]).T).T)
-    return [[next(cols) for _ in c] for c in chains]
+    for lam, m_alg in shifts:
+        scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
+        a = t[:k, :k] - lam * np.eye(k)
+        stairs = _staircase(a, np.sqrt(EPS) * scale, m_alg)
+        if stairs is not None:
+            chains = _jordan_chains(a, *stairs)
+            cols = iter((z[:, :k] @ np.array([v for c in chains for v in c]).T).T)
+            return complex(lam), [[next(cols) for _ in c] for c in chains]
+    return None
 
 
-def decompose(m: RateMatrix | np.ndarray, tol_cluster: float = DEFAULTS.cluster) -> SpectralData:
+def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
     Every decision is read from one real Schur form M = Z T Z^T (one dgees
-    call).  One grouping pass (_cluster_eigenvalues) over the diagonal of T,
-    folded into the upper half-plane as re + i|im| (read off dgees' wr and
-    wi, so both positions of a 2 x 2 block get the same value), decides
-    which eigenvalues count as one: eigenvalues within the radius
-    tol_cluster ||M||_inf (tol_cluster is a relative factor) are merged
-    before chain construction, so floating-point splits of designed Jordan
-    blocks are re-absorbed (size-2 blocks split by ~sqrt(eps) ||M||, within
-    the default; deeper blocks need a looser tol_cluster).  Each group is a
-    set of Schur positions.  A group whose folded mean lies within that
-    radius of the real axis is real, with multiplicity m_alg its member
-    count; any other group holds m_alg conjugate pairs, half its member count
-    (an odd count raises DecompositionFailedError).  Each group takes one of
-    two routes:
+    call, with a blocked workspace of 34 n).  Its diagonal, folded into the
+    upper half-plane as re + i|im| (read off dgees' wr and wi), gives one
+    point per Schur block, so a conjugate pair is one point.  Which computed
+    eigenvalues count as one is decided on the single-linkage tree of these
+    points (_single_linkage), with no radius: a node's spread is its merge
+    height (a 2 x 2 leaf's is 2|wi|, a real leaf's 0), its separation its
+    parent's height (the root's ||M||_inf).  A node of two or more Schur
+    positions whose separation is at least RATIO max(spread, eps ||M||_inf)
+    is tried (_node_chains: a real shift, then a complex one, each accepted
+    when the staircase's null dimensions form a Jordan partition of its
+    multiplicity), ancestors before descendants and none inside a node
+    already accepted.  An accepted node gives its chains, mapped back
+    through the leading Schur vectors Z1; a leaf inside no accepted node is
+    a simple eigenvalue.  A node is a set of whole
+    points, so a complex node always holds whole pairs.
 
-    - m_alg >= 2, real or complex: chains from the leading block T11 after
-      one dtrsen reordering that moves exactly the group's positions to the
-      front, mapped back through the leading Schur vectors Z1 (see
-      _cluster_chains).  A real group whose block T11 - lam I has null
-      dimension m_alg at the first power is semisimple, and its chains are
-      the m_alg columns of Z1.  A group whose block has no null vector at
-      all is not one eigenvalue: its members are split into simple ones.
-    - m_alg = 1, or a split member: a simple eigenvalue at its folded value.
-      One dtrsen reordering (none when every eigenvalue is simple) moves
-      all simple positions to the front, and each column is Z1 times an
-      eigenvector from one `eig` of that leading block (a real column for a
-      real eigenvalue, the upper eigenvalue's column for a pair).  The
-      block holds no cluster: `eig` balances its input, and on a T with
-      large semisimple clusters, whose blocks are diagonal up to rounding,
-      the balancing scales reach 1e16 and the eigenvectors are wrong.
-      `eig` also reorders the eigenvalues, so each simple eigenvalue takes
-      the column whose eigenvalue is nearest its folded value, never the
-      column at its position; two taking one column raise
-      DecompositionFailedError.
+    The simple eigenvalues take one route: one dtrsen reordering (none when
+    every eigenvalue is simple) moves all their positions to the front, and
+    each column is Z1 times an eigenvector from one `eig` of that leading
+    block (a real column for a real eigenvalue, the upper eigenvalue's column
+    for a pair).  The block holds no accepted node: `eig` balances its
+    input, and on a T with large semisimple clusters, whose blocks are
+    diagonal up to rounding, the balancing scales reach 1e16 and the
+    eigenvectors are wrong.  `eig` also reorders the eigenvalues, so each
+    simple eigenvalue takes the column whose eigenvalue is nearest its
+    folded value, never the column at its position; two taking one column
+    raise DecompositionFailedError.
 
-    The null-space cutoffs scale with the full M - lam I, not with the block
-    (see _null_basis_sequence).  A complex group is processed at its upper
-    eigenvalue and mirrored, so conjugate blocks carry exactly conjugate
-    columns.  Cost: O(n^3) for the Schur form, the `eig` of the simple
-    block, the inverse and the residual check, O(n^2) for the grouping's
-    distance test, plus O(m_alg n^2) per cluster and O(n^2) per simple
-    eigenvalue moved for the dtrsen calls, and work of block size.
+    A complex node is processed at its upper eigenvalue and mirrored, so
+    conjugate blocks carry exactly conjugate columns.  Cost: O(n^3) for the
+    Schur form, the `eig` of the simple block, the inverse and the residual
+    check, O(n^2) for the tree, plus O(k n^2) per tried node of k positions
+    and O(n^2) per simple eigenvalue moved for the dtrsen calls, and work of
+    block size.
 
     Storage: U and Uinv are read-only, float64 when every block eigenvalue
     is real (the chains of a real eigenvalue are real columns) and
     complex128 otherwise.  The basis is inverted and checked by _gated, the
-    gate every SpectralData passes.
+    gate every SpectralData passes; it is the final judge of every decision.
 
-    Raises DecompositionFailedError if a complex group has an odd member
-    count, if the null dimensions of a cluster's powers are not a Jordan
-    partition (see _null_basis_sequence), if two simple eigenvalues take
-    one `eig` column, if a LAPACK call (gees, eig, qr, svd) fails, if the
-    basis is singular, or if the gate rejects the reconstruction or
-    inversion defect.
+    Raises DecompositionFailedError if two simple eigenvalues take one `eig`
+    column, if a LAPACK call (gees, trsen, eig, qr, svd) fails, if the basis
+    is singular, or if the gate rejects the reconstruction or inversion
+    defect.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     mat = np.asarray(source.entries, dtype=float)
-    radius = scaled_tol(tol_cluster, mat)
+    norm = scaled_tol(1.0, mat)
     try:  # eig, qr and svd signal a LAPACK failure by LinAlgError
-        t, _, wr, wi, z, _, info = dgees(lambda wr, wi: None, mat)
+        t, _, wr, wi, z, _, info = dgees(lambda wr, wi: None, mat, lwork=34 * len(mat))
         if info:
             raise DecompositionFailedError(f"decomposition: the real Schur form did not converge (dgees info = {info})")
         folded = wr + 1j * np.abs(wi)
-        groups, reps = _cluster_eigenvalues(folded, radius)
+        upper = wi >= 0.0  # one position per Schur block
+        points = np.flatnonzero(upper)
+        order, start, stop, height, separation = _single_linkage(folded[points])
+        leaf = stop - start == 1
+        spread = np.where(leaf, 2.0 * wi[points[order[start]]], height)  # a pair leaf spans 2|wi|
+        separation[np.isinf(separation)] = norm  # the root's
+        # a node of two or more Schur positions (a merge or a pair) is tried when well separated; an
+        # ancestor first, and none inside a node already accepted
+        tried = ~leaf | (spread > 0.0)
+        tried &= separation >= RATIO * np.maximum(spread, EPS * norm)
+        schur_form = (t, z, folded, np.einsum("ij,ij->j", mat, mat))
         blocks: list[tuple[complex, list[np.ndarray]]] = []
-        simple: list[int] = []  # the Schur positions of simple eigenvalues
-        schur_form = None
-        for group, rep in zip(groups, reps):
-            lam = complex(rep)
-            if lam.imag <= radius:
-                lam = complex(lam.real, 0.0)
-            elif len(group) % 2:
-                raise DecompositionFailedError(
-                    f"complex eigenvalue cluster at {lam:.6g} holds an odd number ({len(group)}) of eigenvalues"
-                )
-            if len(group) == (1 if lam.imag == 0.0 else 2):
-                simple += group
-                continue
-            if schur_form is None:
-                schur_form = (t, z, np.einsum("ij,ij->j", mat, mat))
-            chains = _cluster_chains(mat, schur_form, group, lam)
-            if not chains:  # no null vector: the members are simple eigenvalues
-                simple += group
-            blocks.extend((lam, chain) for chain in chains)
-        if simple:
-            k, upper = len(simple), wi >= 0.0  # upper: one position per Schur block
+        covered = np.zeros(len(points), dtype=bool)
+        for i in sorted(np.flatnonzero(tried).tolist(), key=lambda i: start[i] - stop[i]):
+            if not covered[start[i]]:
+                found = _node_chains(mat, schur_form, _block_mask(points[order[start[i] : stop[i]]], wi))
+                if found is not None:
+                    blocks.extend((found[0], chain) for chain in found[1])
+                    covered[start[i] : stop[i]] = True
+        simple = order[~covered]  # the leaves left over: simple eigenvalues
+        if simple.size:
+            select = _block_mask(points[simple], wi)
+            k = int(np.count_nonzero(select))
             if k < len(t):  # the simple positions become the leading block
-                select = np.zeros(len(t), dtype=bool)
-                select[simple] = True
                 t, z = _reorder_schur(t, z, select)
                 upper &= select
             w, v = np.linalg.eig(t[:k, :k])
@@ -553,28 +540,44 @@ class MatchedBlock(NamedTuple):
     size: int
 
 
-def match_jordan_blocks(hat: JordanStructure, primal: JordanStructure) -> list[MatchedBlock]:
-    """Greedy maximal block matching between two structures.
+def _blocks_by_eigenvalue(structure: JordanStructure) -> tuple[np.ndarray, list[list[int]]]:
+    """The distinct block eigenvalues and, for each, its block indices by descending size (ties in block order)."""
+    groups: dict[complex, list[int]] = {}
+    for k, b in enumerate(structure.blocks):
+        groups.setdefault(b.eigenvalue, []).append(k)
+    sizes = [b.size for b in structure.blocks]
+    return np.array(list(groups), dtype=complex), [sorted(ks, key=lambda k: -sizes[k]) for ks in groups.values()]
 
-    The hat and primal block eigenvalues are grouped together by the one
-    grouping rule, _cluster_eigenvalues, at the radius DEFAULTS.cluster
-    times the largest |eigenvalue| of the two structures.  In each group the
-    hat and the primal block sizes are sorted descending (ties in block
-    order) and paired elementwise; each pair supports a chain overlap of
-    min(sizes) and carries its hat block's eigenvalue.  For equal size
-    lists this reduces to counting shared eigenvalues with multiplicity.
+
+def match_jordan_blocks(hat: JordanStructure, primal: JordanStructure) -> list[MatchedBlock]:
+    """Maximal block matching between two structures.
+
+    The distinct block eigenvalues of the two sides are paired in one
+    vectorized nearest-neighbour pass: a hat and a primal eigenvalue match
+    when they lie within DEFAULTS.residual times the largest |eigenvalue| of
+    the two structures.  An eigenvalue with two candidates on the other side
+    raises DecompositionFailedError; it is not resolved greedily.  At each
+    matched eigenvalue the hat and the primal block sizes are sorted
+    descending (ties in block order) and paired elementwise; each pair
+    supports a chain overlap of min(sizes) and carries its hat block's
+    eigenvalue.  For equal size lists this reduces to counting shared
+    eigenvalues with multiplicity.
     """
-    blocks = hat.blocks + primal.blocks
-    offsets = hat.offsets + primal.offsets
-    eigs = np.array([b.eigenvalue for b in blocks], dtype=complex)
-    groups, _ = _cluster_eigenvalues(eigs, DEFAULTS.cluster * np.max(np.abs(eigs), initial=0.0))
+    (hat_eigs, hat_groups), (eigs, groups) = _blocks_by_eigenvalue(hat), _blocks_by_eigenvalue(primal)
+    radius = DEFAULTS.residual * np.max(np.abs(np.concatenate([hat_eigs, eigs])), initial=0.0)
+    close = np.abs(hat_eigs[:, None] - eigs) <= radius
+    for values, count in ((hat_eigs, close.sum(axis=1)), (eigs, close.sum(axis=0))):
+        if np.any(count > 1):
+            k = int(np.argmax(count))
+            raise DecompositionFailedError(
+                f"block eigenvalue {values[k]:.6g} has {count[k]} candidates within {radius:.3e} on the other side"
+            )
+    hat_offsets, offsets = hat.offsets, primal.offsets
     matches: list[MatchedBlock] = []
-    for group in groups:
-        ranked = sorted(group, key=lambda k: (-blocks[k].size, k))
-        hat_side = [k for k in ranked if k < len(hat.blocks)]
-        for hk, pk in zip(hat_side, [k for k in ranked if k >= len(hat.blocks)]):
-            h, p = blocks[hk], blocks[pk]
-            matches.append(MatchedBlock(h.eigenvalue, offsets[hk], h.size, offsets[pk], p.size, min(h.size, p.size)))
+    for i, j in zip(*np.nonzero(close)):
+        for hk, pk in zip(hat_groups[i], groups[j]):
+            h, p = hat.blocks[hk], primal.blocks[pk]
+            matches.append(MatchedBlock(h.eigenvalue, hat_offsets[hk], h.size, offsets[pk], p.size, min(h.size, p.size)))
     matches.sort(key=lambda u: (-u.eigenvalue.real, -u.eigenvalue.imag, -u.size, u.hat_offset))
     return matches
 
@@ -597,7 +600,9 @@ def check_r_similar(hat: SpectralData, primal: SpectralData, r: int) -> Witness 
 
     The blocks of match_jordan_blocks, truncated to total size r, define a T
     with Jhat T = T J exactly for the assembled Jordan matrices (up to the
-    eigenvalue grouping radius of match_jordan_blocks); see Witness.
+    matching radius of match_jordan_blocks, DEFAULTS.residual times the
+    largest |eigenvalue|); see Witness.  Raises DecompositionFailedError
+    when an eigenvalue has two candidates on the other side.
     """
     if r < 1 or r > min(hat.n, primal.n):
         raise ValueError(f"rank r={r} out of range 1..{min(hat.n, primal.n)}")

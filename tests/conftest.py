@@ -198,6 +198,25 @@ def integer_jordan_sum(rng: np.random.Generator, blocks) -> np.ndarray:
     return p @ j @ p_inv
 
 
+def integer_blocks(rng: np.random.Generator) -> list[tuple[int, int]]:
+    """[(eigenvalue, size), ...] with eigenvalues in {-2, -1, 0}, sizes 1..5, at least 8 states."""
+    blocks, n = [], 0
+    while n < 8:
+        size = int(rng.integers(1, 6))
+        blocks.append((int(rng.choice([-2, -1, 0])), size))
+        n += size
+    return blocks
+
+
+def complex_jordan(rng: np.random.Generator, size: int) -> RateMatrix:
+    """S J S^-1 for J = one real Jordan block of `size` 2 x 2 rotations (eigenvalues -1 +- i), beside -2."""
+    n = 2 * size + 1
+    j = np.kron(np.eye(size), [[-1.0, 1.0], [-1.0, -1.0]]) + np.eye(2 * size, k=2)
+    j = np.block([[j, np.zeros((2 * size, 1))], [np.zeros((1, 2 * size)), -2.0 * np.eye(1)]])
+    s = rng.random((n, n)) + 2.0 * np.eye(n)
+    return RateMatrix.from_entries(s @ j @ np.linalg.inv(s))
+
+
 def max_duality_rank_loop(space, samples: int = 8, seed: int = 0, rank_rtol: float = 1e-8) -> int:
     """Reference for duality.max_duality_rank: one draw, one combination and one SVD per sample."""
     if space.dimension == 0:
@@ -395,46 +414,22 @@ def svd_power_chains(mat: np.ndarray, lam: complex, m_alg: int, spread: float) -
     return chains
 
 
-def svd_power_cluster_chains(mat, schur_form, positions, lam):
-    """Reference for spectral._cluster_chains (same signature).
+def svd_power_cluster_chains(mat: np.ndarray, lam: complex, m_alg: int) -> list[list[np.ndarray]]:
+    """Reference for the chains of one eigenvalue of spectral.decompose: svd_power_chains on the n x n matrix.
 
-    Every cluster of two or more Schur positions, semisimple or not, real or
-    complex, takes svd_power_chains on the n x n matrix: the route decompose
-    took for defective and complex clusters before its chains came from the
-    reordered leading Schur block.  The spread of the positions' folded
-    eigenvalues about lam widens its cutoff, as it did then; the positions
-    hold whole diagonal blocks of T, so their eigenvalues are those of the
-    principal submatrix they index.
+    The route decompose took for defective and complex clusters before its
+    chains came from the reordered leading Schur block.  The spread of the
+    m_alg eigenvalues of mat nearest lam (2 m_alg, folded, for a complex
+    lam) about lam widens its cutoff, as it did then.
     """
-    members = np.linalg.eigvals(schur_form[0][np.ix_(positions, positions)])
-    members = members.real + 1j * np.abs(members.imag)
-    m_alg = len(positions) if lam.imag == 0.0 else len(positions) // 2
-    spread = float(np.max(np.abs(members - lam)))
-    return svd_power_chains(mat, lam, m_alg, spread)
+    members = np.linalg.eigvals(mat)
+    if lam.imag != 0.0:
+        members = members.real + 1j * np.abs(members.imag)
+    near = np.sort(np.abs(members - lam))[: m_alg if lam.imag == 0.0 else 2 * m_alg]
+    return svd_power_chains(mat, lam, m_alg, float(near[-1]))
 
 
-def cluster_running_mean(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Reference for spectral._cluster_eigenvalues: lone values first, then the per-group loop over np.mean.
-
-    A value with no other within tol is a group of its own; the rest join the
-    first group whose np.mean is within tol, in (real, imag) order.
-    """
-    lone = [i for i in range(len(eigs)) if sum(abs(eigs[i] - e) <= tol for e in eigs) == 1]
-    groups: list[list[int]] = [[i] for i in lone]
-    merged: list[list[int]] = []
-    for idx in np.lexsort((eigs.imag, eigs.real)):
-        if idx in lone:
-            continue
-        for g in merged:
-            if abs(eigs[idx] - np.mean(eigs[g])) <= tol:
-                g.append(idx)
-                break
-        else:
-            merged.append([idx])
-    return merged + groups
-
-
-def match_jordan_blocks_anchor(hat, primal, tol: float = DEFAULTS.cluster) -> list[MatchedBlock]:
+def match_jordan_blocks_anchor(hat, primal, tol: float) -> list[MatchedBlock]:
     """Reference for spectral.match_jordan_blocks: the anchor loop it replaced.
 
     Each unused hat block, in block order, anchors a group: every unused hat

@@ -19,13 +19,11 @@ from markovdual.config import DEFAULTS
 
 KEPT = {
     # thresholds: set to a value other than the default by the named caller
-    "decompose(tol_cluster)": "deep Jordan blocks (tests/test_cross_module.py, tests/test_spectral.py)",
     "push_duality(tol)": "push_duality_left; perfbench's size-scaled residual bound",
     "push_duality_left(tol)": "perfbench's size-scaled residual bound",
     # the default bundle itself: config.DEFAULTS = Tolerances()
     "Tolerances(row)": "config.DEFAULTS",
     "Tolerances(residual)": "config.DEFAULTS",
-    "Tolerances(cluster)": "config.DEFAULTS",
     # inputs, not thresholds
     "StateSpace(labels)": "RateMatrix.from_entries, Measure.from_weights",
     "RateMatrix.from_entries(labels)": "serialize.load_matrix, adjoint",
@@ -71,8 +69,8 @@ def test_every_defaulted_parameter_is_listed_with_its_caller():
 
 
 def test_threshold_defaults_come_from_config():
-    thresholds = {"row_tol", "tol", "tol_residual", "tol_cluster"}
-    values = {DEFAULTS.row, DEFAULTS.residual, DEFAULTS.cluster}
+    thresholds = {"row_tol", "tol", "tol_residual"}
+    values = {DEFAULTS.row, DEFAULTS.residual}
     for key, default in _defaulted().items():
         if key.split("(")[1].rstrip(")") in thresholds:
             assert default in values, key

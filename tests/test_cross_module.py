@@ -97,8 +97,8 @@ class TestDefectivePairs:
         space = solve_duality_space(hat, pri)
         assert space.dimension == (2 + 1 + 1 + 1) + 1
         assert max_duality_rank(space) == 4
-        a = decompose(hat, tol_cluster=1e-5)
-        b = decompose(pri, tol_cluster=1e-5)
+        a = decompose(hat)
+        b = decompose(pri)
         matches = match_jordan_blocks(a.structure, b.structure)
         assert sum(u.size for u in matches) == 4
         w = check_r_similar(a, b, r=4)
@@ -113,8 +113,8 @@ class TestDefectivePairs:
         space = solve_duality_space(hat, pri)
         assert space.dimension == (min(3, 2) + min(3, 1)) + 1
         assert max_duality_rank(space) == 3
-        a = decompose(hat, tol_cluster=1e-4)
-        b = decompose(pri, tol_cluster=1e-4)
+        a = decompose(hat)
+        b = decompose(pri)
         w = check_r_similar(a, b, r=3)
         d = build_from_spectra(a, b, w, np.ones(len(w.matched)))
         assert d.residual < 1e-9

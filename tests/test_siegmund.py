@@ -238,7 +238,9 @@ class TestSiegmundSpectral:
         except DecompositionFailedError:
             return False
         assert [b.size for b in sd.structure.blocks] == [b.size for b in direct.structure.blocks]
-        assert np.max(np.abs(sd.eigenvalues - direct.eigenvalues)) <= DEFAULTS.cluster
+        # within the block-matching radius, DEFAULTS.residual max|lambda| (at most 2.4e-8 here)
+        radius = DEFAULTS.residual * np.max(np.abs(direct.eigenvalues))
+        assert np.max(np.abs(sd.eigenvalues - direct.eigenvalues)) <= radius
         return True
 
     def test_battery_passes_the_gate_and_matches_decompose(self):
