@@ -23,9 +23,11 @@ log(t_b / t_a) / log(n_b / n_a) between neighbouring sizes.  With several
 seeds, each seed gives one round and one ladder, and every row names its seed.
 
 Without --before it prints one JSON object for the markovdual on the path.
-With --before it runs itself twice in fresh interpreters, first on the
-checkout given (importing its `src/`), then on this one, each with the
-repository root of this script on the path for `perfbench`, and writes
+With --before it runs itself in fresh interpreters, one per seed and side:
+on the checkout given (importing its `src/`) and on this one, each with the
+repository root of this script on the path for `perfbench`, the side that
+goes first alternating from seed to seed, so drift of the machine over the
+run lands on both sides alike.  It writes
 {machine, command, summary, before, after} to --out: per class the sum of
 the medians on both sides and their ratio, and whether every input's
 structure, exact and witness digests matched.  It exits 1 when any input's
@@ -164,9 +166,14 @@ def main() -> None:
         record = {"machine": machine(), "seeds": args.seed, "calls": rows, "dense_ladder_exponents": ladder_exponents(rows)}
         print(json.dumps(record))
         return
-    argv = ["--seed", *map(str, args.seed), "--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
-    before = run_checkout(__file__, args.before.resolve(), argv)
-    after = run_checkout(__file__, ROOT, argv)
+    argv = ["--repeats", str(args.repeats), "--sizes", *map(str, args.sizes)]
+    before, after = ({"calls": [], "dense_ladder_exponents": []} for _ in range(2))
+    for i, seed in enumerate(args.seed):
+        sides = [(args.before.resolve(), before), (ROOT, after)]
+        for checkout, side in sides if i % 2 == 0 else sides[::-1]:
+            run = run_checkout(__file__, checkout, ["--seed", str(seed), *argv])
+            side["calls"] += run["calls"]
+            side["dense_ladder_exponents"] += run["dense_ladder_exponents"]
     summary = compare(before["calls"], after["calls"], exact=DIGESTS)
     rounds = [sum(r["median_s"] for r in side["calls"] if r["group"] != "dense-ladder") for side in (before, after)]
     record = {
@@ -175,7 +182,9 @@ def main() -> None:
         "generators, randomly relabelled; the round decomposes each twice) and on a dense ladder, "
         "before = --before checkout, after = this checkout; the structure, exact and witness "
         "digests of every input must match between the sides",
-        "command": " ".join(["python3", "scripts/bench_spectral.py", "--before", "<parent checkout>", *argv]),
+        "command": " ".join(
+            ["python3", "scripts/bench_spectral.py", "--before", "<parent checkout>", "--seed", *map(str, args.seed), *argv]
+        ),
         "machine": machine(),
         "seeds": args.seed,
         "summary": {

@@ -2,24 +2,23 @@
 """Check decompose and the duality kernel against exact oracles on integer and complex Jordan inputs.
 
 Usage:
-  python scripts/exact_sweep.py [--seeds 260] [--complex-seeds 30]
+  python scripts/exact_sweep.py
 
-Integer Jordan sums (tests/conftest.py: `integer_blocks`, `integer_jordan_sum`;
-eigenvalues -2, -1 and 0, blocks of sizes 1-5, at least 8 states) for seeds
-0 .. --seeds - 1: `decompose` must give, at each of -2, -1 and 0, exactly the
-block sizes of `exact_jordan_sizes` (null dimensions modulo two primes), every
-block eigenvalue within DEFAULTS.residual ||M||_inf of its integer, and
-`solve_duality_space(M, M)` must have the dimension of
+Integer Jordan sums (tests/conftest.py: `integer_sum`; eigenvalues -2, -1
+and 0, blocks of sizes 1-5, at least 8 states) for seeds 0 .. INTEGER_SEEDS - 1:
+`integer_sum_miss`, the check the test suite runs on seeds 0-59, must pass
+(at each of -2, -1 and 0 exactly the block sizes of `exact_jordan_sizes`,
+every block eigenvalue within DEFAULTS.residual ||M||_inf of its integer),
+and `solve_duality_space(M, M)` must have the dimension of
 `exact_duality_dimension`.  Complex Jordan inputs (`complex_jordan`: one real
 Jordan block of k rotations at -1 +- i beside -2) for k = 2, 3, 4 and seeds
-0 .. --complex-seeds - 1: `decompose` must give one block of size k at each
-of -1 +- i and one of size 1 at -2.  A raised error counts as a miss.  Each
+0 .. COMPLEX_SEEDS - 1: `decompose` must give one block of size k at each of
+-1 +- i and one of size 1 at -2.  A raised error counts as a miss.  Each
 miss is printed as one line; the last lines count the exact inputs per
 sweep.  Exits 1 on any miss.  Slow (a few minutes): it is not part of the
 test suite.  Run it from anywhere: it puts `src/` and `tests/` on the path.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -28,40 +27,27 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from conftest import (  # noqa: E402
-    complex_jordan,
-    exact_duality_dimension,
-    exact_jordan_sizes,
-    integer_blocks,
-    integer_jordan_sum,
-)
+from conftest import complex_jordan, exact_duality_dimension, integer_sum, integer_sum_miss  # noqa: E402
 from markovdual import RateMatrix, decompose, solve_duality_space  # noqa: E402
-from markovdual.config import DEFAULTS  # noqa: E402
 from markovdual.errors import MarkovDualityError  # noqa: E402
+
+INTEGER_SEEDS = 260
+COMPLEX_SEEDS = 30
 
 
 def integer_miss(seed: int) -> str | None:
     """Why decompose or the kernel misses integer Jordan sum `seed`, or None when both are exact."""
-    rng = np.random.default_rng(seed)
-    m = integer_jordan_sum(rng, integer_blocks(rng))
-    exact = {lam: exact_jordan_sizes(m, lam) for lam in (-2, -1, 0)}
+    why = integer_sum_miss(seed)
+    if why is not None:
+        return why
+    m = integer_sum(seed)[0]
     l = RateMatrix.from_entries(m.astype(float))
     try:
-        sd = decompose(l)
         dimension = solve_duality_space(l, l).dimension
     except MarkovDualityError as exc:
         return f"raised {type(exc).__name__}: {exc}"
-    got = {lam: [] for lam in exact}
-    for b in sd.structure.blocks:
-        lam = round(b.eigenvalue.real)
-        if abs(b.eigenvalue - lam) > DEFAULTS.residual * np.abs(m).sum(axis=1).max():
-            return f"eigenvalue {b.eigenvalue} is not within the residual bound of {lam}"
-        got.setdefault(lam, []).append(b.size)
-    if got != exact:
-        return f"decompose sizes {got}, exact {exact}"
-    if dimension != exact_duality_dimension(m, m):
-        return f"kernel dimension {dimension}, exact {exact_duality_dimension(m, m)}"
-    return None
+    exact = exact_duality_dimension(m, m)
+    return None if dimension == exact else f"kernel dimension {dimension}, exact {exact}"
 
 
 def complex_miss(size: int, seed: int) -> str | None:
@@ -75,14 +61,10 @@ def complex_miss(size: int, seed: int) -> str | None:
     return None if got == want else f"blocks {got}, want {want}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=260, help="integer sums for seeds 0 .. SEEDS - 1")
-    parser.add_argument("--complex-seeds", type=int, default=30, help="complex inputs per size")
-    args = parser.parse_args(argv)
+def main() -> int:
     misses = 0
-    sweeps = [("integer sums", [(seed,) for seed in range(args.seeds)], integer_miss)]
-    sweeps += [(f"complex size {k}", [(k, seed) for seed in range(args.complex_seeds)], complex_miss) for k in (2, 3, 4)]
+    sweeps = [("integer sums", [(seed,) for seed in range(INTEGER_SEEDS)], integer_miss)]
+    sweeps += [(f"complex size {k}", [(k, seed) for seed in range(COMPLEX_SEEDS)], complex_miss) for k in (2, 3, 4)]
     for name, cases, miss in sweeps:
         exact = 0
         for case in cases:

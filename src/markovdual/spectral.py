@@ -150,24 +150,32 @@ class SpectralData:
 RATIO = 100.0  # a tree node is tried when its separation is at least RATIO times its spread
 
 
-def _single_linkage(points: np.ndarray):
-    """The single-linkage tree of complex points, as ranges of their Prim order.
+def _tried_nodes(points: np.ndarray, widths: np.ndarray, norm: float):
+    """Prim's order of complex points, and the nodes of their single-linkage tree that the ratio test passes.
 
-    Returns (order, start, stop, height, separation): `order` is the order
-    in which Prim's minimum-spanning-tree pass (from point 0, one p x p
-    distance array, O(p^2); on the real line, from the leftmost point, which
-    is a sort) adds the points, and each node of the tree is
-    the range order[start:stop], p - 1 merges and then the p leaves.  Every
-    single-linkage cluster is a contiguous range of that order, and the tree
-    is the Cartesian tree of the reach r (each point's edge to those added
-    before it; r = inf before the first point and after the last): the merge
-    at position j, of height r_j, spans from the last earlier position with
-    r >= r_j to the first later one with r > r_j.  A node's separation is
-    its parent's height, the smaller reach at its two ends, and inf for the
-    root; a leaf's height is 0.
+    `order` is the order in which Prim's minimum-spanning-tree pass (from
+    point 0, one p x p distance array, O(p^2); on the real line, from the
+    leftmost point, which is a sort) adds the points.  Every single-linkage
+    cluster is a contiguous range of that order, and the tree is the
+    Cartesian tree of the reach r (each point's edge to those added before
+    it; r = inf before the first point and after the last): the merge at
+    position j, of height r_j, spans from the last earlier position with
+    r >= r_j to the first later one with r > r_j.  A node's spread is its
+    merge height, or for a leaf its `width` (positive for a pair, else the
+    leaf is never tried), and its separation is its parent's height, the
+    smaller reach at its two ends, or `norm` for the root.  A merge or a pair
+    leaf is tried when separation >= RATIO max(spread, eps norm).  The
+    ranges are read only for nodes that can pass: no separation exceeds
+    max(norm, the longest edge), so the spread must be at most that over
+    RATIO, and a merge's neighbouring reach that bounds its separation (an
+    earlier one >= its height, a later one > it) must be at least RATIO
+    times its height.  With none left, no node is tried and no range is
+    read.  Returns (order, nodes): nodes are the (start, stop) ranges
+    order[start:stop] of the tried nodes, larger first, so an ancestor
+    comes before its descendants.
     """
     p = len(points)
-    if np.any(points.imag):
+    if points.imag.any():
         dist = np.abs(points[:, None] - points)
         best, done, order, reach = dist[0].copy(), np.zeros(p, dtype=bool), [0], [np.inf]
         for _ in range(p - 1):
@@ -176,15 +184,26 @@ def _single_linkage(points: np.ndarray):
             order.append(int(best.argmin()))
             reach.append(best[order[-1]])
             np.minimum(best, dist[order[-1]], out=best)
+        order = np.array(order)
     else:  # on the real line, Prim's pass from the leftmost point is a sort
-        order = np.argsort(points.real, kind="stable").tolist()
+        order = np.argsort(points.real, kind="stable")
         reach = [np.inf, *np.diff(points.real[order]).tolist()]
-    r, pos = np.array(reach + [np.inf]), np.arange(p + 1)
-    start = np.where((pos < pos[:, None]) & (r >= r[:, None]), pos, 0).max(axis=1)[1:p]
-    stop = np.where((pos > pos[:, None]) & (r > r[:, None]), pos, p).min(axis=1)[1:p]
-    start, stop = np.concatenate([start, pos[:p]]), np.concatenate([stop, pos[1:]])
-    height = np.concatenate([r[1:p], np.zeros(p)])
-    return np.array(order), start, stop, height, np.minimum(r[start], r[stop])
+    r, widths = np.array(reach + [np.inf]), widths[order]
+    limit = r[1:p].max(initial=norm) / RATIO
+    h, before, after = r[1:p], r[: p - 1], r[2:]  # a merge's height and its neighbours' reach
+    at = ((h <= limit) & ((before < h) | (before >= RATIO * h)) & ((after <= h) | (after >= RATIO * h))).nonzero()[0]
+    at += 1  # the merges that can pass, by position
+    pairs = ((widths > 0.0) & (widths <= limit)).nonzero()[0]  # the pair leaves that can pass
+    if not (at.size or pairs.size):
+        return order, []
+    pos = np.arange(p + 1)
+    start = np.where((pos < at[:, None]) & (r >= r[at, None]), pos, 0).max(axis=1)
+    stop = np.where((pos > at[:, None]) & (r > r[at, None]), pos, p).min(axis=1)
+    start, stop = np.concatenate([start, pairs]), np.concatenate([stop, pairs + 1])
+    separation = np.minimum(r[start], r[stop])
+    separation[np.isinf(separation)] = norm  # the root's
+    passed = separation >= RATIO * np.maximum(np.concatenate([r[at], widths[pairs]]), EPS * norm)
+    return order, sorted(zip(start[passed].tolist(), stop[passed].tolist()), key=lambda node: node[0] - node[1])
 
 
 def _staircase(a: np.ndarray, cutoff: float, m_alg: int):
@@ -312,7 +331,13 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
     norm of M - lam I (read off c and the diagonal of mat), reaches the
     multiplicity as a Jordan partition.  The cutoff scales with the full
     M - lam I, not with the block, which for a semisimple node holds only
-    rounding.  Cost: one dtrsen, O(k n^2), plus work of block size.  Raises
+    rounding.  A real shift whose block is wholly null at the first level
+    (a semisimple node, whose chains are its Schur vectors) fits only when
+    the defect those vectors leave, max|Z1 (T11 - lam I)|, is within
+    DEFAULTS.residual ||M||_inf, the gate's bound for unit columns: two
+    distinct eigenvalues closer than the cutoff but split by more than
+    rounding are not one eigenvalue, and their node descends to its leaves.
+    Cost: one dtrsen, O(k n^2), plus work of block size.  Raises
     DecompositionFailedError when dtrsen fails or _jordan_chains does.
     """
     t, z, folded, colsq = schur_form
@@ -327,7 +352,8 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
         scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
         a = t[:k, :k] - lam * np.eye(k)
         stairs = _staircase(a, np.sqrt(EPS) * scale, m_alg)
-        if stairs is not None:
+        # a semisimple node must leave no more defect than the gate allows its Schur vectors
+        if stairs is not None and (stairs[0][1] < k or max_abs(z[:, :k] @ a) <= scaled_tol(DEFAULTS.residual, mat)):
             chains = _jordan_chains(a, *stairs)
             cols = iter((z[:, :k] @ np.array([v for c in chains for v in c]).T).T)
             return complex(lam), [[next(cols) for _ in c] for c in chains]
@@ -342,7 +368,7 @@ def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     upper half-plane as re + i|im| (read off dgees' wr and wi), gives one
     point per Schur block, so a conjugate pair is one point.  Which computed
     eigenvalues count as one is decided on the single-linkage tree of these
-    points (_single_linkage), with no radius: a node's spread is its merge
+    points (_tried_nodes), with no radius: a node's spread is its merge
     height (a 2 x 2 leaf's is 2|wi|, a real leaf's 0), its separation its
     parent's height (the root's ||M||_inf).  A node of two or more Schur
     positions whose separation is at least RATIO max(spread, eps ||M||_inf)
@@ -351,8 +377,10 @@ def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     multiplicity), ancestors before descendants and none inside a node
     already accepted.  An accepted node gives its chains, mapped back
     through the leading Schur vectors Z1; a leaf inside no accepted node is
-    a simple eigenvalue.  A node is a set of whole
-    points, so a complex node always holds whole pairs.
+    a simple eigenvalue.  A node is a set of whole points, so a complex node
+    always holds whole pairs.  When no two points lie within
+    max(||M||_inf, the longest tree edge) / RATIO and no pair is that
+    narrow, no node is tried and the tree's ranges are never read.
 
     The simple eigenvalues take one route: one dtrsen reordering (none when
     every eigenvalue is simple) moves all their positions to the front, and
@@ -393,23 +421,16 @@ def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
         folded = wr + 1j * np.abs(wi)
         upper = wi >= 0.0  # one position per Schur block
         points = np.flatnonzero(upper)
-        order, start, stop, height, separation = _single_linkage(folded[points])
-        leaf = stop - start == 1
-        spread = np.where(leaf, 2.0 * wi[points[order[start]]], height)  # a pair leaf spans 2|wi|
-        separation[np.isinf(separation)] = norm  # the root's
-        # a node of two or more Schur positions (a merge or a pair) is tried when well separated; an
-        # ancestor first, and none inside a node already accepted
-        tried = ~leaf | (spread > 0.0)
-        tried &= separation >= RATIO * np.maximum(spread, EPS * norm)
-        schur_form = (t, z, folded, np.einsum("ij,ij->j", mat, mat))
+        order, tried = _tried_nodes(folded[points], 2.0 * wi[points], norm)  # a pair leaf spans 2|wi|
+        schur_form = (t, z, folded, np.einsum("ij,ij->j", mat, mat)) if tried else None
         blocks: list[tuple[complex, list[np.ndarray]]] = []
         covered = np.zeros(len(points), dtype=bool)
-        for i in sorted(np.flatnonzero(tried).tolist(), key=lambda i: start[i] - stop[i]):
-            if not covered[start[i]]:
-                found = _node_chains(mat, schur_form, _block_mask(points[order[start[i] : stop[i]]], wi))
+        for first, last in tried:  # none inside a node already accepted
+            if not covered[first]:
+                found = _node_chains(mat, schur_form, _block_mask(points[order[first:last]], wi))
                 if found is not None:
                     blocks.extend((found[0], chain) for chain in found[1])
-                    covered[start[i] : stop[i]] = True
+                    covered[first:last] = True
         simple = order[~covered]  # the leaves left over: simple eigenvalues
         if simple.size:
             select = _block_mask(points[simple], wi)

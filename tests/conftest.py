@@ -5,9 +5,15 @@ import hypothesis
 import numpy as np
 import pytest
 
-from markovdual import RateMatrix, SpaceKind, make_duality
+from markovdual import RateMatrix, SpaceKind, decompose, make_duality
 from markovdual.config import DEFAULTS
-from markovdual.errors import DecompositionFailedError, NotChainError, NotEigenpairError, ShapeMismatchError
+from markovdual.errors import (
+    DecompositionFailedError,
+    MarkovDualityError,
+    NotChainError,
+    NotEigenpairError,
+    ShapeMismatchError,
+)
 from markovdual.linalg import EPS, max_abs, numerical_rank, rank_threshold
 from markovdual.models import _power, _rate_table
 from markovdual.spectral import MatchedBlock, _pivoted_picks
@@ -208,6 +214,38 @@ def integer_blocks(rng: np.random.Generator) -> list[tuple[int, int]]:
     return blocks
 
 
+def integer_sum(seed: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The integer Jordan sum of `seed` (integer_jordan_sum over integer_blocks) and its blocks."""
+    rng = np.random.default_rng(seed)
+    blocks = integer_blocks(rng)
+    return integer_jordan_sum(rng, blocks), blocks
+
+
+def integer_sum_miss(seed: int) -> str | None:
+    """Why decompose misses the integer Jordan sum of `seed`, or None when it is exact.
+
+    Exact: at each of -2, -1 and 0 the block sizes of exact_jordan_sizes
+    (which must be the construction's), and every block eigenvalue within
+    DEFAULTS.residual ||M||_inf of its integer.  A MarkovDualityError from
+    decompose is a miss.
+    """
+    m, blocks = integer_sum(seed)
+    exact = {lam: exact_jordan_sizes(m, lam) for lam in (-2, -1, 0)}
+    if exact != {lam: sorted((s for e, s in blocks if e == lam), reverse=True) for lam in exact}:
+        return f"exact sizes {exact} are not those of the construction {blocks}"
+    try:
+        sd = decompose(m.astype(float))
+    except MarkovDualityError as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    got = {lam: [] for lam in exact}
+    for b in sd.structure.blocks:
+        lam = round(b.eigenvalue.real)
+        if abs(b.eigenvalue - lam) > DEFAULTS.residual * np.abs(m).sum(axis=1).max():
+            return f"eigenvalue {b.eigenvalue} is not within the residual bound of {lam}"
+        got.setdefault(lam, []).append(b.size)
+    return None if got == exact else f"decompose sizes {got}, exact {exact}"
+
+
 def complex_jordan(rng: np.random.Generator, size: int) -> RateMatrix:
     """S J S^-1 for J = one real Jordan block of `size` 2 x 2 rotations (eigenvalues -1 +- i), beside -2."""
     n = 2 * size + 1
@@ -357,7 +395,7 @@ def greedy_pick(candidates: np.ndarray, avoid: np.ndarray | None, want: int):
 
 
 def svd_power_null_bases(a: np.ndarray, m_alg: int, spread: float):
-    """Reference for spectral._null_basis_sequence: null dims and bases of the n x n powers of a = M - lam I.
+    """Null dims and bases of the n x n powers of a = M - lam I: the reference for decompose's staircase levels.
 
     One full SVD per power; the k-th cutoff is max(n eps s_k, sqrt(eps) s_k,
     20 k spread max(1, ||a||_2)^(k-1)) with s_k the largest singular value of
@@ -385,7 +423,7 @@ def svd_power_null_bases(a: np.ndarray, m_alg: int, spread: float):
 
 
 def svd_power_chains(mat: np.ndarray, lam: complex, m_alg: int, spread: float) -> list[list[np.ndarray]]:
-    """Reference for spectral._jordan_chains: chains picked from the null spaces of the n x n powers of M - lam I.
+    """Chains picked from the null spaces of the n x n powers of M - lam I: the reference for decompose's chains.
 
     Tops are picked per level (descending) by spectral._pivoted_picks, as in
     the library; raises DecompositionFailedError when the chains do not hold
