@@ -3,10 +3,13 @@
 Subcommands: inspect, siegmund, duality (basis | sep), model (rw54 | rw6 | sep),
 scenario.  Exit codes: 0 success, 1 check failure, 2 usage or parse error
 (an argument outside a function's domain, or a configuration space over the
-cap, included).  All file I/O uses the JSON schemas in markovdual.serialize; the configuration
-space cap honors the DUALITY_MAX_STATES environment variable.  --json prints
-one compact JSON document on one line.  `main` may be called repeatedly in one
-process: the parser is built once and reused.
+cap, included) and a request too large for memory: a MemoryError, such as
+numpy's failed allocation for `model rw54 --n 100000`, prints one `error:`
+line, not a traceback.  All file I/O uses the JSON schemas in
+markovdual.serialize; the configuration space cap honors the
+DUALITY_MAX_STATES environment variable.  --json prints one compact JSON
+document on one line.  `main` may be called repeatedly in one process: the
+parser is built once and reused.
 """
 
 from __future__ import annotations
@@ -371,6 +374,9 @@ def main(argv=None) -> int:
     except MarkovDualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size no guard caught: the request, not a check, failed
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,15 @@ inner product, together with the margins of its rank decisions.  Each 2 x 2
 block of S (a complex-conjugate pair) is one column block.  Its rank cutoff
 is n_hat n eps (||L_hat||_2 + ||L||_2); near-equal diagonal entries of S that
 form a non-scalar block (a rounding-split Jordan eigenvalue) are solved
-together.  It costs about n^4 and never forms the (n_hat n)^2 Kronecker
-matrix I (x) L_hat - L (x) I, whose SVD survives in the tests as an oracle.
+together.  The primal generator L is first split into the connected
+components of the nonzero pattern of |L| + |L|^T (a conserved particle
+number gives one per sector).  L is block diagonal over them, so the split is
+exact: the recursion runs once per component, on that component's columns
+of D, with the same cutoff, and the margins are the worst over all
+components.  It costs about sum_b n_b n_hat (n_hat + d_b)^2 for components
+of n_b states holding d_b solutions, O(n^4) at worst, and never forms the
+(n_hat n)^2 Kronecker matrix I (x) L_hat - L (x) I, whose SVD survives in the
+tests as an oracle.
 The second route is the constructors.  The paper's one formula, the
 order-reversed sum of products of Jordan chains for shared eigenvalues, is
 `chain_duality`: an eigenfunction is a chain of length 1, and a
@@ -26,10 +33,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg.lapack import dgees
 
 from .config import DEFAULTS
-from .core import Measure, RateMatrix, StateSpace
+from .core import Measure, RateMatrix, StateSpace, _components
 from .errors import (
     ComplexResidueError,
     NotChainError,
@@ -95,9 +102,10 @@ class DualitySpace:
     basis is one read-only (dimension, n_hat, n) array, basis[k] the k-th
     element (shape (0, n_hat, n) for the zero space); a sequence of n_hat x n
     matrices is stacked into one.  cutoff is the singular-value threshold the
-    solver used; largest_discarded is the largest singular value it treated
-    as zero (0.0 if none) and smallest_kept the smallest it treated as
-    nonzero (inf if none).  Equality and hashing go by identity.
+    solver used, one for every primal component; largest_discarded is the
+    largest singular value it treated as zero (0.0 if none) and smallest_kept
+    the smallest it treated as nonzero (inf if none), each the worst over all
+    components.  Equality and hashing go by identity.
     """
 
     dual_space: StateSpace
@@ -144,6 +152,20 @@ def make_duality(lhat: RateMatrix, l: RateMatrix, d: np.ndarray) -> DualityFunct
     )
 
 
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form a = Z T Z^T as (T, Z): scipy.linalg.schur(a, output="real") without its wrapper.
+
+    One LAPACK dgees call at the optimal workspace it reports for a, as
+    scipy computes it, so the result is the same; LinAlgError if the QR
+    algorithm does not converge.
+    """
+    lwork = int(dgees(lambda wr, wi: None, a, lwork=-1)[-2][0])
+    t, _, _, _, z, _, info = dgees(lambda wr, wi: None, a, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"real Schur form did not converge (dgees info = {info})")
+    return t, z
+
+
 def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     """Reorder the real Schur form S = Z^T L^T Z into the recursion's column blocks.
 
@@ -182,61 +204,16 @@ def _column_blocks(s: np.ndarray, z: np.ndarray, tau: float):
     return s, z, list(zip(bounds[:-1], bounds[1:]))
 
 
-def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
-    """Real orthonormal basis of {D : L_hat D = D L^T}, from Schur forms of both generators.
+def _sylvester_kernel(t: np.ndarray, q: np.ndarray, s: np.ndarray, z: np.ndarray, cutoff: float, tau: float):
+    """Orthonormal basis of {D : (Q T Q^T) D = D (Z S Z^T)} by the blocked column recursion.
 
-    With real Schur forms L_hat = Q T Q^T and L^T = Z S Z^T, D solves the
-    equation iff Y = Q^T D Z solves T Y = Y S (Bartels-Stewart; Golub-Nash-Van
-    Loan; real quasi-triangular forms as in Jonsson-Kagstrom).  Everything
-    stays in real arithmetic.  S is quasi upper triangular and no column
-    block splits one of its 2 x 2 blocks, so a block J of columns of Y depends
-    only on the columns before it:
-
-        T Y_J - Y_J S_JJ = sum_{i < J} Y_i S_iJ = R c,
-
-    where c holds the coefficients of the current basis of solutions on the
-    earlier columns.  Vectors are column-stacked (vec Y = [y_1; y_2; ...]).
-    The blocks are solved left to right; at each one, the right singular
-    vectors of [I (x) T - S_JJ^T (x) I, -R] whose singular values are at or
-    below the cutoff, together with the d structural null vectors of that wide
-    matrix, span the solutions on the columns so far.  They are orthonormal
-    and so is the old basis, so the new basis is orthonormal without further
-    work.  The basis is carried implicitly (new columns and mixing matrices
-    per block) and assembled once at the end; Q Y Z^T maps it back to a real
-    basis, orthonormal in the Frobenius inner product.
-
-    Rank cutoff: n_hat n eps sigma with sigma = ||L_hat||_2 + ||L||_2.  It
-    is not the Kronecker oracle's n_hat n eps sigma_max(I (x) L_hat - L (x)
-    I): the two Schur forms carry
-    their own backward error, which a lower bound on sigma_max does not
-    cover.
-
-    Blocking: rounding splits a size-k Jordan eigenvalue by about eps^(1/k),
-    which a column-by-column recursion misreads as distinct eigenvalues.  Diagonal
-    entries of S within tau = sigma (cutoff / sigma)^(1/4) of each other are
-    therefore solved as one block when their Schur block is not numerically
-    scalar (see `_column_blocks`).  Both the cutoff and tau scale with sigma,
-    so multiplying both generators by c > 0 changes no decision.
-
-    The decision margins are recorded on the result: the largest singular
-    value treated as zero and the smallest treated as nonzero, over all
-    block SVDs.
-
-    Cost: two Schur forms plus one SVD of an (n_hat b) x (n_hat b + d) matrix
-    per block of b columns, where d is the dimension so far.  With d of order
-    n that is O(n^4), against O((n_hat n)^3) for the Kronecker SVD, and no
-    (n_hat n)^2 matrix is formed.  Carrying the right-hand sides of the open
-    columns through each block's mixing matrix adds about n_hat n^2 d^2 / 12
-    multiply-adds, O(n^5) but below the SVDs' share up to n = 96, where the
-    measured growth is about n^3.5.  Real Schur forms keep that exponent at
-    about half the constant that complex Schur forms cost.
+    t, q and s, z are real Schur forms and their orthogonal factors; cutoff
+    and tau are the rank cutoff and the clustering radius (see
+    `solve_duality_space`, which owns them).  Returns the basis as a
+    (dim, n_hat, n) array, the largest singular value treated as zero (0.0 if
+    none) and the smallest treated as nonzero (inf if none).
     """
-    nh, n = lhat.n, l.n
-    t, q = schur(np.asarray(lhat.entries), output="real")
-    s, z = schur(np.asarray(l.entries).T, output="real")
-    sigma = float(np.linalg.norm(lhat.entries, 2) + np.linalg.norm(l.entries, 2)) or 1.0
-    cutoff = nh * n * EPS * sigma
-    tau = sigma * (cutoff / sigma) ** 0.25
+    nh, n = t.shape[0], s.shape[0]
     s, z, blocks = _column_blocks(s, z, tau)
 
     # f[m, :, k]: sum over solved columns i of Y_k[:, i] S[i, m], for the columns m still open
@@ -274,6 +251,98 @@ def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
         yz = (z @ yv).reshape(n, nh, dim).transpose(1, 0, 2)  # (Y_k Z^T)[i, j]
         dv = (q @ yz.reshape(nh, n * dim)).reshape(nh * n, dim)
         basis = dv.T.reshape(dim, nh, n)
+    return basis, largest_discarded, smallest_kept
+
+
+def solve_duality_space(lhat: RateMatrix, l: RateMatrix) -> DualitySpace:
+    """Real orthonormal basis of {D : L_hat D = D L^T}, from Schur forms of both generators.
+
+    With real Schur forms L_hat = Q T Q^T and L^T = Z S Z^T, D solves the
+    equation iff Y = Q^T D Z solves T Y = Y S (Bartels-Stewart; Golub-Nash-Van
+    Loan; real quasi-triangular forms as in Jonsson-Kagstrom).  Everything
+    stays in real arithmetic.  S is quasi upper triangular and no column
+    block splits one of its 2 x 2 blocks, so a block J of columns of Y depends
+    only on the columns before it:
+
+        T Y_J - Y_J S_JJ = sum_{i < J} Y_i S_iJ = R c,
+
+    where c holds the coefficients of the current basis of solutions on the
+    earlier columns.  Vectors are column-stacked (vec Y = [y_1; y_2; ...]).
+    The blocks are solved left to right; at each one, the right singular
+    vectors of [I (x) T - S_JJ^T (x) I, -R] whose singular values are at or
+    below the cutoff, together with the d structural null vectors of that wide
+    matrix, span the solutions on the columns so far.  They are orthonormal
+    and so is the old basis, so the new basis is orthonormal without further
+    work.  The basis is carried implicitly (new columns and mixing matrices
+    per block) and assembled once at the end; Q Y Z^T maps it back to a real
+    basis, orthonormal in the Frobenius inner product.
+
+    Primal components: the states of L fall into the connected components of
+    the off-diagonal nonzero pattern of |L| + |L|^T, read with exact zeros
+    (an exclusion process splits into its particle-number sectors).  L is
+    block diagonal over them, so column block D_b of D (the columns of
+    component b) solves L_hat D_b = D_b L_b^T on its own: the split is exact.
+    The recursion runs once per component, on the one Schur form of L_hat and
+    a Schur form of each L_b^T, and each component's orthonormal basis fills
+    that component's columns of its own elements; bases on disjoint column
+    sets are orthonormal together.  A single component runs the unsplit
+    recursion on L^T itself.  L_hat is never split.
+
+    Rank cutoff: n_hat n eps sigma with sigma = ||L_hat||_2 + ||L||_2, taken
+    from the full generators and the same for every component.  It is not
+    the Kronecker oracle's n_hat n eps sigma_max(I (x) L_hat - L (x) I): the
+    two Schur forms carry their own backward error, which a lower bound on
+    sigma_max does not cover.
+
+    Blocking: rounding splits a size-k Jordan eigenvalue by about eps^(1/k),
+    which a column-by-column recursion misreads as distinct eigenvalues.  Diagonal
+    entries of S within tau = sigma (cutoff / sigma)^(1/4) of each other are
+    therefore solved as one block when their Schur block is not numerically
+    scalar (see `_column_blocks`).  Both the cutoff and tau scale with sigma,
+    so multiplying both generators by c > 0 changes no decision.
+
+    The decision margins are recorded on the result: the largest singular
+    value treated as zero and the smallest treated as nonzero, over all
+    block SVDs of all components.
+
+    Cost: one Schur form of L_hat, one of each L_b^T, and one SVD of an
+    (n_hat w) x (n_hat w + d_b) matrix per block of w columns, where d_b is
+    the dimension found so far in the component: about sum_b n_b n_hat
+    (n_hat + d_b)^2, against n n_hat (n_hat + d)^2 unsplit: d restarts at 0
+    in each component.  When d grows like n_hat both are n n_hat^3 to leading
+    order, so the split divides the constant, by up to (1 + d / n_hat)^2,
+    and keeps the exponent; an irreducible L costs what it did.  With d of
+    order n that is O(n^4), against O((n_hat n)^3) for the Kronecker SVD, and
+    no (n_hat n)^2 matrix is formed.  Carrying the
+    right-hand sides of the open columns through each block's mixing matrix
+    adds about n_hat n^2 d^2 / 12 multiply-adds, O(n^5) but below the SVDs'
+    share up to n = 96, where the measured growth is about n^3.5.  Real Schur
+    forms keep that exponent at about half the constant that complex Schur
+    forms cost.
+    """
+    nh, n = lhat.n, l.n
+    t, q = _real_schur(np.asarray(lhat.entries))
+    sigma = float(np.linalg.norm(lhat.entries, 2) + np.linalg.norm(l.entries, 2)) or 1.0
+    cutoff = nh * n * EPS * sigma
+    tau = sigma * (cutoff / sigma) ** 0.25
+    lt = np.asarray(l.entries).T
+    labels = _components(l.entries)
+    roots = np.flatnonzero(labels == np.arange(n))
+    if roots.size == 1:  # one component: the unsplit recursion on L^T, with no copy of it or of the basis
+        basis, largest_discarded, smallest_kept = _sylvester_kernel(t, q, *_real_schur(lt), cutoff, tau)
+        return DualitySpace(lhat.space, l.space, basis, cutoff, largest_discarded, smallest_kept)
+
+    parts = []
+    for root in roots:
+        cols = np.flatnonzero(labels == root)
+        parts.append((cols, *_sylvester_kernel(t, q, *_real_schur(lt[cols[:, None], cols]), cutoff, tau)))
+    basis = np.zeros((sum(len(p[1]) for p in parts), nh, n))
+    k = 0
+    for cols, part, _, _ in parts:
+        basis[k : k + len(part), :, cols] = part
+        k += len(part)
+    largest_discarded = max(p[2] for p in parts)
+    smallest_kept = min(p[3] for p in parts)
     return DualitySpace(lhat.space, l.space, basis, cutoff, largest_discarded, smallest_kept)
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from markovdual import cli
 from markovdual.cli import build_parser, main
 from markovdual.models import (
     SingleSiteDualityParams,
@@ -339,6 +340,18 @@ def test_bad_input_exits_2_with_error_line(argv, bad_input_files, capsys):
         warnings.simplefilter("error")
         assert main([a.format(dir=bad_input_files) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 74.5 GiB for an array")])
+def test_memory_error_exits_2_with_error_line(monkeypatch, capsys, exc):
+    # a builder that cannot allocate, as `model rw54 --n 100000` cannot; nothing is allocated here
+    def failing(n):
+        raise exc
+
+    monkeypatch.setattr(cli, "rw_reflected_absorbed", failing)
+    assert main(["model", "rw54", "--n", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

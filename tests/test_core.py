@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from scipy.linalg.lapack import dgesv
 from hypothesis import given
 from hypothesis import strategies as st
@@ -179,6 +181,36 @@ class TestStationary:
         mu = stationary_measure(l)
         assert np.min(mu.weights) > 0
         assert np.max(np.abs(mu.weights @ np.asarray(l.entries))) < 1e-9
+
+
+class TestComponents:
+    """core._components against scipy.sparse.csgraph on the pattern of |m| + |m|^T."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), density=st.floats(0.0, 0.3))
+    def test_against_csgraph(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        m = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+        labels = core._components(m)
+        count, reference = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(m), directed=False)
+        assert np.array_equal(labels[:, None] == labels, reference[:, None] == reference)
+        assert len(np.unique(labels)) == count
+        assert all(labels[i] == np.flatnonzero(labels == labels[i])[0] for i in range(n))  # the smallest state
+
+    def test_exact_zeros_only(self):
+        m = np.array([[0.0, 1e-300, 0.0], [0.0, -1e-300, 0.0], [0.0, 0.0, 5.0]])
+        assert core._components(m).tolist() == [0, 0, 2]
+
+    def test_one_direction_joins(self):
+        assert core._components(absorbed_rw(6)).tolist() == [0] * 6  # state 0 has no outgoing rate
+
+    def test_shuffled_chains(self, rng):
+        # two long chains whose states are visited in random order: a label crosses many states per pass
+        order = rng.permutation(300)
+        m = np.zeros((300, 300))
+        for chain in (order[:150], order[150:]):
+            m[chain[:-1], chain[1:]] = 1.0
+        expected = np.where(np.isin(np.arange(300), order[:150]), order[:150].min(), order[150:].min())
+        assert np.array_equal(core._components(m), expected)
 
 
 class TestDetailedBalance:

@@ -36,6 +36,7 @@ from markovdual import (
 )
 from markovdual.config import DEFAULTS
 from markovdual.core import StateSpace
+from markovdual import duality as duality_module
 from markovdual.duality import _validate_chains
 from markovdual.errors import (
     ComplexResidueError,
@@ -263,6 +264,104 @@ class TestSchurKernelAgainstOracle:
         assert 0 < np.max(np.abs(np.diag(s, -1))) <= 10 * drift
         assert self.check(l, l).dimension == n
         assert self.check(l, generator(BIRTH_DEATH)).dimension == 1
+
+    # pairs whose primal generator splits into components of |L| + |L|^T
+
+    @pytest.mark.parametrize("vertices, gamma", [(2, 2), (3, 1), (2, 3)])
+    def test_permuted_sep_self_pairs(self, rng, vertices, gamma):
+        # the particle-number sectors interleave in the state order
+        l = sep_generator(ConfigurationSpace.sep(vertices, gamma), 1.0)
+        self.check(permuted(rng, l), permuted(rng, l))
+
+    @pytest.mark.parametrize("copies", [(1, 3), (2, 2), (3, 2)])
+    def test_permuted_cyclic_sums(self, rng, copies):
+        # each component holds a 2 x 2 Schur block
+        c = cyclic_generator()
+        space = self.check(direct_sum(rng, c, copies[0]), direct_sum(rng, c, copies[1]))
+        assert space.dimension == 3 * copies[0] * copies[1]
+
+    def test_isolated_state(self, rng):
+        m = np.zeros((5, 5))
+        m[:4, :4] = random_birth_death(rng, 4).entries
+        l = permuted(rng, RateMatrix.from_entries(m))
+        self.check(random_generator(rng, 4), l)
+        self.check(l, l)
+
+    @pytest.mark.parametrize("nh, n", [(1, 1), (2, 3), (4, 3)])
+    def test_zero_pair(self, nh, n):
+        space = self.check(RateMatrix.from_entries(np.zeros((nh, nh))), RateMatrix.from_entries(np.zeros((n, n))))
+        assert space.dimension == nh * n
+
+    def test_reducible_hat_irreducible_primal(self, rng):
+        sep = sep_generator(ConfigurationSpace.sep(2, 2), 1.0)
+        self.check(permuted(rng, sep), random_birth_death(rng, 6))
+
+
+class TestPrimalComponents:
+    """The kernel solves one primal component at a time: one Schur form each."""
+
+    @staticmethod
+    def cutoff_and_tau(lhat: RateMatrix, l: RateMatrix) -> tuple[float, float]:
+        sigma = float(np.linalg.norm(lhat.entries, 2) + np.linalg.norm(l.entries, 2))
+        cutoff = lhat.n * l.n * EPS * sigma
+        return cutoff, sigma * (cutoff / sigma) ** 0.25
+
+    @staticmethod
+    def schur_shapes(monkeypatch, lhat, l) -> list:
+        shapes, real_schur = [], duality_module._real_schur
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return real_schur(a)
+
+        monkeypatch.setattr(duality_module, "_real_schur", recording)
+        solve_duality_space(lhat, l)
+        return shapes
+
+    def test_one_schur_form_per_component(self, monkeypatch, rng):
+        l = permuted(rng, sep_generator(ConfigurationSpace.sep(2, 2), 1.0))  # sectors of 1, 2, 3, 2, 1 states
+        lhat = random_generator(rng, 5)
+        shapes = self.schur_shapes(monkeypatch, lhat, l)
+        assert shapes[0] == (5, 5)
+        assert sorted(shapes[1:]) == [(1, 1), (1, 1), (2, 2), (2, 2), (3, 3)]
+
+    def test_two_schur_forms_when_irreducible(self, monkeypatch, rng):
+        lhat = permuted(rng, sep_generator(ConfigurationSpace.sep(2, 2), 1.0))  # a reducible L_hat is not split
+        assert self.schur_shapes(monkeypatch, lhat, random_birth_death(rng, 6)) == [(9, 9), (6, 6)]
+
+    def test_single_component_output_unchanged(self, rng):
+        # one component takes the unsplit path: the recursion on L^T itself
+        lhat, l = random_generator(rng, 6), random_birth_death(rng, 7)
+        t, q = duality_module._real_schur(np.asarray(lhat.entries))
+        s, z = duality_module._real_schur(np.asarray(l.entries).T)
+        space = solve_duality_space(lhat, l)
+        basis, largest, smallest = duality_module._sylvester_kernel(t, q, s, z, *self.cutoff_and_tau(lhat, l))
+        assert np.array_equal(space.basis, basis)
+        assert (space.largest_discarded, space.smallest_kept) == (largest, smallest)
+
+    def test_real_schur_matches_scipy(self, rng):
+        for n in (1, 2, 9, 40, 150):  # 150: past the sizes where LAPACK blocks by workspace
+            a = random_generator(rng, n).entries
+            t, z = duality_module._real_schur(np.asarray(a).T)
+            t_ref, z_ref = schur(np.asarray(a).T, output="real")
+            assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+
+    def test_margins_are_worst_over_components(self, rng):
+        lhat = random_generator(rng, 4)
+        blocks = [random_birth_death(rng, 3), random_generator(rng, 4)]
+        m = np.zeros((7, 7))
+        m[:3, :3], m[3:, 3:] = blocks[0].entries, blocks[1].entries
+        l = RateMatrix.from_entries(m)
+        space = solve_duality_space(lhat, l)
+        t, q = duality_module._real_schur(np.asarray(lhat.entries))
+        limits = self.cutoff_and_tau(lhat, l)
+        parts = [
+            duality_module._sylvester_kernel(t, q, *duality_module._real_schur(np.asarray(b.entries).T), *limits)
+            for b in blocks
+        ]
+        assert space.dimension == sum(len(p[0]) for p in parts) == 2
+        assert space.largest_discarded == max(p[1] for p in parts)
+        assert space.smallest_kept == min(p[2] for p in parts)
 
 
 class TestRealArithmetic:
