@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dposv
 
 from .config import DEFAULTS
 from .errors import NoPositiveSolutionError, NotIrreducibleError, ShapeMismatchError
@@ -194,22 +194,78 @@ def _components(m) -> np.ndarray:
     per state, the smallest state of its component.  Label propagation in
     numpy: each pass gives every state, and the state its label names, the
     smallest label among the state and its neighbours, then jumps each label
-    to its own label, until no label changes.  Lowering the named state moves
-    a whole tree of labels at once, so a chain of states settles in about
-    log2 n passes in any order, where lowering states alone takes up to n.
-    Every pass is one n x n reduction.
+    to its own label, until no state has a neighbour with a smaller label.
+    Then each component carries one label, its smallest state: labels only
+    fall and always name a state of the same component, so the smallest
+    state keeps its own.  Lowering the named state moves a whole tree of
+    labels at once, so a chain of states settles in about log2 n passes in
+    any order, where lowering states alone takes up to n.  Every pass is one
+    n x n reduction.
     """
     a = np.asarray(m) != 0
     a = a | a.T
     labels = np.arange(a.shape[0])
     while True:
         smallest = np.where(a, labels, labels.size).min(axis=1, initial=labels.size)
+        if (smallest >= labels).all():
+            return labels
         new = np.minimum(labels, smallest)
         np.minimum.at(new, labels, smallest)
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+        labels = new[new]
+
+
+def _balance_weights(m, norm: float) -> np.ndarray | None:
+    """Detailed-balance weights w > 0 of m, largest 1 on each component (_components), or None.
+
+    m passes when every off-diagonal entry is >= 0, its off-diagonal nonzero
+    pattern is symmetric (exact zeros), and the flux defect
+    max|w(x) m(x,y) - w(y) m(y,x)| (_flux_defect) is within
+    DEFAULTS.residual norm max w, norm being ||m||_inf and max w = 1; a NaN
+    fails.  The cheap tests come first: one pass reads the smallest
+    off-diagonal entry, which rejects a negative rate and, when positive,
+    marks a complete pattern.  A complete pattern takes star weights from
+    state 0, w(y) = m(0,y) / m(y,0), and one flux pass decides, with no
+    solve; the pass's entry (1, 2) is read first, alone, and rejects most
+    matrices that are not reversible.  Otherwise a one-sided rate (an
+    asymmetric pattern) rejects, and the log-weights are the least-squares
+    potentials of the edge differences log m(x,y) - log m(y,x) over the
+    undirected edges: one Cholesky solve (LAPACK dposv) with the graph
+    Laplacian of the pattern grounded at the smallest state of each
+    component, which is positive definite and pins that state's potential
+    to 0.  On a reversible m the differences are a gradient (Kolmogorov's
+    criterion), so the potentials are exact up to rounding, which least
+    squares spreads over the edges rather than accumulating it along paths.
+    Each component is then scaled to a largest weight of 1.
+    """
+    m = np.asarray(m)
+    n = len(m)
+    smallest = off_diagonal(m).min(initial=np.inf)
+    if smallest < 0.0:
+        return None
+    if smallest > 0.0:  # a complete pattern
+        w = np.concatenate([[1.0], m[0, 1:] / m[1:, 0]])
+        w /= w.max()
+        if n > 2 and abs(w[1] * m[1, 2] - w[2] * m[2, 1]) > DEFAULTS.residual * norm:
+            return None  # the flux defect at (1, 2) alone is above the bound
+    else:
+        edges = m != 0.0
+        if (edges != edges.T).any():
+            return None
+        edges.flat[:: n + 1] = False
+        labels = _components(edges)
+        logs = np.log(np.where(edges, m, 1.0))  # 0 off the pattern
+        system = -edges.astype(float)
+        system.flat[:: n + 1] = edges.sum(axis=1) + (labels == np.arange(n))
+        # row x of the right-hand side: the sum over x's edges of log m(y,x) - log m(x,y)
+        _, phi, info = dposv(system, (logs.T - logs).sum(axis=1), overwrite_a=1)
+        if info:
+            return None
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, labels, phi)
+        w = np.exp(phi - top[labels])
+    if not (w.min() > 0.0 and _flux_defect(m, w) <= DEFAULTS.residual * norm):  # max w = 1
+        return None
+    return w
 
 
 def stationary_measure(l: RateMatrix) -> Measure:
@@ -247,16 +303,30 @@ def stationary_measure(l: RateMatrix) -> Measure:
 def check_detailed_balance(l: RateMatrix, mu: Measure) -> bool:
     """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within DEFAULTS.residual ||L||_inf max mu.
 
-    The flux mu(x) L(x,y) is the one n x n buffer; its difference from its
-    transpose is taken by blocks of rows of at most 2^17 entries.
+    The defect is _flux_defect's, with one n x n buffer.
     """
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.asarray(mu.weights)
-    flux = w[:, None] * np.asarray(l.entries)
-    step = max(1, 2**17 // l.n)
-    worst = [max_abs(flux[a : a + step] - flux[:, a : a + step].T) for a in range(0, l.n, step)]
-    return bool(np.max(worst) <= scaled_tol(DEFAULTS.residual, l.entries, w.max()))
+    return bool(_flux_defect(l.entries, w) <= scaled_tol(DEFAULTS.residual, l.entries, w.max()))
+
+
+def _flux_defect(m, w: np.ndarray) -> float:
+    """max|F - F^T| of the flux F = diag(w) m, the detailed-balance defect of m under weights w.
+
+    NaN when an entry of F - F^T is NaN, so a comparison `defect <= bound`
+    fails.  F is the one n x n buffer; its difference from its transpose is
+    taken by blocks of rows of at most 2^17 entries.  F - F^T is
+    antisymmetric, so its largest entry is its largest absolute entry, and
+    each block needs one max.
+    """
+    n = len(w)
+    flux = w[:, None] * np.asarray(m)
+    step = max(1, 2**17 // n)
+    worst = (flux[:step] - flux[:, :step].T).max()
+    for a in range(step, n, step):
+        worst = np.maximum(worst, (flux[a : a + step] - flux[:, a : a + step].T).max())  # keeps a NaN
+    return float(worst)
 
 
 def adjoint(l: RateMatrix, mu: Measure) -> RateMatrix:

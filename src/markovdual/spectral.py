@@ -8,8 +8,11 @@ spectral_from_eigenbasis or siegmund.siegmund_spectral, passes one residual
 gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
-(ones on the superdiagonal inside each block).  decompose reads every
-decision from one real Schur form M = Z T Z^T, with no eigenvalue radius.
+(ones on the superdiagonal inside each block).  A matrix in detailed balance
+(core._balance_weights) takes decompose's symmetric route: one `eigh` of
+W^{1/2} M W^{-1/2}, its eigenvalues grouped on the same tree as below.  Any
+other takes the Schur route, which reads every decision from one real Schur
+form M = Z T Z^T, with no eigenvalue radius.
 Which computed eigenvalues count as one is decided on the single-linkage
 tree of the diagonal of T folded into the upper half-plane (re + i|im|), so
 a conjugate pair is one point and each node is a set of Schur positions: a
@@ -37,7 +40,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgees, dtrsen
 
 from .config import DEFAULTS
-from .core import Measure, RateMatrix
+from .core import Measure, RateMatrix, _balance_weights
 from .errors import DecompositionFailedError, NotOrthonormalError, ShapeMismatchError
 from .linalg import EPS, max_abs, scaled_tol
 
@@ -175,7 +178,7 @@ def _tried_nodes(points: np.ndarray, widths: np.ndarray, norm: float):
     comes before its descendants.
     """
     p = len(points)
-    if points.imag.any():
+    if np.iscomplexobj(points) and points.imag.any():
         dist = np.abs(points[:, None] - points)
         best, done, order, reach = dist[0].copy(), np.zeros(p, dtype=bool), [0], [np.inf]
         for _ in range(p - 1):
@@ -190,10 +193,12 @@ def _tried_nodes(points: np.ndarray, widths: np.ndarray, norm: float):
         reach = [np.inf, *np.diff(points.real[order]).tolist()]
     r, widths = np.array(reach + [np.inf]), widths[order]
     limit = r[1:p].max(initial=norm) / RATIO
-    h, before, after = r[1:p], r[: p - 1], r[2:]  # a merge's height and its neighbours' reach
-    at = ((h <= limit) & ((before < h) | (before >= RATIO * h)) & ((after <= h) | (after >= RATIO * h))).nonzero()[0]
-    at += 1  # the merges that can pass, by position
+    at = (r[1:p] <= limit).nonzero()[0] + 1  # the merges low enough to pass, by position
     pairs = ((widths > 0.0) & (widths <= limit)).nonzero()[0]  # the pair leaves that can pass
+    if not (at.size or pairs.size):
+        return order, []
+    h, before, after = r[at], r[at - 1], r[at + 1]  # a merge's height and its neighbours' reach
+    at = at[((before < h) | (before >= RATIO * h)) & ((after <= h) | (after >= RATIO * h))]  # and can pass
     if not (at.size or pairs.size):
         return order, []
     pos = np.arange(p + 1)
@@ -316,7 +321,7 @@ def _block_mask(first: np.ndarray, wi: np.ndarray) -> np.ndarray:
     return select
 
 
-def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
+def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray, norm: float):
     """(eigenvalue, chains) of one tree node's Schur positions (the mask select), or None when no shift fits.
 
     schur_form = (T, Z, folded, c): mat = Z T Z^T, folded the diagonal of T
@@ -334,9 +339,10 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
     rounding.  A real shift whose block is wholly null at the first level
     (a semisimple node, whose chains are its Schur vectors) fits only when
     the defect those vectors leave, max|Z1 (T11 - lam I)|, is within
-    DEFAULTS.residual ||M||_inf, the gate's bound for unit columns: two
-    distinct eigenvalues closer than the cutoff but split by more than
-    rounding are not one eigenvalue, and their node descends to its leaves.
+    DEFAULTS.residual norm (norm = ||M||_inf), the gate's bound for unit
+    columns: two distinct eigenvalues closer than the cutoff but split by
+    more than rounding are not one eigenvalue, and their node descends to
+    its leaves.
     Cost: one dtrsen, O(k n^2), plus work of block size.  Raises
     DecompositionFailedError when dtrsen fails or _jordan_chains does.
     """
@@ -353,7 +359,7 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
         a = t[:k, :k] - lam * np.eye(k)
         stairs = _staircase(a, np.sqrt(EPS) * scale, m_alg)
         # a semisimple node must leave no more defect than the gate allows its Schur vectors
-        if stairs is not None and (stairs[0][1] < k or max_abs(z[:, :k] @ a) <= scaled_tol(DEFAULTS.residual, mat)):
+        if stairs is not None and (stairs[0][1] < k or max_abs(z[:, :k] @ a) <= DEFAULTS.residual * norm):
             chains = _jordan_chains(a, *stairs)
             cols = iter((z[:, :k] @ np.array([v for c in chains for v in c]).T).T)
             return complex(lam), [[next(cols) for _ in c] for c in chains]
@@ -363,24 +369,36 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray):
 def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
-    Every decision is read from one real Schur form M = Z T Z^T (one dgees
-    call, with a blocked workspace of 34 n).  Its diagonal, folded into the
-    upper half-plane as re + i|im| (read off dgees' wr and wi), gives one
-    point per Schur block, so a conjugate pair is one point.  Which computed
-    eigenvalues count as one is decided on the single-linkage tree of these
-    points (_tried_nodes), with no radius: a node's spread is its merge
-    height (a 2 x 2 leaf's is 2|wi|, a real leaf's 0), its separation its
-    parent's height (the root's ||M||_inf).  A node of two or more Schur
-    positions whose separation is at least RATIO max(spread, eps ||M||_inf)
-    is tried (_node_chains: a real shift, then a complex one, each accepted
-    when the staircase's null dimensions form a Jordan partition of its
-    multiplicity), ancestors before descendants and none inside a node
-    already accepted.  An accepted node gives its chains, mapped back
-    through the leading Schur vectors Z1; a leaf inside no accepted node is
-    a simple eigenvalue.  A node is a set of whole points, so a complex node
-    always holds whole pairs.  When no two points lie within
-    max(||M||_inf, the longest tree edge) / RATIO and no pair is that
-    narrow, no node is tried and the tree's ranges are never read.
+    Two routes, picked by one detailed-balance test (core._balance_weights:
+    off-diagonal entries >= 0, a symmetric nonzero pattern, and weights w
+    whose flux defect max|w(x) M(x,y) - w(y) M(y,x)| is within
+    DEFAULTS.residual ||M||_inf max w).  A matrix that passes, such as SEP
+    or any birth-death chain, takes the symmetric route (_symmetric_route):
+    one `eigh` of the symmetrization S = W^{1/2} M W^{-1/2}, so
+    U = W^{-1/2} V and Uinv = V^T W^{1/2} with no inverse, and every block
+    has size 1.  Any other matrix takes the Schur route (_schur_route), the
+    reference.  ||M||_inf is read once and serves the test, the route and
+    the gate.
+
+    The Schur route reads every decision from one real Schur form
+    M = Z T Z^T (one dgees call, with a blocked workspace of 34 n).  Its
+    diagonal, folded into the upper half-plane as re + i|im| (read off
+    dgees' wr and wi), gives one point per Schur block, so a conjugate pair
+    is one point.  Which computed eigenvalues count as one is decided on the
+    single-linkage tree of these points (_tried_nodes), with no radius: a
+    node's spread is its merge height (a 2 x 2 leaf's is 2|wi|, a real
+    leaf's 0), its separation its parent's height (the root's ||M||_inf).  A
+    node of two or more Schur positions whose separation is at least
+    RATIO max(spread, eps ||M||_inf) is tried (_node_chains: a real shift,
+    then a complex one, each accepted when the staircase's null dimensions
+    form a Jordan partition of its multiplicity), ancestors before
+    descendants and none inside a node already accepted.  An accepted node
+    gives its chains, mapped back through the leading Schur vectors Z1; a
+    leaf inside no accepted node is a simple eigenvalue.  A node is a set of
+    whole points, so a complex node always holds whole pairs.  When no two
+    points lie within max(||M||_inf, the longest tree edge) / RATIO and no
+    pair is that narrow, no node is tried and the tree's ranges are never
+    read.
 
     The simple eigenvalues take one route: one dtrsen reordering (none when
     every eigenvalue is simple) moves all their positions to the front, and
@@ -396,63 +414,121 @@ def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
 
     A complex node is processed at its upper eigenvalue and mirrored, so
     conjugate blocks carry exactly conjugate columns.  Cost: O(n^3) for the
-    Schur form, the `eig` of the simple block, the inverse and the residual
-    check, O(n^2) for the tree, plus O(k n^2) per tried node of k positions
-    and O(n^2) per simple eigenvalue moved for the dtrsen calls, and work of
-    block size.
+    Schur form (or the `eigh`), the `eig` of the simple block, the inverse
+    and the residual check, O(n^2) for the tree, plus O(k n^2) per tried
+    node of k positions and O(n^2) per simple eigenvalue moved for the
+    dtrsen calls, and work of block size.  The symmetric route makes no
+    dtrsen, staircase or `eig` call and no inverse.
 
     Storage: U and Uinv are read-only, float64 when every block eigenvalue
     is real (the chains of a real eigenvalue are real columns) and
-    complex128 otherwise.  The basis is inverted and checked by _gated, the
-    gate every SpectralData passes; it is the final judge of every decision.
+    complex128 otherwise.  Both routes end in _gated, the gate every
+    SpectralData passes; it is the final judge of every decision.
 
     Raises DecompositionFailedError if two simple eigenvalues take one `eig`
-    column, if a LAPACK call (gees, trsen, eig, qr, svd) fails, if the basis
-    is singular, or if the gate rejects the reconstruction or inversion
-    defect.
+    column, if a LAPACK call (gees, trsen, eig, eigh, qr, svd) fails, if the
+    basis is singular, or if the gate rejects the reconstruction or
+    inversion defect.
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
-    mat = np.asarray(source.entries, dtype=float)
-    norm = scaled_tol(1.0, mat)
-    try:  # eig, qr and svd signal a LAPACK failure by LinAlgError
-        t, _, wr, wi, z, _, info = dgees(lambda wr, wi: None, mat, lwork=34 * len(mat))
-        if info:
-            raise DecompositionFailedError(f"decomposition: the real Schur form did not converge (dgees info = {info})")
-        folded = wr + 1j * np.abs(wi)
-        upper = wi >= 0.0  # one position per Schur block
-        points = np.flatnonzero(upper)
-        order, tried = _tried_nodes(folded[points], 2.0 * wi[points], norm)  # a pair leaf spans 2|wi|
-        schur_form = (t, z, folded, np.einsum("ij,ij->j", mat, mat)) if tried else None
-        blocks: list[tuple[complex, list[np.ndarray]]] = []
-        covered = np.zeros(len(points), dtype=bool)
-        for first, last in tried:  # none inside a node already accepted
-            if not covered[first]:
-                found = _node_chains(mat, schur_form, _block_mask(points[order[first:last]], wi))
-                if found is not None:
-                    blocks.extend((found[0], chain) for chain in found[1])
-                    covered[first:last] = True
-        simple = order[~covered]  # the leaves left over: simple eigenvalues
-        if simple.size:
-            select = _block_mask(points[simple], wi)
-            k = int(np.count_nonzero(select))
-            if k < len(t):  # the simple positions become the leading block
-                t, z = _reorder_schur(t, z, select)
-                upper &= select
-            w, v = np.linalg.eig(t[:k, :k])
-            lams = folded[upper]
-            picks = np.abs(w - lams[:, None]).argmin(axis=1)
-            if len(set(picks.tolist())) < len(picks):
-                raise DecompositionFailedError("decomposition: two simple eigenvalues take the same eig column")
-            cols = (z[:, :k] @ v[:, picks]).T
-            blocks.extend((lam, [col.real if lam.imag == 0.0 else col]) for lam, col in zip(lams.tolist(), cols))
+    norm = scaled_tol(1.0, source.entries)
+    weights = _balance_weights(source.entries, norm)
+    try:  # eig, eigh, qr and svd signal a LAPACK failure by LinAlgError
+        return _schur_route(source, norm) if weights is None else _symmetric_route(source, norm, weights)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailedError(f"decomposition: {exc}") from exc
+
+
+def _symmetric_eigh(m, root: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, lams, V): S = diag(root) m diag(1/root), and one `eigh` of its symmetric part (S + S^T) / 2.
+
+    lams ascend and V is orthonormal, so diag(1/root) V holds eigenvectors of
+    m when S is symmetric.  The one symmetrize-and-eigh step of the
+    symmetric route and of reversible_eigenbasis.  numpy's eigh, not scipy's
+    dsyevd: the gate's products run in numpy's BLAS, and an eigensolve in
+    scipy's BLAS between them made the two libraries' idle threads compete
+    for the cores (SEP(2, 8) with two BLAS threads on two cores: about 10 ms
+    through dsyevd, 1.3 ms through eigh).
+    """
+    sym = np.asarray(m) * root[:, None] / root
+    lams, v = np.linalg.eigh((sym + sym.T) / 2.0)
+    return sym, lams, v
+
+
+def _symmetric_route(source: RateMatrix, norm: float, w: np.ndarray) -> SpectralData:
+    """decompose of a matrix in detailed balance with the weights w (core._balance_weights).
+
+    One `eigh` of S = W^{1/2} M W^{-1/2} (_symmetric_eigh) gives the real
+    eigenvalues and U = W^{-1/2} V, Uinv = V^T W^{1/2}.  Which eigenvalues
+    count as one is decided on the tree of _tried_nodes, as on the Schur
+    route: a tried node is one eigenvalue, at the mean lam of its members,
+    when every member lies within the staircase's cutoff sqrt(eps) s of lam
+    (s the largest column norm of S - lam I), which is the decision the
+    staircase takes on the diagonal Schur form of a normal matrix, and its
+    eigenvectors leave a defect max|V_node (Lambda_node - lam I)| within
+    DEFAULTS.residual ||M||_inf, the semisimple test of _node_chains.
+    Every block has size 1; the columns are sorted into canonical order.
+    """
+    root = np.sqrt(w)
+    sym, lams, v = _symmetric_eigh(source.entries, root)
+    order, tried = _tried_nodes(lams, np.zeros(len(lams)), norm)
+    if tried:
+        colsq, diag = np.einsum("ij,ij->j", sym, sym), np.diag(sym)
+        covered = np.zeros(len(lams), dtype=bool)
+        for first, last in tried:  # none inside a node already accepted
+            if not covered[first]:
+                members = order[first:last]
+                lam = float(np.mean(lams[members]))
+                shift = lams[members] - lam
+                scale = float(np.sqrt(np.max(colsq - diag**2 + (diag - lam) ** 2)))
+                if max_abs(shift) <= np.sqrt(EPS) * scale and max_abs(v[:, members] * shift) <= DEFAULTS.residual * norm:
+                    lams[members] = lam
+                    covered[first:last] = True
+    # the eigenvalues ascend, and a node's mean stays between its neighbours: descending order is the reverse
+    structure = JordanStructure(tuple(zip(lams[::-1].tolist(), [1] * len(lams))))
+    v = v[:, ::-1]
+    return _gated(source, structure, v / root[:, None], v.T * root, "decomposition", norm)
+
+
+def _schur_route(source: RateMatrix, norm: float) -> SpectralData:
+    """decompose through one real Schur form, for any real square matrix (see decompose)."""
+    mat = np.asarray(source.entries)
+    t, _, wr, wi, z, _, info = dgees(lambda wr, wi: None, mat, lwork=34 * len(mat))
+    if info:
+        raise DecompositionFailedError(f"decomposition: the real Schur form did not converge (dgees info = {info})")
+    folded = wr + 1j * np.abs(wi)
+    upper = wi >= 0.0  # one position per Schur block
+    points = np.flatnonzero(upper)
+    order, tried = _tried_nodes(folded[points], 2.0 * wi[points], norm)  # a pair leaf spans 2|wi|
+    schur_form = (t, z, folded, np.einsum("ij,ij->j", mat, mat)) if tried else None
+    blocks: list[tuple[complex, list[np.ndarray]]] = []
+    covered = np.zeros(len(points), dtype=bool)
+    for first, last in tried:  # none inside a node already accepted
+        if not covered[first]:
+            found = _node_chains(mat, schur_form, _block_mask(points[order[first:last]], wi), norm)
+            if found is not None:
+                blocks.extend((found[0], chain) for chain in found[1])
+                covered[first:last] = True
+    simple = order[~covered]  # the leaves left over: simple eigenvalues
+    if simple.size:
+        select = _block_mask(points[simple], wi)
+        k = int(np.count_nonzero(select))
+        if k < len(t):  # the simple positions become the leading block
+            t, z = _reorder_schur(t, z, select)
+            upper &= select
+        w, v = np.linalg.eig(t[:k, :k])
+        lams = folded[upper]
+        picks = np.abs(w - lams[:, None]).argmin(axis=1)
+        if len(set(picks.tolist())) < len(picks):
+            raise DecompositionFailedError("decomposition: two simple eigenvalues take the same eig column")
+        cols = (z[:, :k] @ v[:, picks]).T
+        blocks.extend((lam, [col.real if lam.imag == 0.0 else col]) for lam, col in zip(lams.tolist(), cols))
     blocks += [(lam.conjugate(), [v.conj() for v in chain]) for lam, chain in blocks if lam.imag != 0.0]
     blocks.sort(key=lambda b: _canonical_key(JordanBlock(b[0], len(b[1]))))
     structure = JordanStructure(tuple(JordanBlock(ev, len(chain)) for ev, chain in blocks))
     dtype = float if structure.is_real() else complex
     u = np.array([v for _, chain in blocks for v in chain], dtype=dtype).T
-    return _gated(source, structure, u, None, "decomposition")
+    return _gated(source, structure, u, None, "decomposition", norm)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -463,7 +539,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _gated(
-    source: RateMatrix, structure: JordanStructure, u: np.ndarray, uinv: np.ndarray | None, label: str
+    source: RateMatrix,
+    structure: JordanStructure,
+    u: np.ndarray,
+    uinv: np.ndarray | None,
+    label: str,
+    norm: float | None = None,
 ) -> SpectralData:
     """SpectralData for source = U J U^{-1}, after the one residual gate every producer passes.
 
@@ -483,24 +564,27 @@ def _gated(
     M U, lambda U and Uinv U, one n x n each, and two more for the scaled
     defect where a block has size 2 or more.
     U and Uinv are stored as read-only views of u and uinv, not copies.
+    norm is ||M||_inf when the caller has read it already, else one dlange
+    pass reads it.
     """
     if uinv is None:
         try:
             uinv = np.linalg.inv(u)
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailedError(f"{label}: the eigenbasis is numerically singular") from exc
-    real = structure.is_real()
+    real, diagonalizable = structure.is_real(), structure.is_diagonalizable()
     lams = np.repeat([ev.real if real else ev for ev, _ in structure.blocks], [size for _, size in structure.blocks])
     defect = (np.asarray(source.entries) @ u).astype(np.result_type(u, lams), copy=False)
     defect -= u * lams
-    links = [o + i for o, (_, size) in zip(structure.offsets, structure.blocks) for i in range(1, size)]
-    if links:
+    if not diagonalizable:
+        links = [o + i for o, (_, size) in zip(structure.offsets, structure.blocks) for i in range(1, size)]
         defect[:, links] -= u[:, np.subtract(links, 1)]
     gram = np.asarray(uinv) @ u
     gram.flat[:: gram.shape[0] + 1] -= 1.0
-    fit, inverse, bound = max_abs(defect), max_abs(gram), scaled_tol(DEFAULTS.residual, source.entries, max_abs(u))
+    norm = scaled_tol(1.0, source.entries) if norm is None else norm
+    fit, inverse, bound = max_abs(defect), max_abs(gram), DEFAULTS.residual * norm * max_abs(u)
     scaled = inverse
-    if not structure.is_diagonalizable():
+    if not diagonalizable:
         scale = np.abs(u).max(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero column gives inf or NaN, which fails below
             scaled = max_abs(gram * (scale[:, None] / scale))
@@ -645,16 +729,15 @@ def check_r_similar(hat: SpectralData, primal: SpectralData, r: int) -> Witness 
 def reversible_eigenbasis(l: RateMatrix, mu: Measure) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenvalues and a mu-orthonormal eigenbasis of a reversible generator.
 
-    Uses the symmetrization diag(sqrt(mu)) L diag(1/sqrt(mu)); raises
+    Uses the symmetrization diag(sqrt(mu)) L diag(1/sqrt(mu)) (_symmetric_eigh); raises
     NotOrthonormalError if L is not self-adjoint in L^2(mu), i.e. when the
     symmetrization's asymmetry exceeds DEFAULTS.residual times its max-abs entry.
     """
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.sqrt(np.asarray(mu.weights))
-    sym = (np.asarray(l.entries) * w[:, None]) / w[None, :]
+    sym, lams, v = _symmetric_eigh(l.entries, w)
     if max_abs(sym - sym.T) > DEFAULTS.residual * max_abs(sym):
         raise NotOrthonormalError("matrix is not reversible w.r.t. the supplied measure")
-    lams, v = np.linalg.eigh((sym + sym.T) / 2.0)
     order = np.argsort(-lams)
     return lams[order], (v[:, order] / w[:, None])

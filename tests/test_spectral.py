@@ -1,14 +1,16 @@
+import warnings
 from collections import Counter
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
-from scipy.linalg import subspace_angles
+from scipy.linalg import block_diag, subspace_angles
 
 from markovdual import (
     JordanStructure,
@@ -27,11 +29,12 @@ from markovdual import (
     stationary_measure,
 )
 from markovdual.config import DEFAULTS, Tolerances
-from markovdual import spectral
+from markovdual import core, linalg, spectral
+from markovdual.spectral import SpectralData
 from markovdual.errors import DecompositionFailedError, NotOrthonormalError
 from markovdual.models import ladder_sep_generator
 from markovdual.scenarios import cyclic_generator, jordan_block_generator
-from markovdual.linalg import EPS
+from markovdual.linalg import EPS, scaled_tol
 from markovdual.spectral import _pivoted_picks
 
 from conftest import (
@@ -49,6 +52,24 @@ from conftest import (
     svd_power_cluster_chains,
     witness_matrix,
 )
+
+
+def schur_route(m) -> SpectralData:
+    """decompose's Schur route on any input, reversible or not: the reference for the symmetric route."""
+    source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
+    return spectral._schur_route(source, scaled_tol(1.0, source.entries))
+
+
+def assert_same_structure(sd: SpectralData, reference: SpectralData) -> None:
+    """The same block sizes under each distinct eigenvalue, in canonical order, and the eigenvalues
+    within DEFAULTS.residual ||M||_inf of the reference's, position by position."""
+
+    def groups(structure):
+        return [[b.size for b in blocks] for _, blocks in groupby(structure.blocks, key=lambda b: b.eigenvalue)]
+
+    assert groups(sd.structure) == groups(reference.structure)
+    bound = DEFAULTS.residual * scaled_tol(1.0, reference.source.entries)
+    assert np.max(np.abs(sd.eigenvalues - reference.eigenvalues), initial=0.0) <= bound
 
 
 class TestDecompose:
@@ -156,6 +177,16 @@ class TestDecompose:
     def test_close_eigenvalues_of_a_symmetric_matrix_stay_simple(self, seed):
         # -1 and -1 - 4e-8: their block passes the staircase as wholly null, but its Schur
         # vectors leave a defect of about 2e-8, above the gate's 1e-9 ||M||; two simple blocks
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+        d = np.array([0.0, -1.0, -1.0 - 4e-8, -2.0, -2.5, -3.0])
+        sd = schur_route(q @ np.diag(d) @ q.T)
+        assert sd.structure.is_diagonalizable() and len(sd.structure.blocks) == 6
+        npt.assert_allclose(sorted(sd.eigenvalues.real), sorted(d), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_close_eigenvalues_of_a_symmetric_matrix_stay_simple_on_decompose(self, seed):
+        # the twin of the test above (its negative rates keep it off the symmetric route; the
+        # reversible case is TestSymmetricRoute.test_close_eigenvalues_of_a_reversible_chain_stay_simple)
         q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
         d = np.array([0.0, -1.0, -1.0 - 4e-8, -2.0, -2.5, -3.0])
         sd = decompose(q @ np.diag(d) @ q.T)
@@ -398,6 +429,14 @@ BIRTH_DEATH_2800 = {
 }
 
 
+def birth_death_2800(side: str) -> np.ndarray:
+    """The matrix of BIRTH_DEATH_2800 relabelled as on `side`."""
+    m = np.diag(BIRTH_DEATH_2800["up"], 1) + np.diag(BIRTH_DEATH_2800["down"], -1)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    q = BIRTH_DEATH_2800[side]
+    return m[np.ix_(q, q)]
+
+
 # perfbench spectral-build seed 27, job 1621, L-hat side: the relabelling q of the 81-state
 # SEP(2, 8) generator (the matrix m[q][:, q]).  Its Schur form holds semisimple clusters of
 # up to 17 eigenvalues, whose blocks are diagonal up to rounding; an `eig` of the whole
@@ -424,6 +463,12 @@ class TestDecomposeFailures:
 
     def test_simple_eigenvectors_come_from_a_block_without_clusters(self):
         m = np.asarray(sep_generator(ConfigurationSpace.sep(2, 8), 1.0).entries)
+        sd = schur_route(m[np.ix_(PINNED_SEP_2_8, PINNED_SEP_2_8)])
+        assert sd.structure.is_diagonalizable() and sd.residual <= 1e-11
+
+    def test_pinned_sep_2_8_on_decompose(self):
+        # the twin of the test above, on the symmetric route: one eigh, with no eig to go wrong
+        m = np.asarray(sep_generator(ConfigurationSpace.sep(2, 8), 1.0).entries)
         sd = decompose(m[np.ix_(PINNED_SEP_2_8, PINNED_SEP_2_8)])
         assert sd.structure.is_diagonalizable() and sd.residual <= 1e-11
 
@@ -432,12 +477,21 @@ class TestDecomposeFailures:
         # decompose once merged the two close eigenvalues into one semisimple cluster at
         # their mean, which the gate rejected (1.935e-7 against 6.276e-9); the merged
         # block has no null vector at all, so its members stay simple
-        m = np.diag(BIRTH_DEATH_2800["up"], 1) + np.diag(BIRTH_DEATH_2800["down"], -1)
-        np.fill_diagonal(m, -m.sum(axis=1))
-        q = BIRTH_DEATH_2800[side]
-        sd = decompose(m[np.ix_(q, q)])
+        sd = schur_route(birth_death_2800(side))
         assert len(sd.structure.blocks) == 70 and sd.structure.is_diagonalizable()
         assert sd.residual <= 1e-12
+
+    @pytest.mark.parametrize("side", ["L-hat side", "L side"])
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e7])
+    def test_close_simple_eigenvalues_stay_apart_on_decompose(self, side, c):
+        # the twin of the test above, on the symmetric route and at three scales: the node of
+        # the two eigenvalues 6.1e-7 apart is tried, and each lies 3e-7 from its mean, beyond
+        # the cutoff sqrt(eps) s
+        l = RateMatrix.from_entries(c * birth_death_2800(side))
+        sd = decompose(l)
+        assert len(sd.structure.blocks) == 70 and sd.structure.is_diagonalizable()
+        assert sd.residual <= 1e-12 * max(1.0, c)
+        assert_same_structure(sd, schur_route(l))
 
     @pytest.mark.parametrize(
         "target", ["numpy.linalg.eig", "markovdual.spectral.dgees", "scipy.linalg.qr", "scipy.linalg.svd"]
@@ -552,11 +606,23 @@ class TestLeadingBlockRoute:
     @pytest.mark.parametrize("random_rates", [False, True])
     def test_sep_clusters_always_exit_at_k1(self, vertices, gamma, random_rates, monkeypatch):
         calls = self.spy(monkeypatch)
-        sd = decompose(_sep(np.random.default_rng(vertices * gamma), vertices, gamma, random_rates))
+        sd = schur_route(_sep(np.random.default_rng(vertices * gamma), vertices, gamma, random_rates))
         eigenvalues = [b.eigenvalue for b in sd.structure.blocks]
         repeated = {ev for ev in eigenvalues if eigenvalues.count(ev) > 1}
         assert calls and all(c is not None and c[1] == 1 for c in calls)
         assert len(calls) == len(repeated)
+
+    @pytest.mark.parametrize("vertices,gamma", [(3, 2), (3, 3), (4, 2), (2, 8)])
+    @pytest.mark.parametrize("random_rates", [False, True])
+    def test_sep_clusters_take_no_staircase_on_decompose(self, vertices, gamma, random_rates, monkeypatch):
+        # the twin of the test above: SEP is reversible, so decompose groups the same clusters
+        # on its symmetric route, with no staircase at all
+        l = _sep(np.random.default_rng(vertices * gamma), vertices, gamma, random_rates)
+        reference = schur_route(l)
+        calls = self.spy(monkeypatch)
+        sd = decompose(l)
+        assert calls == []
+        assert_same_structure(sd, reference)
 
     def test_one_schur_form_and_no_eig_of_the_matrix(self, monkeypatch):
         schur_calls, eig_inputs = [], []
@@ -582,11 +648,198 @@ class TestLeadingBlockRoute:
         for l in inputs:
             schur_calls.clear()
             eig_inputs.clear()
-            decompose(l)
+            schur_route(l)
             assert len(schur_calls) == 1 and len(eig_inputs) <= 1
             # eig sees only the quasi-triangular T of that Schur form, never M
             assert all(np.all(np.tril(a, -2) == 0.0) for a in eig_inputs)
             assert not any(np.array_equal(a, np.asarray(l.entries)) for a in eig_inputs)
+
+    def test_one_schur_form_or_one_eigh_on_decompose(self, monkeypatch):
+        # the twin of the test above: a reversible input (SEP) takes one symmetric eigensolve
+        # and no Schur form, eig or inverse; every other input one Schur form and at most one
+        # eig of its T
+        calls = Counter()
+        for module, name in [(spectral, "dgees"), (np.linalg, "eig"), (np.linalg, "eigh"), (np.linalg, "inv")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+        inputs = [
+            (random_generator(np.random.default_rng(0), 12), False),
+            (cyclic_generator(), False),
+            (jordan_block_generator(), False),
+            (direct_sum(np.random.default_rng(1), cyclic_generator(), 4), False),
+            (_sep(np.random.default_rng(2), 3, 2, False), True),
+        ]
+        for l, reversible in inputs:
+            calls.clear()
+            decompose(l)
+            if reversible:
+                assert calls == {"eigh": 1}
+            else:
+                assert calls["dgees"] == 1 and calls["eig"] <= 1 and calls["eigh"] == 0
+
+
+def _routes_taken(monkeypatch) -> list[str]:
+    """The decompose routes run from now on, by name, in call order."""
+    taken = []
+    for name in ("_schur_route", "_symmetric_route"):
+        real = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *a, _real=real, _name=name: taken.append(_name) or _real(*a))
+    return taken
+
+
+# label -> build(rng) -> RateMatrix; every one is reversible
+REVERSIBLE_FAMILIES = {
+    "sep": lambda rng: sep_generator(
+        ConfigurationSpace.sep(v := int(rng.integers(2, 5)), int(rng.integers(1, {2: 9, 3: 4, 4: 3}[v]))),
+        _symmetric_rates(rng, v),
+    ),
+    "ladder": lambda rng: ladder_sep_generator(
+        ConfigurationSpace.ladder(v := int(rng.integers(2, 4)), int(rng.integers(1, {2: 4, 3: 3}[v]))),
+        _symmetric_rates(rng, v),
+    ),
+    "birth-death": lambda rng: random_birth_death(rng, int(rng.integers(2, 41))),
+    "reducible": lambda rng: RateMatrix.from_entries(
+        block_diag(*[np.asarray(random_birth_death(rng, int(k)).entries) for k in rng.integers(2, 9, rng.integers(2, 4))])
+    ),
+}
+
+
+@st.composite
+def reversible_inputs(draw):
+    """(family, c, l): a relabelled draw of a reversible family, every rate scaled by c in [1e-9, 1e7]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(sorted(REVERSIBLE_FAMILIES)))
+    c = 10.0 ** draw(st.floats(-9.0, 7.0))
+    l = REVERSIBLE_FAMILIES[family](rng)
+    return family, c, permuted(rng, RateMatrix.from_entries(c * np.asarray(l.entries)))
+
+
+class TestSymmetricRoute:
+    """decompose's symmetric route on reversible inputs against its Schur route, the reference."""
+
+    @settings(max_examples=60)
+    @given(reversible_inputs())
+    @example(("birth-death", 1.0, RateMatrix.from_entries(birth_death_2800("L-hat side"))))
+    @example(("birth-death", 1.0, RateMatrix.from_entries(birth_death_2800("L side"))))
+    def test_route_matches_the_schur_route(self, case):
+        family, c, l = case
+        assert core._balance_weights(l.entries, scaled_tol(1.0, l.entries)) is not None, family
+        sd, reference = decompose(l), schur_route(l)
+        assert_same_structure(sd, reference)
+        assert sd.structure.is_diagonalizable()
+        assert sd.residual <= 1e-11 * max(1.0, c)
+
+    def test_weights_are_the_stationary_measure_of_an_irreducible_chain(self, rng):
+        l = permuted(rng, random_birth_death(rng, 30))
+        w = core._balance_weights(l.entries, scaled_tol(1.0, l.entries))
+        npt.assert_allclose(w / w.sum(), stationary_measure(l).weights, rtol=1e-12)
+        assert w.max() == 1.0
+
+    def test_each_component_has_largest_weight_one(self, rng):
+        parts = [3.0 * np.asarray(random_birth_death(rng, k, 0.5, 2.0).entries) for k in (2, 5, 7)]
+        l = permuted(rng, RateMatrix.from_entries(block_diag(*parts)))
+        w = core._balance_weights(l.entries, scaled_tol(1.0, l.entries))
+        labels = core._components(l.entries)
+        assert sorted(w[labels == k].max() for k in np.unique(labels)) == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("route", [schur_route, decompose], ids=["schur route", "decompose"])
+    def test_close_eigenvalues_of_a_reversible_chain_stay_simple(self, route):
+        # two 2-state chains with eigenvalues -1 and -1 - 1e-8: within the staircase's cutoff
+        # (1.05e-8) of their mean, but their eigenvectors leave a defect of about 3.5e-9, above
+        # 1e-9 ||M||; so they stay simple, while the two zeros are one eigenvalue
+        m = block_diag(np.array([[-0.5, 0.5], [0.5, -0.5]]), np.array([[-0.5, 0.5], [0.5 + 1e-8, -0.5 - 1e-8]]))
+        sd = route(m)
+        assert [b.size for b in sd.structure.blocks] == [1] * 4
+        assert len({b.eigenvalue for b in sd.structure.blocks}) == 3
+        npt.assert_allclose(sd.eigenvalues.real, [0.0, 0.0, -1.0, -1.0 - 1e-8], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,spread,seed", [(60, 1.5e-8, s) for s in range(3)] + [(100, 1e-8, s) for s in range(3)])
+    def test_routes_agree_near_the_staircase_cutoff(self, n, spread, seed):
+        # the complete graph's eigenvalue -n of multiplicity n - 1, split by symmetric rate noise
+        # into a spread of 2.4e-7 to 3e-7, beside the cutoff sqrt(eps) s: 1.2e-7 at n = 60 and
+        # 1.5e-7 at n = 100, where some of these clusters are one eigenvalue and some are not
+        rng = np.random.default_rng(seed)
+        p = 1.0 + spread * rng.uniform(-1.0, 1.0, (n, n))
+        p = (p + p.T) / 2.0
+        np.fill_diagonal(p, 0.0)
+        np.fill_diagonal(p, -p.sum(axis=1))
+        assert_same_structure(decompose(p), schur_route(p))
+
+    @staticmethod
+    def unbalanced(factor: float, x: int = 1, y: int = 2) -> np.ndarray:
+        """A complete 4-state chain, symmetric but for a flux defect of `factor` times the route's bound at (x, y)."""
+        m = np.array([[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 0.5], [2.0, 1.0, 0.0, 1.0], [1.5, 0.5, 1.0, 0.0]])
+        np.fill_diagonal(m, -m.sum(axis=1))
+        delta = factor * DEFAULTS.residual * scaled_tol(1.0, m)
+        m[x, y] += delta
+        m[x, x] -= delta
+        assert abs(m[x, y] - m[y, x]) / (DEFAULTS.residual * scaled_tol(1.0, m)) == pytest.approx(factor, rel=1e-6)
+        return m
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e7])
+    @pytest.mark.parametrize("x,y", [(1, 2), (2, 3)])  # (1, 2) is read alone before the flux pass
+    def test_a_flux_defect_just_above_the_bound_takes_the_schur_route(self, c, x, y, monkeypatch):
+        taken = _routes_taken(monkeypatch)
+        decompose(c * self.unbalanced(1.01, x, y))
+        decompose(c * self.unbalanced(0.99, x, y))
+        assert taken == ["_schur_route", "_symmetric_route"]
+
+    def test_near_misses_take_the_schur_route_with_no_solve(self, rng, monkeypatch):
+        chain = np.asarray(random_birth_death(rng, 6).entries)
+        one_sided = chain.copy()
+        one_sided[3, 2], one_sided[3, 3] = 0.0, one_sided[3, 3] + one_sided[3, 2]  # 2 -> 3 has no way back
+        absorbing = chain.copy()
+        absorbing[0] = 0.0  # state 0 has no outgoing rate
+        negative = chain.copy()
+        tiny = 1e-12 * scaled_tol(1.0, chain)  # within classify_matrix's slack, still negative
+        negative[1, 4] = negative[4, 1] = -tiny  # a symmetric pattern
+        negative[1, 1] += tiny
+        negative[4, 4] += tiny
+        solves = []
+        real = core.dposv
+        monkeypatch.setattr(core, "dposv", lambda *a, **k: solves.append(1) or real(*a, **k))
+        taken = _routes_taken(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a rejection reads no logarithm of a negative rate
+            for m in (one_sided, absorbing, negative):
+                assert core._balance_weights(m, scaled_tol(1.0, m)) is None
+                decompose(m)
+        assert solves == [] and taken == ["_schur_route"] * 3
+        decompose(chain)
+        assert solves == [1] and taken[-1] == "_symmetric_route"
+
+    def test_a_complete_pattern_is_decided_with_no_solve(self, monkeypatch):
+        solves = []
+        real = core.dposv
+        monkeypatch.setattr(core, "dposv", lambda *a, **k: solves.append(1) or real(*a, **k))
+        taken = _routes_taken(monkeypatch)
+        decompose(random_generator(np.random.default_rng(0), 8))  # not reversible
+        decompose(self.unbalanced(0.5))  # reversible up to rounding
+        assert solves == [] and taken == ["_schur_route", "_symmetric_route"]
+
+    def test_a_failed_eigh_is_typed(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("numpy.linalg.eigh", fails)
+        with pytest.raises(DecompositionFailedError, match="did not converge"):
+            decompose(sep_generator(ConfigurationSpace.sep(3, 2), 1.0))
+
+    def test_one_norm_pass_per_decompose(self, monkeypatch):
+        # ||M||_inf is read once and passed to the balance test, the routes and the gate, and to
+        # each semisimple node test of the Schur route (repeated cyclic blocks give such nodes)
+        passes = []
+        real = linalg.dlange
+        monkeypatch.setattr(linalg, "dlange", lambda *a: passes.append(1) or real(*a))
+        inputs = [
+            sep_generator(ConfigurationSpace.sep(2, 8), 1.0),
+            direct_sum(np.random.default_rng(0), jordan_block_generator(), 6),
+            direct_sum(np.random.default_rng(1), cyclic_generator(), 4),
+        ]
+        for l in inputs:
+            passes.clear()
+            decompose(l)
+            assert len(passes) == 1
 
 
 def _sep_random_rates(rng):
