@@ -214,18 +214,21 @@ def _components(m) -> np.ndarray:
         labels = new[new]
 
 
-def _balance_weights(m, norm: float) -> np.ndarray | None:
-    """Detailed-balance weights w > 0 of m, largest 1 on each component (_components), or None.
+def _symmetrization(m, norm: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(root, S) for m in detailed balance, or None: root = sqrt(w), S = diag(root) m diag(1/root).
 
-    m passes when every off-diagonal entry is >= 0, its off-diagonal nonzero
-    pattern is symmetric (exact zeros), and the flux defect
-    max|w(x) m(x,y) - w(y) m(y,x)| (_flux_defect) is within
-    DEFAULTS.residual norm max w, norm being ||m||_inf and max w = 1; a NaN
-    fails.  The cheap tests come first: one pass reads the smallest
-    off-diagonal entry, which rejects a negative rate and, when positive,
-    marks a complete pattern.  A complete pattern takes star weights from
-    state 0, w(y) = m(0,y) / m(y,0), and one flux pass decides, with no
-    solve; the pass's entry (1, 2) is read first, alone, and rejects most
+    w > 0 are detailed-balance weights of m, largest 1 on each component
+    (_components).  m passes when every off-diagonal entry is >= 0, its
+    off-diagonal nonzero pattern is symmetric (exact zeros), and the
+    asymmetry max|S - S^T| is within DEFAULTS.residual norm, norm being
+    ||m||_inf; a NaN fails.  S - S^T at (x, y) is the flux defect
+    w(x) m(x,y) - w(y) m(y,x) over sqrt(w(x) w(y)), so the bound holds the
+    flux of light states to their own scale, and it is the asymmetry an
+    `eigh` of S would discard.  The cheap tests come first: one pass reads
+    the smallest off-diagonal entry, which rejects a negative rate and, when
+    positive, marks a complete pattern.  A complete pattern takes star
+    weights from state 0, w(y) = m(0,y) / m(y,0), and the asymmetry decides,
+    with no solve; its entry (1, 2) is read first, alone, and rejects most
     matrices that are not reversible.  Otherwise a one-sided rate (an
     asymmetric pattern) rejects, and the log-weights are the least-squares
     potentials of the edge differences log m(x,y) - log m(y,x) over the
@@ -245,8 +248,8 @@ def _balance_weights(m, norm: float) -> np.ndarray | None:
     if smallest > 0.0:  # a complete pattern
         w = np.concatenate([[1.0], m[0, 1:] / m[1:, 0]])
         w /= w.max()
-        if n > 2 and abs(w[1] * m[1, 2] - w[2] * m[2, 1]) > DEFAULTS.residual * norm:
-            return None  # the flux defect at (1, 2) alone is above the bound
+        if n > 2 and abs(w[1] * m[1, 2] - w[2] * m[2, 1]) > DEFAULTS.residual * norm * np.sqrt(w[1] * w[2]):
+            return None  # the asymmetry at (1, 2) alone is above the bound
     else:
         edges = m != 0.0
         if (edges != edges.T).any():
@@ -263,9 +266,19 @@ def _balance_weights(m, norm: float) -> np.ndarray | None:
         top = np.full(n, -np.inf)
         np.maximum.at(top, labels, phi)
         w = np.exp(phi - top[labels])
-    if not (w.min() > 0.0 and _flux_defect(m, w) <= DEFAULTS.residual * norm):  # max w = 1
+    if not w.min() > 0.0:
         return None
-    return w
+    root = np.sqrt(w)
+    sym = _symmetrized(m, root)
+    # S - S^T is antisymmetric, so its largest entry is its largest absolute entry; max keeps a NaN
+    if not (sym - sym.T).max() <= DEFAULTS.residual * norm:
+        return None
+    return root, sym
+
+
+def _symmetrized(m, root: np.ndarray) -> np.ndarray:
+    """diag(root) m diag(1/root), symmetric when m is in detailed balance with the weights root^2."""
+    return np.asarray(m) * root[:, None] / root
 
 
 def stationary_measure(l: RateMatrix) -> Measure:
@@ -303,30 +316,16 @@ def stationary_measure(l: RateMatrix) -> Measure:
 def check_detailed_balance(l: RateMatrix, mu: Measure) -> bool:
     """True iff mu(x) L(x,y) == mu(y) L(y,x) for all x, y, within DEFAULTS.residual ||L||_inf max mu.
 
-    The defect is _flux_defect's, with one n x n buffer.
+    The flux mu(x) L(x,y) is the one n x n buffer; its difference from its
+    transpose is taken by blocks of rows of at most 2^17 entries.
     """
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.asarray(mu.weights)
-    return bool(_flux_defect(l.entries, w) <= scaled_tol(DEFAULTS.residual, l.entries, w.max()))
-
-
-def _flux_defect(m, w: np.ndarray) -> float:
-    """max|F - F^T| of the flux F = diag(w) m, the detailed-balance defect of m under weights w.
-
-    NaN when an entry of F - F^T is NaN, so a comparison `defect <= bound`
-    fails.  F is the one n x n buffer; its difference from its transpose is
-    taken by blocks of rows of at most 2^17 entries.  F - F^T is
-    antisymmetric, so its largest entry is its largest absolute entry, and
-    each block needs one max.
-    """
-    n = len(w)
-    flux = w[:, None] * np.asarray(m)
-    step = max(1, 2**17 // n)
-    worst = (flux[:step] - flux[:, :step].T).max()
-    for a in range(step, n, step):
-        worst = np.maximum(worst, (flux[a : a + step] - flux[:, a : a + step].T).max())  # keeps a NaN
-    return float(worst)
+    flux = w[:, None] * np.asarray(l.entries)
+    step = max(1, 2**17 // l.n)
+    worst = [max_abs(flux[a : a + step] - flux[:, a : a + step].T) for a in range(0, l.n, step)]
+    return bool(np.max(worst) <= scaled_tol(DEFAULTS.residual, l.entries, w.max()))
 
 
 def adjoint(l: RateMatrix, mu: Measure) -> RateMatrix:

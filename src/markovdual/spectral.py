@@ -9,7 +9,7 @@ gate, _gated.
 
 Chains are stored eigenvector-first, so M @ U == U @ J with J upper bidiagonal
 (ones on the superdiagonal inside each block).  A matrix in detailed balance
-(core._balance_weights) takes decompose's symmetric route: one `eigh` of
+(core._symmetrization) takes decompose's symmetric route: one `eigh` of
 W^{1/2} M W^{-1/2}, its eigenvalues grouped on the same tree as below.  Any
 other takes the Schur route, which reads every decision from one real Schur
 form M = Z T Z^T, with no eigenvalue radius.
@@ -40,7 +40,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgees, dtrsen
 
 from .config import DEFAULTS
-from .core import Measure, RateMatrix, _balance_weights
+from .core import Measure, RateMatrix, _symmetrization, _symmetrized
 from .errors import DecompositionFailedError, NotOrthonormalError, ShapeMismatchError
 from .linalg import EPS, max_abs, scaled_tol
 
@@ -321,6 +321,23 @@ def _block_mask(first: np.ndarray, wi: np.ndarray) -> np.ndarray:
     return select
 
 
+def _node_cutoff(colsq: np.ndarray, diag: np.ndarray, lam: complex) -> float:
+    """The staircase's cutoff sqrt(eps) s at the shift lam, s the largest column norm of A - lam I.
+
+    s is read off the squared column norms colsq and the diagonal diag of A.
+    A semisimple node's members lie within this cutoff of lam.
+    """
+    return np.sqrt(EPS) * float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
+
+
+def _semisimple_fits(defect: np.ndarray, norm: float) -> bool:
+    """True when a semisimple node's unit eigenvectors V leave a defect (M - lam I) V within DEFAULTS.residual norm.
+
+    norm is ||M||_inf, so the bound is the gate's for unit columns.
+    """
+    return max_abs(defect) <= DEFAULTS.residual * norm
+
+
 def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray, norm: float):
     """(eigenvalue, chains) of one tree node's Schur positions (the mask select), or None when no shift fits.
 
@@ -332,14 +349,14 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray, norm: float):
     with multiplicity k; then, when k is even and holds conjugate pairs and
     k / 2 > 1, the complex mean of their folded values, with multiplicity
     k / 2 (a pair alone is a simple eigenvalue).  A shift fits when the
-    staircase of T11 - lam I at the cutoff sqrt(eps) s, s the largest column
-    norm of M - lam I (read off c and the diagonal of mat), reaches the
-    multiplicity as a Jordan partition.  The cutoff scales with the full
-    M - lam I, not with the block, which for a semisimple node holds only
-    rounding.  A real shift whose block is wholly null at the first level
+    staircase of T11 - lam I at the cutoff sqrt(eps) s (_node_cutoff), s
+    the largest column norm of M - lam I (read off c and the diagonal of
+    mat), reaches the multiplicity as a Jordan partition.  The cutoff scales
+    with the full M - lam I, not with the block, which for a semisimple node
+    holds only rounding.  A real shift whose block is wholly null at the first level
     (a semisimple node, whose chains are its Schur vectors) fits only when
-    the defect those vectors leave, max|Z1 (T11 - lam I)|, is within
-    DEFAULTS.residual norm (norm = ||M||_inf), the gate's bound for unit
+    the defect those vectors leave, Z1 (T11 - lam I), is within
+    DEFAULTS.residual norm (_semisimple_fits), the gate's bound for unit
     columns: two distinct eigenvalues closer than the cutoff but split by
     more than rounding are not one eigenvalue, and their node descends to
     its leaves.
@@ -355,11 +372,10 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray, norm: float):
         shifts.append((complex(np.mean(values)), k // 2))
     diag = np.diag(mat)
     for lam, m_alg in shifts:
-        scale = float(np.sqrt(np.max(colsq - diag**2 + np.abs(diag - lam) ** 2)))
         a = t[:k, :k] - lam * np.eye(k)
-        stairs = _staircase(a, np.sqrt(EPS) * scale, m_alg)
+        stairs = _staircase(a, _node_cutoff(colsq, diag, lam), m_alg)
         # a semisimple node must leave no more defect than the gate allows its Schur vectors
-        if stairs is not None and (stairs[0][1] < k or max_abs(z[:, :k] @ a) <= DEFAULTS.residual * norm):
+        if stairs is not None and (stairs[0][1] < k or _semisimple_fits(z[:, :k] @ a, norm)):
             chains = _jordan_chains(a, *stairs)
             cols = iter((z[:, :k] @ np.array([v for c in chains for v in c]).T).T)
             return complex(lam), [[next(cols) for _ in c] for c in chains]
@@ -369,12 +385,12 @@ def _node_chains(mat: np.ndarray, schur_form, select: np.ndarray, norm: float):
 def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     """Jordan decomposition of a real square matrix.
 
-    Two routes, picked by one detailed-balance test (core._balance_weights:
+    Two routes, picked by one detailed-balance test (core._symmetrization:
     off-diagonal entries >= 0, a symmetric nonzero pattern, and weights w
-    whose flux defect max|w(x) M(x,y) - w(y) M(y,x)| is within
-    DEFAULTS.residual ||M||_inf max w).  A matrix that passes, such as SEP
-    or any birth-death chain, takes the symmetric route (_symmetric_route):
-    one `eigh` of the symmetrization S = W^{1/2} M W^{-1/2}, so
+    whose symmetrization S = W^{1/2} M W^{-1/2} has an asymmetry
+    max|S - S^T| within DEFAULTS.residual ||M||_inf).  A matrix that passes,
+    such as SEP or any birth-death chain, takes the symmetric route
+    (_symmetric_route): one `eigh` of S, so
     U = W^{-1/2} V and Uinv = V^T W^{1/2} with no inverse, and every block
     has size 1.  Any other matrix takes the Schur route (_schur_route), the
     reference.  ||M||_inf is read once and serves the test, the route and
@@ -432,45 +448,42 @@ def decompose(m: RateMatrix | np.ndarray) -> SpectralData:
     """
     source = m if isinstance(m, RateMatrix) else RateMatrix.from_entries(m)
     norm = scaled_tol(1.0, source.entries)
-    weights = _balance_weights(source.entries, norm)
+    balanced = _symmetrization(source.entries, norm)
     try:  # eig, eigh, qr and svd signal a LAPACK failure by LinAlgError
-        return _schur_route(source, norm) if weights is None else _symmetric_route(source, norm, weights)
+        return _schur_route(source, norm) if balanced is None else _symmetric_route(source, norm, *balanced)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailedError(f"decomposition: {exc}") from exc
 
 
-def _symmetric_eigh(m, root: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, lams, V): S = diag(root) m diag(1/root), and one `eigh` of its symmetric part (S + S^T) / 2.
+def _symmetric_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lams, V): one `eigh` of the symmetric part (S + S^T) / 2 of the symmetrization S = sym.
 
     lams ascend and V is orthonormal, so diag(1/root) V holds eigenvectors of
-    m when S is symmetric.  The one symmetrize-and-eigh step of the
-    symmetric route and of reversible_eigenbasis.  numpy's eigh, not scipy's
-    dsyevd: the gate's products run in numpy's BLAS, and an eigensolve in
-    scipy's BLAS between them made the two libraries' idle threads compete
-    for the cores (SEP(2, 8) with two BLAS threads on two cores: about 10 ms
-    through dsyevd, 1.3 ms through eigh).
+    m when S = diag(root) m diag(1/root) (core._symmetrized) is symmetric.
+    The one eigensolve of the symmetric route and of reversible_eigenbasis.
+    numpy's eigh, not scipy's dsyevd: the gate's products run in numpy's
+    BLAS, and an eigensolve in scipy's BLAS between them made the two
+    libraries' idle threads compete for the cores (SEP(2, 8) with two BLAS
+    threads on two cores: about 10 ms through dsyevd, 1.3 ms through eigh).
     """
-    sym = np.asarray(m) * root[:, None] / root
-    lams, v = np.linalg.eigh((sym + sym.T) / 2.0)
-    return sym, lams, v
+    return np.linalg.eigh((sym + sym.T) / 2.0)
 
 
-def _symmetric_route(source: RateMatrix, norm: float, w: np.ndarray) -> SpectralData:
-    """decompose of a matrix in detailed balance with the weights w (core._balance_weights).
+def _symmetric_route(source: RateMatrix, norm: float, root: np.ndarray, sym: np.ndarray) -> SpectralData:
+    """decompose of a matrix in detailed balance, from its symmetrization (core._symmetrization).
 
-    One `eigh` of S = W^{1/2} M W^{-1/2} (_symmetric_eigh) gives the real
-    eigenvalues and U = W^{-1/2} V, Uinv = V^T W^{1/2}.  Which eigenvalues
-    count as one is decided on the tree of _tried_nodes, as on the Schur
-    route: a tried node is one eigenvalue, at the mean lam of its members,
-    when every member lies within the staircase's cutoff sqrt(eps) s of lam
-    (s the largest column norm of S - lam I), which is the decision the
-    staircase takes on the diagonal Schur form of a normal matrix, and its
-    eigenvectors leave a defect max|V_node (Lambda_node - lam I)| within
-    DEFAULTS.residual ||M||_inf, the semisimple test of _node_chains.
-    Every block has size 1; the columns are sorted into canonical order.
+    root = W^{1/2} for the weights w and sym = S = W^{1/2} M W^{-1/2}.  One
+    `eigh` of S (_symmetric_eigh) gives the real eigenvalues and
+    U = W^{-1/2} V, Uinv = V^T W^{1/2}.  Which eigenvalues count as one is
+    decided on the tree of _tried_nodes, as on the Schur route: a tried node
+    is one eigenvalue, at the mean lam of its members, when every member
+    lies within the staircase's cutoff of lam (_node_cutoff, with S for M),
+    which is the decision the staircase takes on the diagonal Schur form of
+    a normal matrix, and its eigenvectors' defect V_node (Lambda_node - lam I)
+    passes _semisimple_fits, the semisimple test of _node_chains.  Every block has size 1; the columns are sorted into
+    canonical order.
     """
-    root = np.sqrt(w)
-    sym, lams, v = _symmetric_eigh(source.entries, root)
+    lams, v = _symmetric_eigh(sym)
     order, tried = _tried_nodes(lams, np.zeros(len(lams)), norm)
     if tried:
         colsq, diag = np.einsum("ij,ij->j", sym, sym), np.diag(sym)
@@ -480,8 +493,7 @@ def _symmetric_route(source: RateMatrix, norm: float, w: np.ndarray) -> Spectral
                 members = order[first:last]
                 lam = float(np.mean(lams[members]))
                 shift = lams[members] - lam
-                scale = float(np.sqrt(np.max(colsq - diag**2 + (diag - lam) ** 2)))
-                if max_abs(shift) <= np.sqrt(EPS) * scale and max_abs(v[:, members] * shift) <= DEFAULTS.residual * norm:
+                if max_abs(shift) <= _node_cutoff(colsq, diag, lam) and _semisimple_fits(v[:, members] * shift, norm):
                     lams[members] = lam
                     covered[first:last] = True
     # the eigenvalues ascend, and a node's mean stays between its neighbours: descending order is the reverse
@@ -736,8 +748,9 @@ def reversible_eigenbasis(l: RateMatrix, mu: Measure) -> tuple[np.ndarray, np.nd
     if mu.space.n != l.n:
         raise ShapeMismatchError("measure and matrix sizes differ")
     w = np.sqrt(np.asarray(mu.weights))
-    sym, lams, v = _symmetric_eigh(l.entries, w)
+    sym = _symmetrized(l.entries, w)
     if max_abs(sym - sym.T) > DEFAULTS.residual * max_abs(sym):
         raise NotOrthonormalError("matrix is not reversible w.r.t. the supplied measure")
+    lams, v = _symmetric_eigh(sym)
     order = np.argsort(-lams)
     return lams[order], (v[:, order] / w[:, None])

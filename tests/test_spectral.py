@@ -723,22 +723,57 @@ class TestSymmetricRoute:
     @example(("birth-death", 1.0, RateMatrix.from_entries(birth_death_2800("L side"))))
     def test_route_matches_the_schur_route(self, case):
         family, c, l = case
-        assert core._balance_weights(l.entries, scaled_tol(1.0, l.entries)) is not None, family
+        assert core._symmetrization(l.entries, scaled_tol(1.0, l.entries)) is not None, family
         sd, reference = decompose(l), schur_route(l)
         assert_same_structure(sd, reference)
         assert sd.structure.is_diagonalizable()
         assert sd.residual <= 1e-11 * max(1.0, c)
 
+    @pytest.mark.parametrize("vertices,gamma", [(3, 2), (3, 3), (4, 2), (2, 8)])
+    @pytest.mark.parametrize("random_rates", [False, True])
+    def test_witness_matches_the_schur_route_on_sep(self, vertices, gamma, random_rates):
+        rng = np.random.default_rng(vertices * gamma)
+        self.assert_same_witness(rng, _sep(rng, vertices, gamma, random_rates))
+
+    @pytest.mark.parametrize("vertices,gamma", [(2, 2), (2, 3), (3, 2)])
+    def test_witness_matches_the_schur_route_on_the_ladder(self, vertices, gamma):
+        rng = np.random.default_rng(vertices * gamma)
+        l = ladder_sep_generator(ConfigurationSpace.ladder(vertices, gamma), _symmetric_rates(rng, vertices))
+        self.assert_same_witness(rng, l)
+
+    @pytest.mark.parametrize("n", [10, 40, 70])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witness_matches_the_schur_route_on_birth_death(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same_witness(rng, random_birth_death(rng, n))
+
+    @staticmethod
+    def assert_same_witness(rng, l):
+        """check_r_similar at full rank between two relabellings of l matches the same blocks on both routes.
+
+        Each matched pair's offsets and sizes are equal, and its eigenvalue within
+        DEFAULTS.residual ||M||_inf of the Schur route's.
+        """
+        copies = [permuted(rng, l) for _ in range(2)]
+        witnesses = [check_r_similar(*(route(c) for c in copies), l.n) for route in (decompose, schur_route)]
+        assert all(w is not None and w.rank == l.n for w in witnesses)
+        new, reference = ([u[1:] for u in w.matched] for w in witnesses)  # offsets and sizes
+        assert new == reference
+        bound = DEFAULTS.residual * scaled_tol(1.0, l.entries)
+        assert max(abs(a.eigenvalue - b.eigenvalue) for a, b in zip(*(w.matched for w in witnesses))) <= bound
+
     def test_weights_are_the_stationary_measure_of_an_irreducible_chain(self, rng):
         l = permuted(rng, random_birth_death(rng, 30))
-        w = core._balance_weights(l.entries, scaled_tol(1.0, l.entries))
+        root, _ = core._symmetrization(l.entries, scaled_tol(1.0, l.entries))
+        w = root**2
         npt.assert_allclose(w / w.sum(), stationary_measure(l).weights, rtol=1e-12)
         assert w.max() == 1.0
 
     def test_each_component_has_largest_weight_one(self, rng):
         parts = [3.0 * np.asarray(random_birth_death(rng, k, 0.5, 2.0).entries) for k in (2, 5, 7)]
         l = permuted(rng, RateMatrix.from_entries(block_diag(*parts)))
-        w = core._balance_weights(l.entries, scaled_tol(1.0, l.entries))
+        root, _ = core._symmetrization(l.entries, scaled_tol(1.0, l.entries))
+        w = root**2
         labels = core._components(l.entries)
         assert sorted(w[labels == k].max() for k in np.unique(labels)) == [1.0, 1.0, 1.0]
 
@@ -784,6 +819,51 @@ class TestSymmetricRoute:
         decompose(c * self.unbalanced(0.99, x, y))
         assert taken == ["_schur_route", "_symmetric_route"]
 
+    @staticmethod
+    def light_cycle() -> tuple[np.ndarray, np.ndarray]:
+        """(m, w): state 0 and, behind a rate 1e-10 from it, a 3-cycle 1 -> 2 -> 3 -> 1 at rate 1, 2 the other way.
+
+        The cycle's rates break Kolmogorov's criterion (cycle products 1 against 8), but under
+        the weights w, 1e-10 on the cycle, its flux defect is 1e-10 alone.
+        """
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 0] = 1e-10, 1.0
+        for x, y in [(1, 2), (2, 3), (3, 1)]:
+            m[x, y], m[y, x] = 1.0, 2.0
+        np.fill_diagonal(m, -m.sum(axis=1))
+        return m, np.array([1.0, 1e-10, 1e-10, 1e-10])
+
+    @staticmethod
+    def light_end_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, w): a birth-death chain with drift (up 0.5, down 1), unbalanced rates on a triangle at its light end.
+
+        The chain's weights w(k) = 2^-k balance every rate but the triangle's edge between
+        states n - 3 and n - 1, whose flux defect is 2^(1 - n) alone.
+        """
+        m = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.ones(n - 1), -1)
+        m[n - 3, n - 1], m[n - 1, n - 3] = 1.0, 3.0
+        np.fill_diagonal(m, -m.sum(axis=1))
+        return m, 0.5 ** np.arange(n)
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e7])
+    @pytest.mark.parametrize("case", ["light cycle", "light-end triangle"])
+    def test_an_unbalanced_light_corner_takes_the_schur_route(self, case, c, rng, monkeypatch):
+        # the flux defect alone, max|w(x) m(x,y) - w(y) m(y,x)| with max w = 1, is within the
+        # bound here; the asymmetry of S = W^{1/2} M W^{-1/2}, the flux over sqrt(w(x) w(y)),
+        # is of the order of the rates, and an eigh of its symmetric part would be wrong.  The
+        # triangle sits where the chain's weights have fallen to 2^-31 = 4.7e-10
+        m, w = self.light_cycle() if case == "light cycle" else self.light_end_triangle(32)
+        m = c * m
+        flux = w[:, None] * m
+        norm = scaled_tol(1.0, m)
+        assert np.max(np.abs(flux - flux.T)) <= DEFAULTS.residual * norm
+        p = rng.permutation(len(m))
+        m = m[np.ix_(p, p)]
+        assert core._symmetrization(m, norm) is None
+        taken = _routes_taken(monkeypatch)
+        decompose(m)  # passes the gate
+        assert taken == ["_schur_route"]
+
     def test_near_misses_take_the_schur_route_with_no_solve(self, rng, monkeypatch):
         chain = np.asarray(random_birth_death(rng, 6).entries)
         one_sided = chain.copy()
@@ -802,7 +882,7 @@ class TestSymmetricRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a rejection reads no logarithm of a negative rate
             for m in (one_sided, absorbing, negative):
-                assert core._balance_weights(m, scaled_tol(1.0, m)) is None
+                assert core._symmetrization(m, scaled_tol(1.0, m)) is None
                 decompose(m)
         assert solves == [] and taken == ["_schur_route"] * 3
         decompose(chain)
